@@ -5,14 +5,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
-	"tricheck/internal/compile"
 	"tricheck/internal/litmus"
 	"tricheck/internal/mem"
-	"tricheck/internal/obs"
 	"tricheck/internal/opsim"
 )
 
@@ -125,123 +121,31 @@ func (o *OpsimMemo) Divergent() bool {
 	return o != nil && (len(o.UhbOnly) > 0 || len(o.OpsimOnly) > 0)
 }
 
-// evaluateBackend dispatches the farm job thunk on the backend axis.
-func (e *Engine) evaluateBackend(t *litmus.Test, s Stack, b Backend, stackName, modelName string, trace obs.TraceID, parent obs.SpanID) (*Memo, error) {
-	switch b {
-	case BackendOpsim:
-		return e.evaluateOpsim(t, s, stackName, modelName)
-	case BackendBoth:
-		return e.evaluateBoth(t, s, stackName, modelName, trace, parent)
-	default:
-		return e.evaluate(t, s, stackName, modelName, trace, parent)
-	}
-}
-
-// evaluateOpsim runs the toolflow with operational enumeration as step 3:
-// HLL evaluation and compilation as usual, then the config-matched
-// simulator explores every interleaving and its reachable set stands in
-// for the µhb observable set in the step-4 comparison.
-func (e *Engine) evaluateOpsim(t *litmus.Test, s Stack, stackName, modelName string) (*Memo, error) {
-	jobStart := time.Now()
-	hll, err := e.HLL(t) // step 1
-	dHLL := time.Since(jobStart)
-	if err != nil {
-		return nil, err
-	}
-	t1 := time.Now()
-	prog, err := compile.Compile(s.Mapping, t.Prog) // step 2
-	dCompile := time.Since(t1)
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling %s with %s: %w", t.Name, s.Mapping.Name, err)
-	}
-	t2 := time.Now()
-	sim, err := opsim.ForConfig(s.Model.Config, prog)
-	if err != nil {
-		compile.ReleaseProgram(prog)
-		return nil, err
-	}
-	out := sim.Outcomes() // step 3, operationally
-	dEnumerate := time.Since(t2)
-	compile.ReleaseProgram(prog)
-	e.execs.Add(1)
-	phaseHLL.Observe(dHLL)
-	phaseCompile.Observe(dCompile)
-	phaseOpsim.Observe(dEnumerate)
-	m := compareSets(hll, out, out)
-	m.Opsim = &OpsimMemo{Observable: sortedOutcomeSet(out), States: sim.StateCount()}
-	verdictCounters[m.Verdict].Inc()
-	// No µhb axioms fire on the operational path; only the verdict column
-	// of the per-model coverage matrix moves.
-	e.ledger.Model(modelName).Record(int(m.Verdict), 0, 0, 0)
-	e.recordCost(JobCost{
-		Test: t.Name, Family: t.Shape.Name, Stack: stackName,
-		Count: 1, Total: time.Since(jobStart),
-		HLL: dHLL, Compile: dCompile, Enumerate: dEnumerate,
-		Candidates: sim.StateCount(),
-	})
-	return m, nil
-}
-
-// evaluateBoth runs the full axiomatic toolflow for the verdict, then the
-// operational backend as a second opinion: the two observable sets are
-// diffed, and any disagreement upgrades the verdict to Divergence with
-// both sets, the symmetric difference, and — when the simulator reaches
-// an outcome the µhb model forbids — an interleaving witness attached.
-// A config outside the simulators' capability degrades to a skip note on
-// the memo rather than an error: `both` means "cross-check where you
-// can", and the caller can see exactly which stacks were second-opinioned.
-func (e *Engine) evaluateBoth(t *litmus.Test, s Stack, stackName, modelName string, trace obs.TraceID, parent obs.SpanID) (*Memo, error) {
-	m, err := e.evaluate(t, s, stackName, modelName, trace, parent)
-	if err != nil {
-		return nil, err
-	}
-	var capErr *opsim.CapabilityError
-	if err := opsim.Supports(s.Model.Config); errors.As(err, &capErr) {
-		m.Opsim = &OpsimMemo{Skipped: capErr.Reason}
-		return m, nil
-	} else if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	prog, err := compile.Compile(s.Mapping, t.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling %s with %s: %w", t.Name, s.Mapping.Name, err)
-	}
-	sim, err := opsim.ForConfig(s.Model.Config, prog)
-	if err != nil {
-		compile.ReleaseProgram(prog)
-		return nil, err
-	}
-	out := sim.Outcomes()
-	op := &OpsimMemo{Observable: sortedOutcomeSet(out), States: sim.StateCount()}
-	for o := range m.Observable {
+// crossCheck is the BackendBoth half of step 4: it diffs the µhb
+// observable set against the simulator's reachable set out into op's
+// symmetric difference and reports whether the two disagree. When the
+// simulator reaches an outcome the µhb model forbids, op also carries an
+// interleaving witness for it — a concrete execution the axiomatic side
+// claims impossible. (A uhb-only outcome has no operational witness by
+// definition.)
+func crossCheck(op *OpsimMemo, observable, out map[mem.Outcome]bool, sim opsim.Enumerator) bool {
+	for o := range observable {
 		if !out[o] {
 			op.UhbOnly = append(op.UhbOnly, o)
 		}
 	}
 	for o := range out {
-		if !m.Observable[o] {
+		if !observable[o] {
 			op.OpsimOnly = append(op.OpsimOnly, o)
 		}
 	}
 	sortOutcomes(op.UhbOnly)
 	sortOutcomes(op.OpsimOnly)
-	if op.Divergent() {
-		// Witness one operational-only outcome when there is one: a
-		// concrete interleaving the axiomatic side claims impossible.
-		// (A uhb-only outcome has no operational witness by definition.)
-		if len(op.OpsimOnly) > 0 {
-			op.WitnessOutcome = op.OpsimOnly[0]
-			op.Witness = sim.Trace(op.WitnessOutcome)
-		}
-		m.Verdict = Divergence
-		e.divergences.Add(1)
-		verdictCounters[Divergence].Inc()
+	if len(op.OpsimOnly) > 0 {
+		op.WitnessOutcome = op.OpsimOnly[0]
+		op.Witness = sim.Trace(op.WitnessOutcome)
 	}
-	compile.ReleaseProgram(prog)
-	phaseOpsim.Observe(time.Since(t0))
-	m.Opsim = op
-	return m, nil
+	return op.Divergent()
 }
 
 // sortedOutcomeSet flattens an outcome set into a sorted slice.

@@ -169,3 +169,45 @@ func TestBackendMiswiredDivergence(t *testing.T) {
 		t.Errorf("tally miscounts divergence: %+v", tally)
 	}
 }
+
+// TestBackendDivergenceCountsOnce: a divergent job is one executed job
+// with one verdict. It adds exactly 1 to tricheck_verdicts_total, under
+// Divergence and not also under its µhb verdict, and the coverage
+// ledger's per-model verdict column agrees with the verdict vector.
+func TestBackendDivergenceCountsOnce(t *testing.T) {
+	opsim.SetMiswired(true)
+	defer opsim.SetMiswired(false)
+	eng := NewEngine()
+	tst := litmus.SB.Instantiate([]c11.Order{c11.Rlx, c11.Rlx, c11.Rlx, c11.Rlx})
+	s := Stack{Mapping: compile.RISCVBaseIntuitive, Model: uspec.SCProof()}
+	var before [len(verdictCounters)]uint64
+	for v, c := range verdictCounters {
+		before[v] = c.Value()
+	}
+	r, err := eng.RunBackend(tst, s, BackendBoth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict != Divergence {
+		t.Fatalf("verdict = %v, want Divergence", r.Verdict)
+	}
+	for v, c := range verdictCounters {
+		want := uint64(0)
+		if Verdict(v) == Divergence {
+			want = 1
+		}
+		if got := c.Value() - before[v]; got != want {
+			t.Errorf("tricheck_verdicts_total{verdict=%q} moved by %d, want %d", Verdict(v), got, want)
+		}
+	}
+	snap := eng.Coverage().Snapshot()
+	if len(snap.Models) != 1 || len(snap.Vectors) != 1 {
+		t.Fatalf("ledger has %d models and %d vectors, want 1 and 1", len(snap.Models), len(snap.Vectors))
+	}
+	if got := snap.Models[0].Verdicts; len(got) != 1 || got["Divergence"] != 1 {
+		t.Errorf("ledger per-model verdicts = %v, want only Divergence: 1", got)
+	}
+	if got := snap.Vectors[0].Verdict; got != "Divergence" {
+		t.Errorf("ledger verdict vector = %q, want Divergence", got)
+	}
+}

@@ -8,16 +8,21 @@
 //     (internal/compile).
 //  3. ISA µSPEC EVALUATION — run the compiled test on a microarchitecture
 //     model (internal/uspec) to classify every outcome as observable or
-//     unobservable.
+//     unobservable; the Backend picks the µhb solver, the operational
+//     simulator (internal/opsim), or both over the same compiled program.
 //  4. EQUIVALENCE CHECK — compare: an outcome forbidden by the HLL yet
 //     observable is a Bug; permitted yet unobservable is Overly Strict;
-//     otherwise the stack is Equivalent on this test.
+//     otherwise the stack is Equivalent on this test. Under BackendBoth a
+//     disagreement between the two step-3 sets is a Divergence.
 //
-// The Engine caches step 1 per test so that sweeping many (mapping, model)
-// stacks — as Figure 15 does — pays for the C11 evaluation once.
+// Engine.evaluate is the one implementation of this pipeline, for every
+// backend. The Engine caches step 1 per test so that sweeping many
+// (mapping, model) stacks — as Figure 15 does — pays for the C11
+// evaluation once.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,6 +36,7 @@ import (
 	"tricheck/internal/litmus"
 	"tricheck/internal/mem"
 	"tricheck/internal/obs"
+	"tricheck/internal/opsim"
 	"tricheck/internal/uspec"
 )
 
@@ -206,42 +212,55 @@ func (e *Engine) run(t *litmus.Test, s Stack, b Backend) (*Memo, error) {
 		if m, ok := e.memo.Get(key); ok {
 			return m, nil
 		}
-		m, err := e.evaluateBackend(t, s, b, s.Name(), s.Model.FullName(), 0, 0)
+		m, err := e.evaluate(t, s, b, s.Name(), s.Model.FullName(), 0, 0)
 		if err != nil {
 			return nil, err
 		}
 		e.memo.Put(key, m)
 		return m, nil
 	}
-	return e.evaluateBackend(t, s, b, s.Name(), s.Model.FullName(), 0, 0)
+	return e.evaluate(t, s, b, s.Name(), s.Model.FullName(), 0, 0)
 }
 
 // evaluate runs toolflow steps 1–4 unconditionally and returns the
-// portable verdict. It is the farm's job thunk; every call counts as one
-// verifier execution.
+// portable verdict. It is the farm's job thunk and the single exit point
+// of every executed job, whatever the backend: steps 1–2 run once, and
+// the execution count, cost-matrix cell, ledger record, verdict counter
+// and sampled span are each recorded once.
 //
-// Step 3 uses the two-tier µhb core: the job prepares the compiled
-// program's static skeleton exactly once and streams every candidate
-// execution through a pooled overlay, so a sweep's per-execution cost is
-// dynamic edges plus an allocation-free cycle check.
+// Step 3 runs on the backend's engine(s), over the one compiled program:
+//
+//   - µhb (uhb, both): the job prepares the program's static skeleton
+//     exactly once and streams every candidate execution through a
+//     pooled overlay, so a sweep's per-execution cost is dynamic edges
+//     plus an allocation-free cycle check.
+//   - operational (opsim, both): the config-matched simulator explores
+//     every interleaving. Under opsim its reachable set stands in for
+//     the µhb observable set in step 4; under both it is a second
+//     opinion, and any disagreement upgrades the µhb verdict to
+//     Divergence with the diff and a witness attached (crossCheck). A
+//     config outside the simulators' capability degrades to a skip note
+//     under both — "cross-check where you can" — rather than an error.
 //
 // Telemetry: each phase is wall-timed into the verdict-phase histograms
-// and the engine's per-(test, stack) cost matrix; 1-in-N executed jobs
-// (obs.SetVerdictSampling) additionally carry an obs.Span — tagged with
-// the sweep's trace when one is on the context — that lands in the
-// slow-trace ring. stackName and modelName are precomputed by the caller
-// so the uninstrumented job path formats nothing.
+// and the engine's per-(test, stack) cost matrix, whose Total covers the
+// whole job; 1-in-N executed jobs (obs.SetVerdictSampling) additionally
+// carry an obs.Span — tagged with the sweep's trace when one is on the
+// context — that lands in the slow-trace ring. stackName and modelName
+// are precomputed by the caller so the uninstrumented job path formats
+// nothing.
 //
 // Coverage: the job's axiom bitsets (uspec.Coverage, accumulated by the
 // Prepared across the skeleton build and every candidate execution) fold
 // into the ledger's per-model matrix, cycle-witnessed bits included on
-// every verdict. A witnessing (forbidding) cycle is what carves the
-// observable set, so its axioms are the provenance of every outcome the
-// model refused — note that the paper's buggy weak configs typically
-// reach their Bug verdicts with *zero* cycles (they observe everything;
-// that is the bug), so the cycle column is populated by the configs
-// that still forbid something.
-func (e *Engine) evaluate(t *litmus.Test, s Stack, stackName, modelName string, trace obs.TraceID, parent obs.SpanID) (*Memo, error) {
+// every verdict; an opsim-only job records its verdict with no axiom
+// bits. A witnessing (forbidding) cycle is what carves the observable
+// set, so its axioms are the provenance of every outcome the model
+// refused — note that the paper's buggy weak configs typically reach
+// their Bug verdicts with *zero* cycles (they observe everything; that
+// is the bug), so the cycle column is populated by the configs that
+// still forbid something.
+func (e *Engine) evaluate(t *litmus.Test, s Stack, b Backend, stackName, modelName string, trace obs.TraceID, parent obs.SpanID) (*Memo, error) {
 	var sp *obs.Span
 	if obs.SampleVerdict() {
 		sp = obs.DefaultTraces.Start(trace, parent, "verdict")
@@ -250,47 +269,78 @@ func (e *Engine) evaluate(t *litmus.Test, s Stack, stackName, modelName string, 
 	}
 	jobStart := time.Now()
 	hll, err := e.HLL(t) // step 1
-	dHLL := time.Since(jobStart)
+	c := JobCost{Test: t.Name, Family: t.Shape.Name, Stack: stackName, Count: 1, HLL: time.Since(jobStart)}
 	if err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
 	prog, err := compile.Compile(s.Mapping, t.Prog) // step 2
-	dCompile := time.Since(t1)
+	c.Compile = time.Since(t1)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling %s with %s: %w", t.Name, s.Mapping.Name, err)
 	}
-	t2 := time.Now()
-	pr := s.Model.Prepare(prog) // step 3: skeleton once per job
-	dSkeleton := time.Since(t2)
-	t3 := time.Now()
-	isaRes, err := pr.Evaluate()
-	dEnumerate := time.Since(t3)
-	cov := pr.Coverage()
-	pr.Close()
-	// The verdict below uses only the outcome sets; the compiled program
-	// is dead, so recycle its arenas for the next job.
-	compile.ReleaseProgram(prog)
-	if err != nil {
-		return nil, fmt.Errorf("core: µspec evaluation of %s on %s: %w", t.Name, s.Model.FullName(), err)
+	// The verdict uses only outcome sets, so the compiled program dies
+	// with the job: recycle its arenas for the next one.
+	defer compile.ReleaseProgram(prog)
+
+	var m *Memo
+	var cov uspec.Coverage
+	if b != BackendOpsim { // step 3 on the µhb model
+		t2 := time.Now()
+		pr := s.Model.Prepare(prog) // skeleton once per job
+		c.Skeleton = time.Since(t2)
+		t3 := time.Now()
+		isaRes, err := pr.Evaluate()
+		c.Enumerate = time.Since(t3)
+		cov = pr.Coverage()
+		pr.Close()
+		if err != nil {
+			return nil, fmt.Errorf("core: µspec evaluation of %s on %s: %w", t.Name, s.Model.FullName(), err)
+		}
+		c.Candidates, c.Graphs = isaRes.Candidates, isaRes.Graphs
+		m = compare(hll, isaRes)
 	}
+	if b != BackendUHB { // step 3 on the operational machine
+		t4 := time.Now()
+		sim, err := opsim.ForConfig(s.Model.Config, prog)
+		var capErr *opsim.CapabilityError
+		switch {
+		case b == BackendBoth && errors.As(err, &capErr):
+			m.Opsim = &OpsimMemo{Skipped: capErr.Reason}
+		case err != nil:
+			return nil, err
+		default:
+			out := sim.Outcomes()
+			op := &OpsimMemo{Observable: sortedOutcomeSet(out), States: sim.StateCount()}
+			if m == nil {
+				m = compareSets(hll, out, out)
+			} else if crossCheck(op, m.Observable, out, sim) {
+				m.Verdict = Divergence
+				e.divergences.Add(1)
+			}
+			m.Opsim = op
+			c.Opsim = time.Since(t4)
+			phaseOpsim.Observe(c.Opsim)
+		}
+	}
+
 	e.execs.Add(1)
-	phaseHLL.Observe(dHLL)
-	phaseCompile.Observe(dCompile)
-	m := compare(hll, isaRes)
+	phaseHLL.Observe(c.HLL)
+	phaseCompile.Observe(c.Compile)
 	verdictCounters[m.Verdict].Inc()
 	e.ledger.Model(modelName).Record(int(m.Verdict), cov.Fired, cov.Edges, cov.Cycle)
-	e.recordCost(JobCost{
-		Test: t.Name, Family: t.Shape.Name, Stack: stackName,
-		Count: 1, Total: time.Since(jobStart),
-		HLL: dHLL, Compile: dCompile, Skeleton: dSkeleton, Enumerate: dEnumerate,
-		Candidates: isaRes.Candidates, Graphs: isaRes.Graphs,
-	})
+	c.Total = time.Since(jobStart)
+	e.recordCost(c)
 	if sp != nil {
-		sp.Phase("hll", dHLL)
-		sp.Phase("compile", dCompile)
-		sp.Phase("skeleton", dSkeleton)
-		sp.Phase("enumerate", dEnumerate)
+		sp.Phase("hll", c.HLL)
+		sp.Phase("compile", c.Compile)
+		if b != BackendOpsim {
+			sp.Phase("skeleton", c.Skeleton)
+			sp.Phase("enumerate", c.Enumerate)
+		}
+		if b != BackendUHB {
+			sp.Phase("opsim", c.Opsim)
+		}
 		sp.Attr("verdict", m.Verdict.String())
 		sp.End()
 	}

@@ -60,12 +60,15 @@ type JobCost struct {
 	// (usually 1 per engine unless the memo cache is disabled).
 	Count int
 	// Total is the end-to-end job wall time; the phase fields split it.
+	// Skeleton and Enumerate are the µhb side of step 3, Opsim the
+	// operational side (so under BackendBoth both are filled).
 	Total     time.Duration
 	HLL       time.Duration
 	Compile   time.Duration
 	Skeleton  time.Duration
 	Enumerate time.Duration
-	// Candidates / Graphs are the evaluation's enumeration counters
+	Opsim     time.Duration
+	// Candidates / Graphs are the µhb evaluation's enumeration counters
 	// (executions visited, overlay cycle checks run).
 	Candidates int
 	Graphs     int
@@ -86,6 +89,7 @@ func (e *Engine) recordCost(c JobCost) {
 	cell.Compile += c.Compile
 	cell.Skeleton += c.Skeleton
 	cell.Enumerate += c.Enumerate
+	cell.Opsim += c.Opsim
 	cell.Candidates += c.Candidates
 	cell.Graphs += c.Graphs
 	e.costMu.Unlock()

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"tricheck/internal/compile"
 	"tricheck/internal/litmus"
+	"tricheck/internal/uspec"
 )
 
 // TestCostMatrixAccumulates pins the per-(test, stack) cost matrix the
@@ -33,7 +36,7 @@ func TestCostMatrixAccumulates(t *testing.T) {
 		if c.Total <= 0 {
 			t.Errorf("%s/%s: non-positive total %v", c.Test, c.Stack, c.Total)
 		}
-		if split := c.HLL + c.Compile + c.Skeleton + c.Enumerate; split > c.Total {
+		if split := c.HLL + c.Compile + c.Skeleton + c.Enumerate + c.Opsim; split > c.Total {
 			t.Errorf("%s/%s: phase split %v exceeds total %v", c.Test, c.Stack, split, c.Total)
 		}
 		if c.Candidates <= 0 {
@@ -63,5 +66,38 @@ func TestCostMatrixAccumulates(t *testing.T) {
 func TestCostMatrixEmptyEngine(t *testing.T) {
 	if costs := NewEngine().CostMatrix(); len(costs) != 0 {
 		t.Errorf("fresh engine has %d cost cells", len(costs))
+	}
+}
+
+// TestCostMatrixOpsimPhase: the simulator's time is its own phase of the
+// cost matrix on both operational backends, and Total covers the whole
+// job — under backend=both that is the µhb phases plus the simulator.
+func TestCostMatrixOpsimPhase(t *testing.T) {
+	tests := litmus.SB.Generate()[:8]
+	stacks := []Stack{
+		{Mapping: compile.RISCVBaseIntuitive, Model: uspec.WR(uspec.Curr)},
+		{Mapping: compile.RISCVBaseIntuitive, Model: uspec.NWR(uspec.Curr)},
+	}
+	for _, b := range []Backend{BackendOpsim, BackendBoth} {
+		eng := NewEngine()
+		if _, err := eng.SweepStreamBackend(context.Background(), tests, stacks, 0, b, nil); err != nil {
+			t.Fatal(err)
+		}
+		costs := eng.CostMatrix()
+		if want := len(tests) * len(stacks); len(costs) != want {
+			t.Fatalf("%v: cost matrix has %d cells, want %d", b, len(costs), want)
+		}
+		for _, c := range costs {
+			if c.Opsim <= 0 {
+				t.Errorf("%v %s/%s: no simulator time recorded", b, c.Test, c.Stack)
+			}
+			if split := c.HLL + c.Compile + c.Skeleton + c.Enumerate + c.Opsim; split > c.Total {
+				t.Errorf("%v %s/%s: phase split %v exceeds total %v", b, c.Test, c.Stack, split, c.Total)
+			}
+			uhbRan := c.Skeleton > 0 && c.Enumerate > 0 && c.Candidates > 0
+			if uhbRan != (b == BackendBoth) {
+				t.Errorf("%v %s/%s: µhb phases %v/%v with %d candidates", b, c.Test, c.Stack, c.Skeleton, c.Enumerate, c.Candidates)
+			}
+		}
 	}
 }

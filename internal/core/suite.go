@@ -306,7 +306,7 @@ func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Tes
 			jobs = append(jobs, farm.Job[string, *Memo]{
 				Key: key,
 				Run: func() (*Memo, error) {
-					return e.evaluateBackend(t, s, backend, sname, mname, trace, parentSpan)
+					return e.evaluate(t, s, backend, sname, mname, trace, parentSpan)
 				},
 			})
 		}

@@ -30,37 +30,12 @@ var ErrUnresolvable = errors.New("mem: unresolvable register-carried address")
 // (AppendFRSuccessors) with their own scratch buffers instead of the
 // slice-returning convenience forms.
 func Enumerate(p *Program, visit func(*Execution) bool) error {
-	return enumerate(p, visit, false)
-}
-
-// EnumerateDelta is Enumerate in minimal-change order: every choice
-// point (rf source per read, coherence-order branch per depth) scans
-// its alternatives in a reflected, mixed-radix-Gray-code order, so
-// consecutive candidates differ in as few rf/mo decisions as possible.
-// That keeps the edge delta between consecutive overlays small, which
-// is what the incremental acyclicity tier (uhb.Incr) amortizes best.
-//
-// The visited candidate multiset is exactly Enumerate's — only the
-// order differs. Callers that derive order-sensitive statistics from
-// the stream (e.g. "graphs checked before an outcome was known
-// observable") will see those statistics change, which is why the
-// default verdict path keeps Enumerate's natural backtracking order.
-func EnumerateDelta(p *Program, visit func(*Execution) bool) error {
-	return enumerate(p, visit, true)
-}
-
-// enumeratorPool recycles enumerator scratch across evaluations: a cold
-// sweep runs two short enumerations per job (C11 and µspec), so the
-// per-run buffer setup is a measurable slice of its allocation profile.
-var enumeratorPool = sync.Pool{New: func() any { return new(enumerator) }}
-
-func enumerate(p *Program, visit func(*Execution) bool, delta bool) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	p.frozen.Store(true)
 	en := enumeratorPool.Get().(*enumerator)
-	en.init(p, visit, delta)
+	en.init(p, visit)
 	en.assignReads()
 	err := en.err
 	if en.stopped {
@@ -72,6 +47,11 @@ func enumerate(p *Program, visit func(*Execution) bool, delta bool) error {
 	enumeratorPool.Put(en)
 	return err
 }
+
+// enumeratorPool recycles enumerator scratch across evaluations: a cold
+// sweep runs two short enumerations per job (C11 and µspec), so the
+// per-run buffer setup is a measurable slice of its allocation profile.
+var enumeratorPool = sync.Pool{New: func() any { return new(enumerator) }}
 
 // Executions collects all candidate executions of p. Each returned
 // Execution is an independent copy.
@@ -121,7 +101,6 @@ type enumerator struct {
 	err     error
 	yielded bool // at least one execution reached the visitor
 	deadEnd bool // some branch was pruned as value-unresolvable
-	delta   bool // EnumerateDelta: reflected (minimal-change) choice order
 
 	reads  []*Event // reading events, (thread, index) order
 	writes []*Event // writing events, gid order
@@ -145,8 +124,6 @@ type enumerator struct {
 	seenEpoch  int32
 	permBuf    [][]int
 	usedBuf    [][]bool
-	rfDir      []bool   // delta mode: per-read reflected iteration direction
-	moDir      []uint64 // delta mode: per-location, per-depth direction bits
 
 	x Execution // scratch execution handed to the visitor
 }
@@ -173,8 +150,8 @@ func sizedRows[T any](rows [][]T, n int) [][]T {
 
 // init (re)binds pooled enumerator scratch to a program, reusing every
 // buffer whose capacity still fits.
-func (en *enumerator) init(p *Program, visit func(*Execution) bool, delta bool) {
-	en.p, en.visit, en.delta = p, visit, delta
+func (en *enumerator) init(p *Program, visit func(*Execution) bool) {
+	en.p, en.visit = p, visit
 	en.stopped, en.err, en.yielded, en.deadEnd = false, nil, false, false
 	en.seenEpoch = 0
 	en.reads = en.reads[:0]
@@ -228,10 +205,6 @@ func (en *enumerator) init(p *Program, visit func(*Execution) bool, delta bool) 
 	en.seenInitEp = sized(en.seenInitEp, p.NumLocs)
 	en.permBuf = sizedRows(en.permBuf, p.NumLocs)
 	en.usedBuf = sizedRows(en.usedBuf, p.NumLocs)
-	if delta {
-		en.rfDir = sized(en.rfDir, len(en.reads))
-		en.moDir = sized(en.moDir, p.NumLocs)
-	}
 	en.x.P = p
 	en.x.MO = sizedRows(en.x.MO, p.NumLocs)
 	en.x.RF = nil
@@ -358,12 +331,6 @@ func (en *enumerator) assignReads() {
 	}
 	r := en.reads[pick]
 	en.done[pick] = true
-	if en.delta {
-		en.assignReadDelta(pick, r, pickLoc)
-		en.rf[r.GID] = rfUnassigned
-		en.done[pick] = false
-		return
-	}
 	// Candidate sources: the initial value plus every write whose location
 	// is (or may turn out to be) pickLoc.
 	en.rf[r.GID] = InitWrite
@@ -384,46 +351,6 @@ func (en *enumerator) assignReads() {
 	}
 	en.rf[r.GID] = rfUnassigned
 	en.done[pick] = false
-}
-
-// assignReadDelta is the EnumerateDelta branch body for one read: the
-// candidate sources are collected up front and scanned in a reflected
-// (mixed-radix Gray code) order — forward on one visit of this choice
-// point, backward on the next — so consecutive candidate executions
-// differ in as few rf choices as possible and the incremental
-// acyclicity tier's delta stays small. Early location pruning is
-// per-candidate-list rather than interleaved with the recursion, which
-// can only defer a rejection to finishReads, never change the visited
-// candidate set.
-func (en *enumerator) assignReadDelta(pick int, r *Event, pickLoc Loc) {
-	// One small allocation per choice point: the list must survive the
-	// recursion below, which visits other choice points. Delta order is
-	// opt-in, so this stays off the default verdict path.
-	cands := make([]int, 0, len(en.writes)+1)
-	cands = append(cands, InitWrite)
-	for _, w := range en.writes {
-		if w.GID == r.GID {
-			continue
-		}
-		wloc, ok := en.eventLoc(w.GID)
-		if ok && wloc != pickLoc {
-			continue
-		}
-		cands = append(cands, w.GID)
-	}
-	reverse := en.rfDir[pick]
-	en.rfDir[pick] = !reverse
-	for i := range cands {
-		if en.stopped || en.err != nil {
-			break
-		}
-		src := cands[i]
-		if reverse {
-			src = cands[len(cands)-1-i]
-		}
-		en.rf[r.GID] = src
-		en.assignReads()
-	}
 }
 
 // finishReads validates the completed rf assignment (deferred location
@@ -540,21 +467,7 @@ func (en *enumerator) enumerateMO(byLoc [][]int, l int) {
 				}
 			}
 		}
-		// Delta mode reflects the branch scan per depth (flipping on each
-		// re-entry), so consecutive coherence orders differ by a small
-		// suffix — the MO half of the Gray-code walk.
-		reverse := false
-		if en.delta {
-			d := len(perm)
-			reverse = en.moDir[l]&(1<<uint(d)) != 0
-			en.moDir[l] ^= 1 << uint(d)
-		}
-		for k := 0; k < len(ws); k++ {
-			i := k
-			if reverse {
-				i = len(ws) - 1 - k
-			}
-			w := ws[i]
+		for i, w := range ws {
 			if used[i] {
 				continue
 			}

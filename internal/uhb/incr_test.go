@@ -119,77 +119,6 @@ func TestQuickIncrSyncMatchesOverlay(t *testing.T) {
 	}
 }
 
-// TestQuickOverlayRetractRestore: RetractEdge and Checkpoint/Restore
-// leave the overlay equivalent to one rebuilt from the surviving edge
-// multiset — verdict, HasEdge, and NumDynamicEdges all agree.
-func TestQuickOverlayRetractRestore(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		s := randomSkeleton(rng, n)
-		ov := AcquireOverlay(s)
-		defer ReleaseOverlay(ov)
-		live := map[[2]int]int{}
-		addRandom := func(k int) {
-			for i := 0; i < k; i++ {
-				from, to := rng.Intn(n), rng.Intn(n)
-				ov.AddEdge(from, to, 3)
-				live[[2]int{from, to}]++
-			}
-		}
-		addRandom(rng.Intn(2 * n))
-		// Checkpoint, push more edges (retracting some of the new ones),
-		// then restore: only pre-mark edges must survive.
-		mark := ov.Checkpoint()
-		before := map[[2]int]int{}
-		for e, c := range live {
-			before[e] = c
-		}
-		var added [][2]int
-		for i := 0; i < rng.Intn(2*n); i++ {
-			from, to := rng.Intn(n), rng.Intn(n)
-			ov.AddEdge(from, to, 4)
-			added = append(added, [2]int{from, to})
-		}
-		for _, e := range added {
-			if rng.Intn(3) == 0 {
-				ov.RetractEdge(e[0], e[1])
-			}
-		}
-		ov.Restore(mark)
-		live = before
-		count := 0
-		for e, c := range live {
-			count += c
-			if !ov.HasEdge(e[0], e[1]) {
-				return false
-			}
-		}
-		if ov.NumDynamicEdges() != count {
-			return false
-		}
-		if ov.HasCycle() != refVerdict(s, live) {
-			return false
-		}
-		// And plain retraction of surviving edges keeps agreeing.
-		for e := range live {
-			ov.RetractEdge(e[0], e[1])
-			live[e]--
-			if live[e] == 0 {
-				delete(live, e)
-			}
-			if ov.HasCycle() != refVerdict(s, live) {
-				return false
-			}
-			break
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestIncrSelfLoopAndCyclicSkeleton: degenerate inputs — a dynamic
 // self-loop is immediately cyclic and retractable; a cyclic skeleton
 // pins every verdict to cyclic.

@@ -28,18 +28,15 @@ type Overlay struct {
 	// shared buffers: head[v] is the first edge index of node v or -1,
 	// next[e] chains, from[e]/to[e]/reason[e] describe edge e. Lists are
 	// built head-first; the cycle check does not depend on traversal order.
-	// RetractEdge unlinks a record and tombstones it (to[e] = -1); the
-	// arrays are append-only so edge indices stay stable for Checkpoint.
 	head   []int32
 	next   []int32
 	from   []int32
 	to     []int32
 	reason []uint32
-	live   int // non-tombstoned edge records
 
 	// Dynamic adjacency as a bitset: row v is
-	// bits[v*words : (v+1)*words], bit y set iff at least one live
-	// (v, y) record exists. Backs O(1) HasEdge and the word-parallel
+	// bits[v*words : (v+1)*words], bit y set iff at least one (v, y)
+	// record exists. Backs O(1) HasEdge and the word-parallel
 	// delta diff in Incr.Sync; dirty lists the rows with any bit ever
 	// set since Reset so Reset clears only what was touched.
 	words      int
@@ -122,15 +119,14 @@ func (o *Overlay) Reset(skel *Skeleton) {
 	o.from = o.from[:0]
 	o.to = o.to[:0]
 	o.reason = o.reason[:0]
-	o.live = 0
 }
 
 // NumNodes returns the node count of the bound skeleton.
 func (o *Overlay) NumNodes() int { return o.skel.n }
 
-// NumDynamicEdges returns the number of live dynamic edge records
-// (duplicates included, retracted records excluded).
-func (o *Overlay) NumDynamicEdges() int { return o.live }
+// NumDynamicEdges returns the number of dynamic edge records
+// (duplicates included).
+func (o *Overlay) NumDynamicEdges() int { return len(o.to) }
 
 // Skeleton returns the bound static tier.
 func (o *Overlay) Skeleton() *Skeleton { return o.skel }
@@ -146,7 +142,6 @@ func (o *Overlay) AddEdge(from, to int, reason uint32) {
 	o.to = append(o.to, int32(to))
 	o.reason = append(o.reason, reason)
 	o.head[from] = e
-	o.live++
 	o.bits[from*o.words+to>>6] |= 1 << (uint(to) & 63)
 	if !o.rowTouched[from] {
 		o.rowTouched[from] = true
@@ -165,90 +160,10 @@ func (o *Overlay) HasEdge(from, to int) bool {
 	return o.skel.HasEdge(from, to)
 }
 
-// RetractEdge removes the most recently added live record of the edge
-// (from, to) and reports whether one existed. Retraction unlinks the
-// record from the adjacency list and tombstones it in place, so earlier
-// Checkpoint marks stay valid; the bitset row bit is cleared only when
-// no duplicate record of the edge remains.
-func (o *Overlay) RetractEdge(from, to int) bool {
-	if from < 0 || from >= o.skel.n || to < 0 || to >= o.skel.n {
-		return false
-	}
-	prev := int32(-1)
-	for e := o.head[from]; e >= 0; e = o.next[e] {
-		if int(o.to[e]) != to {
-			prev = e
-			continue
-		}
-		if prev < 0 {
-			o.head[from] = o.next[e]
-		} else {
-			o.next[prev] = o.next[e]
-		}
-		o.to[e] = -1 // tombstone
-		o.live--
-		if !o.rowHasTarget(from, to) {
-			o.bits[from*o.words+to>>6] &^= 1 << (uint(to) & 63)
-		}
-		return true
-	}
-	return false
-}
-
-// rowHasTarget reports whether any live record (from, to) remains in
-// from's adjacency list.
-func (o *Overlay) rowHasTarget(from, to int) bool {
-	for e := o.head[from]; e >= 0; e = o.next[e] {
-		if int(o.to[e]) == to {
-			return true
-		}
-	}
-	return false
-}
-
-// OverlayMark is a Checkpoint token: the edge-record high-water mark.
-type OverlayMark int
-
-// Checkpoint returns a mark capturing the current dynamic edge set.
-// Restore with it to drop every edge added afterwards — the
-// backtracking primitive delta-ordered enumeration uses instead of a
-// full Reset. Between Checkpoint and Restore only edges added after the
-// mark may be retracted; retracting a pre-mark edge invalidates the
-// mark.
-func (o *Overlay) Checkpoint() OverlayMark { return OverlayMark(len(o.to)) }
-
-// Restore truncates the dynamic edge set back to a Checkpoint mark.
-func (o *Overlay) Restore(m OverlayMark) {
-	mark := int(m)
-	if mark < 0 || mark > len(o.to) {
-		panic(fmt.Sprintf("uhb: Restore mark %d out of range [0,%d]", mark, len(o.to)))
-	}
-	for e := len(o.to) - 1; e >= mark; e-- {
-		if o.to[e] < 0 {
-			continue // already retracted; not on any list
-		}
-		// Popping in reverse insertion order, every live record later
-		// than e is gone, so e is the head of its node's list.
-		v := o.from[e]
-		o.head[v] = o.next[e]
-		o.live--
-		if !o.rowHasTarget(int(v), int(o.to[e])) {
-			o.bits[int(v)*o.words+int(o.to[e])>>6] &^= 1 << (uint(o.to[e]) & 63)
-		}
-	}
-	o.next = o.next[:mark]
-	o.from = o.from[:mark]
-	o.to = o.to[:mark]
-	o.reason = o.reason[:mark]
-}
-
-// ForEachDynamicEdge visits every live dynamic edge record in insertion
+// ForEachDynamicEdge visits every dynamic edge record in insertion
 // order with its reason code.
 func (o *Overlay) ForEachDynamicEdge(fn func(from, to int, reason uint32)) {
 	for e := range o.to {
-		if o.to[e] < 0 {
-			continue
-		}
 		fn(int(o.from[e]), int(o.to[e]), o.reason[e])
 	}
 }

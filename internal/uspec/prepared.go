@@ -68,18 +68,7 @@ type Prepared struct {
 
 	// Local reuse/rebuild tallies, flushed to the obs counters on Close.
 	reuse, rebuild uint64
-
-	deltaOrder bool // Evaluate enumerates in minimal-change order
 }
-
-// SetDeltaOrder switches Evaluate to mem.EnumerateDelta's minimal-change
-// candidate order, which maximizes how much of the incremental tier's
-// topological order consecutive candidates reuse. Off by default: the
-// verdict and outcome sets are identical either way, but order-derived
-// statistics (the Graphs counter, which graphs feed coverage
-// accumulation) follow the enumeration order, and the committed golden
-// locks pin the natural backtracking order's values.
-func (pr *Prepared) SetDeltaOrder(on bool) { pr.deltaOrder = on }
 
 // Prepare builds the static skeleton of p under the model's axioms and
 // returns an evaluator that streams executions through it. Release the
@@ -192,11 +181,7 @@ func (pr *Prepared) Evaluate() (*Result, error) {
 	// single atomic load per checked graph decides, and only every Nth
 	// check pays for two monotonic clock reads.
 	sampleN := uint64(obs.CycleSampling())
-	enum := mem.Enumerate
-	if pr.deltaOrder {
-		enum = mem.EnumerateDelta
-	}
-	err := enum(pr.p.Mem(), func(x *mem.Execution) bool {
+	err := mem.Enumerate(pr.p.Mem(), func(x *mem.Execution) bool {
 		res.Candidates++
 		_, id := cache.Lookup(x)
 		if id == len(obsv) {
