@@ -8,7 +8,11 @@
 // Compatibility contract: within a major version (Version), existing
 // fields keep their names, types and meaning; new fields are added with
 // omitempty so their absence is byte-identical to older payloads. The
-// golden test in api_test.go locks the encoding.
+// golden test in api_test.go locks the encoding. One exception: v1
+// dropped the fields only tricheckd's multi-node sharding mode used —
+// the request's "keys", the verdict record's "worker", and the
+// per-worker dispatch block of the summary and stats records — when
+// that mode was removed. A request that still sends "keys" gets a 400.
 package api
 
 // Version is the wire-schema major version, matching the /v1/ URL prefix.
@@ -49,15 +53,6 @@ type VerifyRequest struct {
 	// Workers requests a farm worker count; the server clamps it to its
 	// per-request budget (0 = the budget itself).
 	Workers int `json:"workers,omitempty"`
-	// Keys, when non-empty, restricts the sweep to the (test, stack)
-	// pairs whose backend-tagged memo keys (core.JobKeyBackend — the Key
-	// field of every verdict record) appear in the list. The fleet
-	// coordinator uses it to dispatch one shard of a sweep to one worker:
-	// keys are content-addressed, so both sides compute identical keys
-	// from the same selectors. A key matching no resolved pair is
-	// ignored, which is what lets a hedged re-dispatch name keys the
-	// original worker already delivered.
-	Keys []string `json:"keys,omitempty"`
 }
 
 // VerdictRecord is one streamed (test, stack) verdict, emitted in farm
@@ -86,13 +81,9 @@ type VerdictRecord struct {
 	Backend string `json:"backend,omitempty"`
 	// SpecifiedBug marks the test's designated interesting outcome as
 	// forbidden-yet-observable on this stack — the paper's headline
-	// counting. It rides on the record so a fleet coordinator can
-	// aggregate per-stack specified_bugs tallies from merged streams
-	// without re-running step 4.
+	// counting. It rides on the record so a stream consumer can tally
+	// specified_bugs per stack without re-running step 4.
 	SpecifiedBug bool `json:"specified_bug,omitempty"`
-	// Worker is the fleet worker URL that produced this record; set only
-	// on coordinator-merged streams with more than one worker.
-	Worker string `json:"worker,omitempty"`
 	// Divergence carries the cross-check detail when Verdict is
 	// "Divergence" (backend=both only).
 	Divergence *Divergence `json:"divergence,omitempty"`
@@ -179,35 +170,6 @@ type SummaryRecord struct {
 	// per-request cut meaningless). The full per-(model, axiom) matrix
 	// and verdict vectors live at GET /v1/coverage.
 	Coverage CoverageTotals `json:"coverage"`
-	// Fleet reports how a coordinator spread this sweep across its
-	// workers (absent on single-node streams).
-	Fleet *FleetSummary `json:"fleet,omitempty"`
-}
-
-// FleetSummary is the coordinator's per-sweep dispatch accounting,
-// attached to a merged stream's terminal summary.
-type FleetSummary struct {
-	// Workers lists every worker that received at least one shard of the
-	// sweep, in dispatch order.
-	Workers []WorkerSummary `json:"workers"`
-	// Hedges counts shard re-dispatches to a ring successor (slow or
-	// dead worker); Deduped counts merged records dropped because a
-	// hedged duplicate of the same (key, test, stack) already arrived.
-	Hedges  int `json:"hedges,omitempty"`
-	Deduped int `json:"deduped,omitempty"`
-}
-
-// WorkerSummary is one fleet worker's share of a merged sweep.
-type WorkerSummary struct {
-	// Worker is the worker's base URL.
-	Worker string `json:"worker"`
-	// Dispatched counts jobs assigned to this worker (hedged duplicates
-	// included); Completed counts its records the merger accepted.
-	Dispatched int `json:"dispatched"`
-	Completed  int `json:"completed"`
-	// Failed marks a worker whose sub-request errored mid-sweep (its
-	// remaining jobs moved to a ring successor).
-	Failed bool `json:"failed,omitempty"`
 }
 
 // ErrorRecord is the stream's terminal record when the sweep failed.
@@ -273,38 +235,6 @@ type StatsRecord struct {
 	// effectiveness: how often the per-candidate verdict reused the
 	// maintained topological order vs. rebuilt it from scratch.
 	Incremental *IncrementalStatsJSON `json:"incremental,omitempty"`
-	// Fleet reports coordinator-mode dispatch counters (absent on plain
-	// workers).
-	Fleet *FleetStatsJSON `json:"fleet,omitempty"`
-}
-
-// WorkerStatsJSON is one fleet worker's lifetime counters on the
-// coordinator.
-type WorkerStatsJSON struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// Dispatched/Completed count jobs sent to and records merged from
-	// this worker; Hedged counts shards re-dispatched away from it;
-	// Retried counts jobs re-assigned to it from a failed peer.
-	Dispatched uint64 `json:"dispatched"`
-	Completed  uint64 `json:"completed"`
-	Hedged     uint64 `json:"hedged"`
-	Retried    uint64 `json:"retried"`
-}
-
-// FleetStatsJSON is the coordinator's /v1/stats block: ring membership,
-// health, and lifetime dispatch counters.
-type FleetStatsJSON struct {
-	Workers int `json:"workers"`
-	Healthy int `json:"healthy"`
-	// Sweeps counts merged fleet sweeps; Hedges/Deduped/Rebalances the
-	// lifetime hedge re-dispatches, duplicate records dropped by the
-	// merger, and memo-slice rebalance pushes.
-	Sweeps     int64             `json:"sweeps"`
-	Hedges     uint64            `json:"hedges"`
-	Deduped    uint64            `json:"deduped"`
-	Rebalances uint64            `json:"rebalances"`
-	PerWorker  []WorkerStatsJSON `json:"per_worker,omitempty"`
 }
 
 // The /v1/coverage shapes mirror internal/cover's deterministic JSON

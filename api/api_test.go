@@ -31,6 +31,20 @@ func TestGoldenVerdictRecord(t *testing.T) {
 	if got != want {
 		t.Errorf("verdict record bytes changed:\n got %s\nwant %s", got, want)
 	}
+
+	// specified_bug is additive omitempty: it appears only on records
+	// whose designated outcome is a bug.
+	got = mustMarshal(t, VerdictRecord{
+		Type: "verdict", Done: 1, Total: 2, Test: "mp[rlx,rel,acq,rlx]",
+		Stack: "riscv-base-intuitive+TSO/riscv-curr", Verdict: "Bug",
+		Key: "abc+def", SpecifiedBug: true,
+	})
+	want = `{"type":"verdict","done":1,"total":2,"test":"mp[rlx,rel,acq,rlx]",` +
+		`"stack":"riscv-base-intuitive+TSO/riscv-curr","verdict":"Bug",` +
+		`"key":"abc+def","cached":false,"specified_bug":true}`
+	if got != want {
+		t.Errorf("specified-bug verdict record bytes changed:\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestGoldenSummaryRecord(t *testing.T) {
@@ -139,54 +153,6 @@ func TestDivergencePayload(t *testing.T) {
 		`"witness":["T0: execute instruction 0","T1: execute instruction 0"]}}`
 	if got != want {
 		t.Errorf("divergence payload bytes changed:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestGoldenFleetFields pins the coordinator-mode additions: a sharded
-// sub-request with a key allowlist, a merged record's worker/specified
-// annotations, and the summary's fleet block. All additive omitempty
-// fields — the goldens above prove their absence is byte-invisible.
-func TestGoldenFleetFields(t *testing.T) {
-	got := mustMarshal(t, VerifyRequest{Family: "mp", ISA: "base", Keys: []string{"abc+def", "abc+fed"}})
-	if want := `{"family":"mp","isa":"base","keys":["abc+def","abc+fed"]}`; got != want {
-		t.Errorf("sharded request bytes changed:\n got %s\nwant %s", got, want)
-	}
-
-	got = mustMarshal(t, VerdictRecord{
-		Type: "verdict", Done: 1, Total: 2, Test: "mp[rlx,rel,acq,rlx]",
-		Stack: "riscv-base-intuitive+TSO/riscv-curr", Verdict: "Bug",
-		Key: "abc+def", SpecifiedBug: true, Worker: "http://w1:8321",
-	})
-	want := `{"type":"verdict","done":1,"total":2,"test":"mp[rlx,rel,acq,rlx]",` +
-		`"stack":"riscv-base-intuitive+TSO/riscv-curr","verdict":"Bug",` +
-		`"key":"abc+def","cached":false,"specified_bug":true,"worker":"http://w1:8321"}`
-	if got != want {
-		t.Errorf("merged verdict record bytes changed:\n got %s\nwant %s", got, want)
-	}
-
-	got = mustMarshal(t, FleetSummary{
-		Workers: []WorkerSummary{
-			{Worker: "http://w1:8321", Dispatched: 81, Completed: 81},
-			{Worker: "http://w2:8321", Dispatched: 81, Completed: 40, Failed: true},
-		},
-		Hedges:  1,
-		Deduped: 3,
-	})
-	want = `{"workers":[{"worker":"http://w1:8321","dispatched":81,"completed":81},` +
-		`{"worker":"http://w2:8321","dispatched":81,"completed":40,"failed":true}],` +
-		`"hedges":1,"deduped":3}`
-	if got != want {
-		t.Errorf("fleet summary bytes changed:\n got %s\nwant %s", got, want)
-	}
-
-	got = mustMarshal(t, FleetStatsJSON{
-		Workers: 3, Healthy: 2, Sweeps: 4, Hedges: 1, Rebalances: 2,
-		PerWorker: []WorkerStatsJSON{{URL: "http://w1:8321", Healthy: true, Dispatched: 162, Completed: 162}},
-	})
-	want = `{"workers":3,"healthy":2,"sweeps":4,"hedges":1,"deduped":0,"rebalances":2,` +
-		`"per_worker":[{"url":"http://w1:8321","healthy":true,"dispatched":162,"completed":162,"hedged":0,"retried":0}]}`
-	if got != want {
-		t.Errorf("fleet stats bytes changed:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -50,10 +49,9 @@ type (
 )
 
 // sharedTransport is the pooled transport every Client without an
-// explicit HTTPClient uses. Fleet coordinators issue one sub-request per
-// worker per sweep round; keeping idle connections per host means a
-// hedge or a retry reuses a warm TCP connection instead of paying a new
-// handshake on the latency-critical path.
+// explicit HTTPClient uses. Keeping idle connections per host means a
+// repeat request or a retry reuses a warm TCP connection instead of
+// paying a new handshake.
 var sharedTransport = &http.Transport{
 	Proxy:               http.ProxyFromEnvironment,
 	MaxIdleConns:        64,
@@ -84,8 +82,8 @@ type Client struct {
 	// connection errors and 5xx responses received before a stream
 	// starts. 0 means the default (3); negative disables retries.
 	// Requests that reached the server and began streaming are never
-	// retried (the fleet's hedging layer owns mid-stream recovery), and
-	// 4xx responses are terminal.
+	// retried (a replayed sweep would duplicate records), and 4xx
+	// responses are terminal.
 	MaxRetries int
 	// RetryBase and RetryCap shape the capped exponential backoff: sleep
 	// k is a uniformly-jittered duration in (0, min(RetryCap,
@@ -128,8 +126,8 @@ func (c *Client) backoff(k int) time.Duration {
 	if d > cap || d <= 0 {
 		d = cap
 	}
-	// Full jitter: desynchronizes a fleet of clients retrying the same
-	// restarted worker.
+	// Full jitter: desynchronizes many clients retrying the same
+	// restarted server.
 	return time.Duration(rand.Int63n(int64(d))) + 1
 }
 
@@ -311,44 +309,11 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// Healthz probes GET /healthz with a single attempt — no retries, so a
-// fleet coordinator's liveness verdict is prompt rather than masked by
-// backoff.
-func (c *Client) Healthz(ctx context.Context) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: healthz: %s", resp.Status)
-	}
-	return nil
-}
-
-// MemoSnapshot fetches the worker's memo-cache snapshot (GET
-// /v1/memo/snapshot) in the farm snapshot envelope. When owner and ring
-// are given the worker returns only the slice consistent-hash-owned by
-// owner under that ring (vnodes — 0 for the server default — must match
-// the coordinator's ring for the slice to line up with dispatch
-// ownership); with owner empty the full cache is returned.
-func (c *Client) MemoSnapshot(ctx context.Context, owner string, ring []string, vnodes int) ([]byte, error) {
-	u := c.BaseURL + "/v1/memo/snapshot"
-	if owner != "" {
-		q := url.Values{}
-		q.Set("owner", owner)
-		q.Set("ring", strings.Join(ring, ","))
-		if vnodes > 0 {
-			q.Set("vnodes", fmt.Sprint(vnodes))
-		}
-		u += "?" + q.Encode()
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// MemoSnapshot fetches the server's whole memo cache (GET
+// /v1/memo/snapshot) in the farm snapshot envelope — the bytes a -cache
+// file holds, ready for MemoLoad into another server.
+func (c *Client) MemoSnapshot(ctx context.Context) ([]byte, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/memo/snapshot", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -365,8 +330,8 @@ func (c *Client) MemoSnapshot(ctx context.Context, owner string, ring []string, 
 }
 
 // MemoLoad merges snapshot bytes (from MemoSnapshot or a snapshot file)
-// into the worker's memo cache via POST /v1/memo/load — the push half
-// of the fleet's warm-start rebalance.
+// into the server's memo cache via POST /v1/memo/load; a malformed or
+// version-skewed snapshot is rejected and leaves the cache untouched.
 func (c *Client) MemoLoad(ctx context.Context, snapshot []byte) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/memo/load", bytes.NewReader(snapshot))
 	if err != nil {

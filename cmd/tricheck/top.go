@@ -23,13 +23,7 @@ func cmdTop(args []string) {
 	topK := fs.Int("k", 10, "rows per ranking table")
 	cycleSample := fs.Int("cycle-sample", 64, "time 1-in-N innermost-loop cycle checks (0 = off); top is a diagnostic run, so sampling defaults on")
 	jsonOut := fs.Bool("json", false, "emit the hot-spot report as JSON instead of tables")
-	fleetURL := fs.String("fleet", "", "report a running coordinator's fleet dispatch stats from its /v1/stats instead of a local sweep")
 	fs.Parse(args)
-
-	if *fleetURL != "" {
-		runFleetTop(*fleetURL)
-		return
-	}
 
 	var tests []*tricheck.Test
 	if *family == "" {

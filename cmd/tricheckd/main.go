@@ -5,17 +5,12 @@
 //
 // Usage:
 //
-//	tricheckd [-addr HOST:PORT] [-cache FILE] [-max-inflight N] [-max-workers N]
+//	tricheckd [-addr HOST:PORT] [-cache FILE] [-memo-cap N]
+//	          [-max-inflight N] [-max-workers N] [-shutdown-grace D]
 //	          [-pprof] [-trace-sample N] [-cycle-sample N]
-//	tricheckd -coordinator -worker http://w1:8321,http://w2:8321[,...]
-//	          [-hedge-after D] [-probe-interval D] [-vnodes N]
 //
-// In coordinator mode /v1/verify shards each sweep across the worker
-// tricheckds by consistent-hashed memo key, hedges slow or dead shards
-// to the next ring node, and merges the worker streams into one
-// wire-compatible NDJSON stream. Workers are plain tricheckds; their
-// /v1/memo/snapshot + /v1/memo/load endpoints let the coordinator
-// warm-start a (re)joining worker from its peers' memo caches.
+// One tricheckd uses every core it is given: -max-workers sizes each
+// sweep's farm, and GOMAXPROCS bounds the process.
 //
 // Endpoints:
 //
@@ -24,6 +19,10 @@
 //	                 record carries the request's trace ID
 //	GET  /v1/stats   service + engine + cache counters
 //	GET  /v1/traces  slowest retained spans (requests + sampled jobs)
+//	GET  /v1/coverage the verification-coverage ledger
+//	GET  /v1/memo/snapshot the whole memo cache as a snapshot
+//	POST /v1/memo/load merge a snapshot (e.g. another node's
+//	                 /v1/memo/snapshot) into the memo cache
 //	GET  /metrics    Prometheus text exposition
 //	GET  /debug/vars expvar
 //	GET  /debug/pprof/*  runtime profiles (only with -pprof)
@@ -42,11 +41,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"tricheck/internal/fleet"
 	"tricheck/internal/obs"
 	"tricheck/internal/server"
 )
@@ -61,39 +58,19 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof/ (exposes process internals; off by default)")
 	traceSample := flag.Int("trace-sample", 16, "retain a span for 1-in-N verdict jobs (0 = requests only)")
 	cycleSample := flag.Int("cycle-sample", 0, "time 1-in-N innermost-loop cycle checks (0 = off, the zero-overhead default)")
-	coordinator := flag.Bool("coordinator", false, "run as a fleet coordinator: shard /v1/verify sweeps across -worker tricheckds")
-	workerURLs := flag.String("worker", "", "comma-separated worker tricheckd base URLs (coordinator mode)")
-	hedgeAfter := flag.Duration("hedge-after", 10*time.Second, "hedge a shard's remaining jobs to the next ring node after this long without a record (coordinator mode)")
-	probeInterval := flag.Duration("probe-interval", 3*time.Second, "worker /healthz probe cadence (coordinator mode)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per worker on the consistent-hash ring (0 = 64; coordinator mode)")
 	flag.Parse()
 
 	obs.SetVerdictSampling(*traceSample)
 	obs.SetCycleSampling(*cycleSample)
 	logger := log.New(os.Stderr, "tricheckd: ", log.LstdFlags)
-	cfg := server.Config{
+	srv, err := server.New(server.Config{
 		CachePath:    *cache,
 		MaxInFlight:  *maxInflight,
 		MaxWorkers:   *maxWorkers,
 		MemoCapacity: *memoCap,
 		EnablePprof:  *enablePprof,
 		Log:          logger,
-	}
-	if *coordinator {
-		if *workerURLs == "" {
-			logger.Fatal("-coordinator requires -worker with at least one worker URL")
-		}
-		cfg.Fleet = &fleet.Config{
-			Workers:       strings.Split(*workerURLs, ","),
-			HedgeAfter:    *hedgeAfter,
-			ProbeInterval: *probeInterval,
-			Vnodes:        *vnodes,
-			Log:           logger,
-		}
-	} else if *workerURLs != "" {
-		logger.Fatal("-worker only makes sense with -coordinator")
-	}
-	srv, err := server.New(cfg)
+	})
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -112,10 +89,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if coord := srv.Fleet(); coord != nil {
-		logger.Printf("coordinator over %d workers (hedge-after=%s)", len(coord.Workers()), *hedgeAfter)
-		go coord.Run(ctx)
-	}
 	select {
 	case <-ctx.Done():
 		logger.Printf("signal received, shutting down")

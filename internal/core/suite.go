@@ -160,20 +160,18 @@ func (e *Engine) SaveMemoSnapshot(path string) error {
 	return farm.SaveSnapshot(path, e.memo)
 }
 
-// MemoSnapshotSlice encodes the memo cache — filtered to the keys keep
-// accepts when keep is non-nil — in the snapshot envelope. The fleet's
-// memo-replication path serves consistent-hash slices of a worker's
-// cache with it; DecodeSnapshot-compatible, so a slice loads anywhere a
-// snapshot file does. An engine without a memo cache yields an empty
-// (but valid) snapshot.
-func (e *Engine) MemoSnapshotSlice(keep func(key string) bool) ([]byte, error) {
+// MemoSnapshot encodes the whole memo cache in the snapshot envelope
+// (the bytes SaveMemoSnapshot writes), for shipping a warm cache to
+// another engine over MergeMemoSnapshot. An engine without a memo cache
+// yields an empty (but valid) snapshot.
+func (e *Engine) MemoSnapshot() ([]byte, error) {
 	if e.memo == nil {
-		return farm.EncodeSnapshot(farm.NewCache[string, *Memo](0), nil)
+		return farm.EncodeSnapshot(farm.NewCache[string, *Memo](0))
 	}
-	return farm.EncodeSnapshot(e.memo, keep)
+	return farm.EncodeSnapshot(e.memo)
 }
 
-// MergeMemoSnapshot merges snapshot bytes (a MemoSnapshotSlice or a
+// MergeMemoSnapshot merges snapshot bytes (a MemoSnapshot or a
 // snapshot file's contents) into the memo cache, enabling the cache
 // first if needed. Last-write-wins per key; existing entries outside
 // the snapshot are untouched.
@@ -224,9 +222,8 @@ type Progress struct {
 	Cached bool
 	// SpecifiedBug marks the test's designated interesting outcome as
 	// forbidden-yet-observable on this stack (the paper's headline
-	// counting), precomputed here so remote stream consumers — the fleet
-	// coordinator aggregating per-stack tallies from merged records —
-	// never need the test definition.
+	// counting), precomputed here so a stream consumer can tally it
+	// without the test definition.
 	SpecifiedBug bool
 	// Opsim carries the operational backend's side of the result (nil on
 	// uhb sweeps): the cross-check diff and witness for a Divergence
@@ -257,18 +254,6 @@ func (e *Engine) SweepStreamContext(ctx context.Context, tests []*litmus.Test, s
 // carry backend-tagged memo keys (so a warm uhb cache never satisfies an
 // opsim or cross-check sweep) and run the backend's evaluation thunk.
 func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, stacks []Stack, workers int, backend Backend, events chan<- Progress) ([]*SuiteResult, error) {
-	return e.SweepStreamBackendKeys(ctx, tests, stacks, workers, backend, nil, events)
-}
-
-// SweepStreamBackendKeys is SweepStreamBackend restricted to the
-// (test, stack) pairs whose backend-tagged memo keys keep returns true
-// for (nil keeps everything). This is the fleet's shard primitive: a
-// coordinator resolves the same selectors, partitions the
-// content-addressed keys over its ring, and each worker sweeps exactly
-// its slice — Total, the streamed Done counts and the returned
-// SuiteResults all cover only the kept pairs, and a stack with no kept
-// pair contributes no SuiteResult.
-func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Test, stacks []Stack, workers int, backend Backend, keep func(key string) bool, events chan<- Progress) ([]*SuiteResult, error) {
 	if events != nil {
 		defer close(events)
 	}
@@ -283,12 +268,10 @@ func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Tes
 	// span) so sampled verdict spans correlate with it; stack display
 	// names are precomputed so job thunks never format.
 	trace, parentSpan := obs.TraceFromContext(ctx)
-	// pairs maps each scheduled job index back to its (stack, test)
-	// coordinates; under a keep filter job index arithmetic no longer
-	// encodes them.
-	type pair struct{ si, ti int }
-	pairs := make([]pair, 0, len(tests)*len(stacks))
-	jobs := make([]farm.Job[string, *Memo], 0, len(tests)*len(stacks))
+	// Jobs are laid out stack-major in test order, so job i is
+	// (stack i/len(tests), test i%len(tests)).
+	n := len(tests)
+	jobs := make([]farm.Job[string, *Memo], 0, n*len(stacks))
 	stackNames := make([]string, len(stacks))
 	for si, s := range stacks {
 		s := s
@@ -298,13 +281,8 @@ func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Tes
 		stackNames[si] = sname
 		for ti, t := range tests {
 			t := t
-			key := jobKeyFromFPs(testFPs[ti], sfp) + backend.keySuffix()
-			if keep != nil && !keep(key) {
-				continue
-			}
-			pairs = append(pairs, pair{si, ti})
 			jobs = append(jobs, farm.Job[string, *Memo]{
-				Key: key,
+				Key: jobKeyFromFPs(testFPs[ti], sfp) + backend.keySuffix(),
 				Run: func() (*Memo, error) {
 					return e.evaluate(t, s, backend, sname, mname, trace, parentSpan)
 				},
@@ -319,11 +297,11 @@ func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Tes
 		Context: ctx,
 		Metrics: farmMetrics,
 		OnResult: func(i int, m *Memo, cached bool) {
-			t := tests[pairs[i].ti]
+			t, sname := tests[i%n], stackNames[i/n]
 			// Discrimination vectors record here — the one point that sees
 			// every result, memoized or executed, so warm all-cached reruns
 			// still populate the ledger's verdict-vector matrix.
-			e.ledger.RecordVector(t.Name, stackNames[pairs[i].si], uint8(m.Verdict))
+			e.ledger.RecordVector(t.Name, sname, uint8(m.Verdict))
 			if events == nil {
 				return
 			}
@@ -331,7 +309,7 @@ func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Tes
 			events <- Progress{
 				Done:         done,
 				Total:        total,
-				Stack:        stackNames[pairs[i].si],
+				Stack:        sname,
 				Test:         t.Name,
 				Verdict:      m.Verdict,
 				Key:          jobs[i].Key,
@@ -348,32 +326,26 @@ func (e *Engine) SweepStreamBackendKeys(ctx context.Context, tests []*litmus.Tes
 	if err != nil {
 		return nil, err
 	}
-	// Reassemble per-stack results from the kept pairs, which were
-	// appended stack-major in test order — so each SuiteResult keeps the
-	// historical test ordering.
-	perStack := make([]*SuiteResult, len(stacks))
-	for i, p := range pairs {
-		sr := perStack[p.si]
-		if sr == nil {
-			sr = &SuiteResult{Stack: stacks[p.si], ByFamily: map[string]*Tally{}}
-			perStack[p.si] = sr
-		}
-		t := tests[p.ti]
-		r := memos[i].Bind(t, stacks[p.si])
-		sr.Results = append(sr.Results, r)
-		sr.Tally.Add(r)
-		fam := sr.ByFamily[t.Shape.Name]
-		if fam == nil {
-			fam = &Tally{}
-			sr.ByFamily[t.Shape.Name] = fam
-		}
-		fam.Add(r)
-	}
+	// Reassemble per-stack results in the historical test ordering. An
+	// empty test list yields no SuiteResult at all.
 	out := make([]*SuiteResult, 0, len(stacks))
-	for _, sr := range perStack {
-		if sr != nil {
-			out = append(out, sr)
+	if n == 0 {
+		return out, nil
+	}
+	for si, s := range stacks {
+		sr := &SuiteResult{Stack: s, ByFamily: map[string]*Tally{}}
+		for ti, t := range tests {
+			r := memos[si*n+ti].Bind(t, s)
+			sr.Results = append(sr.Results, r)
+			sr.Tally.Add(r)
+			fam := sr.ByFamily[t.Shape.Name]
+			if fam == nil {
+				fam = &Tally{}
+				sr.ByFamily[t.Shape.Name] = fam
+			}
+			fam.Add(r)
 		}
+		out = append(out, sr)
 	}
 	return out, nil
 }

@@ -187,6 +187,28 @@ func TestSweepStreamDeliversEveryResult(t *testing.T) {
 	}
 }
 
+// TestSweepEmptyInputs: a sweep with no tests or no stacks schedules
+// nothing and returns an empty, non-nil result list (no SuiteResult for
+// a stack without tests) and a closed, empty event channel.
+func TestSweepEmptyInputs(t *testing.T) {
+	for name, in := range map[string]struct {
+		tests  []*litmus.Test
+		stacks []Stack
+	}{
+		"no tests":  {nil, testStacks()},
+		"no stacks": {testSuite(), nil},
+	} {
+		events := make(chan Progress, 1)
+		res, err := NewEngine().SweepStreamBackend(context.Background(), in.tests, in.stacks, 0, BackendUHB, events)
+		if err != nil || res == nil || len(res) != 0 {
+			t.Errorf("%s: got %d results (nil=%t), err %v; want an empty list", name, len(res), res == nil, err)
+		}
+		if _, open := <-events; open {
+			t.Errorf("%s: event channel delivered a result or was left open", name)
+		}
+	}
+}
+
 // TestStackFingerprintSensitivity: editing one model axiom or one
 // mapping recipe changes the fingerprint; renaming does not.
 func TestStackFingerprintSensitivity(t *testing.T) {

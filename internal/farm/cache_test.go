@@ -3,20 +3,18 @@ package farm
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
-// These tests pin the snapshot merge semantics the fleet's memo
-// replication relies on: loading several snapshot slices into one cache
-// must be last-write-wins deterministic on overlapping keys and must
-// never drop disjoint keys.
+// These tests pin the snapshot merge semantics /v1/memo/load relies on:
+// loading several snapshots into one cache must be last-write-wins
+// deterministic on overlapping keys and must never drop disjoint keys.
 
 func encodeEntries(t *testing.T, m map[string]int) []byte {
 	t.Helper()
 	c := NewCache[string, int](0)
 	c.Fill(m)
-	data, err := EncodeSnapshot(c, nil)
+	data, err := EncodeSnapshot(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,27 +80,6 @@ func TestDecodeSnapshotIsDeterministicAcrossRepeats(t *testing.T) {
 				t.Fatalf("merge %d: entry %q = %d, want %d", i, k, got[k], v)
 			}
 		}
-	}
-}
-
-func TestEncodeSnapshotKeepFilter(t *testing.T) {
-	c := NewCache[string, int](0)
-	c.Fill(map[string]int{"keep-a": 1, "keep-b": 2, "drop-c": 3})
-	data, err := EncodeSnapshot(c, func(k string) bool { return strings.HasPrefix(k, "keep-") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := NewCache[string, int](0)
-	if err := DecodeSnapshot(data, out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.Entries()
-	if len(got) != 2 || got["keep-a"] != 1 || got["keep-b"] != 2 {
-		t.Fatalf("filtered slice = %v, want keep-a/keep-b only", got)
-	}
-	// Filtering must not mutate the source cache.
-	if c.Len() != 3 {
-		t.Fatalf("source cache shrank to %d entries", c.Len())
 	}
 }
 

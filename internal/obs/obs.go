@@ -1,9 +1,9 @@
 // Package obs is the telemetry substrate of the verification farm: an
 // allocation-conscious metrics registry (atomic counters, gauges and
 // fixed-bucket histograms, rendered in the Prometheus text exposition
-// format and publishable through expvar) plus a lightweight span/trace
-// facility (trace ID + parent span, monotonic-clock durations, bounded
-// retention of the N slowest traces).
+// format or as a JSON dump) plus a lightweight span/trace facility
+// (trace ID + parent span, monotonic-clock durations, bounded retention
+// of the N slowest traces).
 //
 // Design constraints, in order:
 //
@@ -13,9 +13,9 @@
 //     label rendering and bucket math involving strings happen only at
 //     registration and scrape time.
 //   - One process, one default registry. The farm, the evaluation core
-//     and the service all record into Default, so `GET /metrics`, the
-//     CLI's -metrics-out dump and expvar agree by construction. Tests
-//     that need isolation construct their own Registry.
+//     and the service all record into Default, so `GET /metrics` and the
+//     CLI's -metrics-out dump agree by construction. Tests that need
+//     isolation construct their own Registry.
 //   - Registration is idempotent: asking for an existing (name, labels)
 //     series returns the existing handle, so independently initialized
 //     subsystems (multiple engines, multiple servers) share counters

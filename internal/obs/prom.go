@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -10,9 +9,9 @@ import (
 )
 
 // This file is the registry's export surface: the Prometheus text
-// exposition format (GET /metrics), a JSON dump (the CLI's -metrics-out
-// and the expvar bridge), and the expvar.Var adapter. All rendering
-// happens at scrape time; record paths never format anything.
+// exposition format (GET /metrics) and a JSON dump (the CLI's
+// -metrics-out). All rendering happens at scrape time; record paths
+// never format anything.
 
 // promLabels renders a series' label set for the exposition format,
 // optionally with an extra trailing label (histograms' le).
@@ -135,11 +134,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Expvar returns the registry as an expvar.Var rendering the JSON dump,
-// so embedders can expvar.Publish it (or splice it into a custom
-// /debug/vars like tricheckd does).
-func (r *Registry) Expvar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
 }

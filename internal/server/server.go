@@ -17,6 +17,9 @@
 //	                 per-(model, axiom) fired/edges/cycles matrix,
 //	                 (test, config) verdict vectors (?vectors=0 omits
 //	                 them) and totals
+//	GET  /v1/memo/snapshot the whole memo cache in the farm snapshot
+//	                 envelope (the format of a -cache file)
+//	POST /v1/memo/load merge a posted snapshot into the memo cache
 //	GET  /metrics    the process obs registry plus the service counters
 //	                 in Prometheus text exposition format
 //	GET  /debug/vars expvar (process globals plus the tricheckd map)
@@ -48,7 +51,6 @@ import (
 
 	"tricheck/api"
 	"tricheck/internal/core"
-	"tricheck/internal/fleet"
 	"tricheck/internal/mem"
 	"tricheck/internal/obs"
 	"tricheck/internal/report"
@@ -57,6 +59,11 @@ import (
 
 // maxRequestBytes bounds a /v1/verify body (inline litmus sources).
 const maxRequestBytes = 16 << 20
+
+// maxSnapshotBytes bounds a /v1/memo/load body. Memo snapshots are far
+// larger than request bodies — a full paper sweep's cache serializes to
+// tens of MB — so they get their own cap.
+const maxSnapshotBytes = 256 << 20
 
 // writeTimeout is the per-record deadline for streaming writes. A
 // client that stops reading mid-stream (connection open, kernel buffer
@@ -93,11 +100,6 @@ type Config struct {
 	// default: profiles expose process internals and a CPU profile
 	// perturbs in-flight sweeps, so the operator opts in per deployment.
 	EnablePprof bool
-	// Fleet, when non-nil, runs this server as a fleet coordinator:
-	// /v1/verify shards sweeps across the configured worker tricheckds
-	// instead of the local engine (which still serves memo endpoints and
-	// stays available to embedders).
-	Fleet *fleet.Config
 	// Log, when non-nil, receives request/shutdown notes.
 	Log *log.Logger
 }
@@ -112,7 +114,6 @@ type Server struct {
 	sem        chan struct{}
 	log        *log.Logger
 	start      time.Time
-	fleet      *fleet.Coordinator
 
 	// Counters are expvar values so /debug/vars exposes them; they are
 	// per-server (not globally registered), keeping tests and multiple
@@ -186,23 +187,8 @@ func New(cfg Config) (*Server, error) {
 			logger.Printf("cache %s: %d warm entries", s.cachePath, st.Len)
 		}
 	}
-	if cfg.Fleet != nil {
-		fcfg := *cfg.Fleet
-		if fcfg.Log == nil {
-			fcfg.Log = logger
-		}
-		coord, err := fleet.New(fcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.fleet = coord
-	}
 	return s, nil
 }
-
-// Fleet returns the coordinator when the server runs in fleet mode
-// (nil otherwise). tricheckd starts its health-probe loop.
-func (s *Server) Fleet() *fleet.Coordinator { return s.fleet }
 
 // Engine returns the server's (shared) verification engine.
 func (s *Server) Engine() *core.Engine { return s.eng }
@@ -303,13 +289,50 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(traces)
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+// handleMemoSnapshot serves the whole memo cache in the farm snapshot
+// envelope — the bytes a -cache file holds — so another node can warm
+// up from this one through /v1/memo/load.
+func (s *Server) handleMemoSnapshot(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		return
+	}
+	data, err := s.eng.MemoSnapshot()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
+}
+
+// handleMemoLoad merges a posted memo snapshot into this server's cache
+// (last write wins per key; keys absent from the snapshot are kept). A
+// truncated or version-skewed snapshot is a 400 and leaves the cache
+// untouched.
+func (s *Server) handleMemoLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.fleet != nil {
-		s.handleFleetVerify(w, r)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBytes))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if err := s.eng.MergeMemoSnapshot(data); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if st, ok := s.eng.MemoStats(); ok {
+		s.log.Printf("memo load: cache now %d entries", st.Len)
+	}
+	fmt.Fprintln(w, "ok")
+}
+
+func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req VerifyRequest
@@ -324,7 +347,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	keep := keyFilter(req.Keys)
 	workers := req.Workers
 	if workers <= 0 || workers > s.maxWorkers {
 		workers = s.maxWorkers
@@ -388,7 +410,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	outc := make(chan sweepOut, 1)
 	go func() {
-		results, err := s.eng.SweepStreamBackendKeys(ctx, tests, stacks, workers, backend, keep, events)
+		results, err := s.eng.SweepStreamBackend(ctx, tests, stacks, workers, backend, events)
 		outc <- sweepOut{results, err}
 	}()
 
@@ -552,9 +574,6 @@ func (s *Server) Stats() StatsRecord {
 			Rebuild:    rebuild,
 			ReuseRatio: float64(reuse) / float64(reuse+rebuild),
 		}
-	}
-	if s.fleet != nil {
-		st.Fleet = s.fleet.StatsJSON()
 	}
 	return st
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -125,6 +126,17 @@ func TestVerifyRejectsBadRequests(t *testing.T) {
 	raw.Body.Close()
 	if raw.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated JSON → %d, want 400", raw.StatusCode)
+	}
+	// "keys" left the v1 schema; a client still sending it must hear so
+	// rather than get a silently different sweep.
+	raw, err = http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(`{"family":"mp","keys":["x"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(raw.Body)
+	raw.Body.Close()
+	if raw.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field \"keys\"`) {
+		t.Fatalf("keys field → %d %s, want the unknown-field 400", raw.StatusCode, msg)
 	}
 }
 
