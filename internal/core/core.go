@@ -18,7 +18,8 @@
 // Engine.evaluate is the one implementation of this pipeline, for every
 // backend. The Engine caches step 1 per test so that sweeping many
 // (mapping, model) stacks — as Figure 15 does — pays for the C11
-// evaluation once.
+// evaluation once, and runs each test's compilation and candidate
+// enumeration once per mapping, for every model that shares it.
 package core
 
 import (
@@ -196,7 +197,8 @@ func (e *Engine) Run(t *litmus.Test, s Stack) (*TestResult, error) {
 }
 
 // RunBackend is Run on an explicit backend; memo keys are backend-tagged
-// so the backends never share cache entries.
+// so the backends never share cache entries. An executed Run is a group
+// of one.
 func (e *Engine) RunBackend(t *litmus.Test, s Stack, b Backend) (*TestResult, error) {
 	m, err := e.run(t, s, b)
 	if err != nil {
@@ -207,144 +209,203 @@ func (e *Engine) RunBackend(t *litmus.Test, s Stack, b Backend) (*TestResult, er
 }
 
 func (e *Engine) run(t *litmus.Test, s Stack, b Backend) (*Memo, error) {
+	var key string
 	if e.memo != nil {
-		key := JobKeyBackend(t, s, b)
+		key = JobKeyBackend(t, s, b)
 		if m, ok := e.memo.Get(key); ok {
 			return m, nil
 		}
-		m, err := e.evaluate(t, s, b, s.Name(), s.Model.FullName(), 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.memo.Put(key, m)
-		return m, nil
 	}
-	return e.evaluate(t, s, b, s.Name(), s.Model.FullName(), 0, 0)
+	ms, err := e.evaluate(group{test: t, members: []member{newMember(s)}}, b, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	if e.memo != nil {
+		e.memo.Put(key, ms[0])
+	}
+	return ms[0], nil
 }
 
-// evaluate runs toolflow steps 1–4 unconditionally and returns the
-// portable verdict. It is the farm's job thunk and the single exit point
-// of every executed job, whatever the backend: steps 1–2 run once, and
-// the execution count, cost-matrix cell, ledger record, verdict counter
-// and sampled span are each recorded once.
+// member is one stack of a group job, with its display names computed
+// once per sweep so that job thunks never format.
+type member struct {
+	stack       Stack
+	name, model string
+}
+
+func newMember(s Stack) member {
+	return member{stack: s, name: s.Name(), model: s.Model.FullName()}
+}
+
+// group is the farm's unit of work: one test and the stacks of a sweep
+// that share its compiler mapping and still need executing. The mapping
+// alone fixes the compiled program, its candidate executions and their
+// outcome ids, so a group compiles and enumerates once for all of its
+// members.
+type group struct {
+	test    *litmus.Test
+	members []member
+}
+
+// evaluate runs toolflow steps 1–4 unconditionally for every member of
+// a group and returns one portable verdict per member, in member order.
+// It is the farm's job thunk and the single exit point of every
+// executed (test, stack) pair, whatever the backend: steps 1–2 run once
+// per group, and each member's execution count, cost-matrix cell,
+// ledger record and verdict counter are recorded once.
 //
 // Step 3 runs on the backend's engine(s), over the one compiled program:
 //
-//   - µhb (uhb, both): the job prepares the program's static skeleton
-//     exactly once and streams every candidate execution through a
-//     pooled overlay, so a sweep's per-execution cost is dynamic edges
-//     plus an allocation-free cycle check.
+//   - µhb (uhb, both): each member's model prepares the program's static
+//     skeleton exactly once, and one candidate enumeration streams every
+//     execution through all the members' pooled overlays
+//     (uspec.EvaluateAll), so a sweep's per-execution cost is dynamic
+//     edges plus an allocation-free cycle check per model.
 //   - operational (opsim, both): the config-matched simulator explores
-//     every interleaving. Under opsim its reachable set stands in for
-//     the µhb observable set in step 4; under both it is a second
-//     opinion, and any disagreement upgrades the µhb verdict to
+//     every interleaving, per member. Under opsim its reachable set
+//     stands in for the µhb observable set in step 4; under both it is a
+//     second opinion, and any disagreement upgrades the µhb verdict to
 //     Divergence with the diff and a witness attached (crossCheck). A
 //     config outside the simulators' capability degrades to a skip note
 //     under both — "cross-check where you can" — rather than an error.
 //
 // Telemetry: each phase is wall-timed into the verdict-phase histograms
-// and the engine's per-(test, stack) cost matrix, whose Total covers the
-// whole job; 1-in-N executed jobs (obs.SetVerdictSampling) additionally
-// carry an obs.Span — tagged with the sweep's trace when one is on the
-// context — that lands in the slow-trace ring. stackName and modelName
-// are precomputed by the caller so the uninstrumented job path formats
-// nothing.
+// (hll, compile and enumerate once per group; skeleton once per model;
+// opsim once per member). Each member's cost-matrix cell keeps its own
+// skeleton, simulator, candidate and graph figures, and takes an even
+// share of the group's shared time (HLL, compile, the enumeration with
+// its interleaved cycle checks, and the rest), so the cells' Totals add
+// up to the group's wall time. 1-in-N executed groups
+// (obs.SetVerdictSampling) additionally carry an obs.Span — tagged with
+// the sweep's trace when one is on the context — that lands in the
+// slow-trace ring.
 //
-// Coverage: the job's axiom bitsets (uspec.Coverage, accumulated by the
-// Prepared across the skeleton build and every candidate execution) fold
-// into the ledger's per-model matrix, cycle-witnessed bits included on
-// every verdict; an opsim-only job records its verdict with no axiom
+// Coverage: each member's axiom bitsets (uspec.Coverage, accumulated by
+// its Prepared across the skeleton build and every candidate execution)
+// fold into the ledger's per-model matrix, cycle-witnessed bits included
+// on every verdict; an opsim-only job records its verdict with no axiom
 // bits. A witnessing (forbidding) cycle is what carves the observable
 // set, so its axioms are the provenance of every outcome the model
 // refused — note that the paper's buggy weak configs typically reach
 // their Bug verdicts with *zero* cycles (they observe everything; that
 // is the bug), so the cycle column is populated by the configs that
 // still forbid something.
-func (e *Engine) evaluate(t *litmus.Test, s Stack, b Backend, stackName, modelName string, trace obs.TraceID, parent obs.SpanID) (*Memo, error) {
+func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.SpanID) ([]*Memo, error) {
+	t, mapping := g.test, g.members[0].stack.Mapping
 	var sp *obs.Span
 	if obs.SampleVerdict() {
 		sp = obs.DefaultTraces.Start(trace, parent, "verdict")
 		sp.Attr("test", t.Name)
-		sp.Attr("stack", stackName)
+		for _, mb := range g.members {
+			sp.Attr("stack", mb.name)
+		}
 	}
 	jobStart := time.Now()
 	hll, err := e.HLL(t) // step 1
-	c := JobCost{Test: t.Name, Family: t.Shape.Name, Stack: stackName, Count: 1, HLL: time.Since(jobStart)}
+	hllTime := time.Since(jobStart)
 	if err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	prog, err := compile.Compile(s.Mapping, t.Prog) // step 2
-	c.Compile = time.Since(t1)
+	prog, err := compile.Compile(mapping, t.Prog) // step 2
+	compileTime := time.Since(t1)
 	if err != nil {
-		return nil, fmt.Errorf("core: compiling %s with %s: %w", t.Name, s.Mapping.Name, err)
+		return nil, fmt.Errorf("core: compiling %s with %s: %w", t.Name, mapping.Name, err)
 	}
-	// The verdict uses only outcome sets, so the compiled program dies
+	// The verdicts use only outcome sets, so the compiled program dies
 	// with the job: recycle its arenas for the next one.
 	defer compile.ReleaseProgram(prog)
 
-	var m *Memo
-	var cov uspec.Coverage
-	if b != BackendOpsim { // step 3 on the µhb model
-		t2 := time.Now()
-		pr := s.Model.Prepare(prog) // skeleton once per job
-		c.Skeleton = time.Since(t2)
-		t3 := time.Now()
-		isaRes, err := pr.Evaluate()
-		c.Enumerate = time.Since(t3)
-		cov = pr.Coverage()
-		pr.Close()
-		if err != nil {
-			return nil, fmt.Errorf("core: µspec evaluation of %s on %s: %w", t.Name, s.Model.FullName(), err)
+	k := len(g.members)
+	memos := make([]*Memo, k)
+	costs := make([]JobCost, k)
+	covs := make([]uspec.Coverage, k)
+	var enumTime time.Duration
+	if b != BackendOpsim { // step 3 on the µhb models
+		prs := make([]*uspec.Prepared, k)
+		for i, mb := range g.members {
+			t2 := time.Now()
+			prs[i] = mb.stack.Model.Prepare(prog) // skeleton once per model
+			costs[i].Skeleton = time.Since(t2)
 		}
-		c.Candidates, c.Graphs = isaRes.Candidates, isaRes.Graphs
-		m = compare(hll, isaRes)
+		t3 := time.Now()
+		isaRes, err := uspec.EvaluateAll(prs) // one enumeration for all
+		enumTime = time.Since(t3)
+		for i, pr := range prs {
+			covs[i] = pr.Coverage()
+			pr.Close()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: µspec evaluation of %s on %s: %w", t.Name, g.members[0].model, err)
+		}
+		for i, r := range isaRes {
+			costs[i].Candidates, costs[i].Graphs = r.Candidates, r.Graphs
+			memos[i] = compare(hll, r)
+		}
 	}
-	if b != BackendUHB { // step 3 on the operational machine
-		t4 := time.Now()
-		sim, err := opsim.ForConfig(s.Model.Config, prog)
-		var capErr *opsim.CapabilityError
-		switch {
-		case b == BackendBoth && errors.As(err, &capErr):
-			m.Opsim = &OpsimMemo{Skipped: capErr.Reason}
-		case err != nil:
-			return nil, err
-		default:
-			out := sim.Outcomes()
-			op := &OpsimMemo{Observable: sortedOutcomeSet(out), States: sim.StateCount()}
-			if m == nil {
-				m = compareSets(hll, out, out)
-			} else if crossCheck(op, m.Observable, out, sim) {
-				m.Verdict = Divergence
-				e.divergences.Add(1)
+	if b != BackendUHB { // step 3 on the operational machines
+		for i, mb := range g.members {
+			t4 := time.Now()
+			sim, err := opsim.ForConfig(mb.stack.Model.Config, prog)
+			var capErr *opsim.CapabilityError
+			switch {
+			case b == BackendBoth && errors.As(err, &capErr):
+				memos[i].Opsim = &OpsimMemo{Skipped: capErr.Reason}
+			case err != nil:
+				return nil, err
+			default:
+				out := sim.Outcomes()
+				op := &OpsimMemo{Observable: sortedOutcomeSet(out), States: sim.StateCount()}
+				if memos[i] == nil {
+					memos[i] = compareSets(hll, out, out)
+				} else if crossCheck(op, memos[i].Observable, out, sim) {
+					memos[i].Verdict = Divergence
+				}
+				memos[i].Opsim = op
+				costs[i].Opsim = time.Since(t4)
+				phaseOpsim.Observe(costs[i].Opsim)
 			}
-			m.Opsim = op
-			c.Opsim = time.Since(t4)
-			phaseOpsim.Observe(c.Opsim)
 		}
 	}
 
-	e.execs.Add(1)
-	phaseHLL.Observe(c.HLL)
-	phaseCompile.Observe(c.Compile)
-	verdictCounters[m.Verdict].Inc()
-	e.ledger.Model(modelName).Record(int(m.Verdict), cov.Fired, cov.Edges, cov.Cycle)
-	c.Total = time.Since(jobStart)
-	e.recordCost(c)
+	phaseHLL.Observe(hllTime)
+	phaseCompile.Observe(compileTime)
+	var skelTime, opsimTime time.Duration // the per-member phases
+	for i := range costs {
+		skelTime += costs[i].Skeleton
+		opsimTime += costs[i].Opsim
+	}
+	n := time.Duration(k)
+	shared := (time.Since(jobStart) - skelTime - opsimTime) / n
+	for i, mb := range g.members {
+		m, c := memos[i], &costs[i]
+		e.execs.Add(1)
+		if m.Verdict == Divergence {
+			e.divergences.Add(1)
+		}
+		verdictCounters[m.Verdict].Inc()
+		e.ledger.Model(mb.model).Record(int(m.Verdict), covs[i].Fired, covs[i].Edges, covs[i].Cycle)
+		c.Test, c.Family, c.Stack, c.Count = t.Name, t.Shape.Name, mb.name, 1
+		c.HLL, c.Compile, c.Enumerate = hllTime/n, compileTime/n, enumTime/n
+		c.Total = shared + c.Skeleton + c.Opsim
+		e.recordCost(*c)
+	}
 	if sp != nil {
-		sp.Phase("hll", c.HLL)
-		sp.Phase("compile", c.Compile)
+		sp.Phase("hll", hllTime)
+		sp.Phase("compile", compileTime)
 		if b != BackendOpsim {
-			sp.Phase("skeleton", c.Skeleton)
-			sp.Phase("enumerate", c.Enumerate)
+			sp.Phase("skeleton", skelTime)
+			sp.Phase("enumerate", enumTime)
 		}
 		if b != BackendUHB {
-			sp.Phase("opsim", c.Opsim)
+			sp.Phase("opsim", opsimTime)
 		}
-		sp.Attr("verdict", m.Verdict.String())
+		for _, m := range memos {
+			sp.Attr("verdict", m.Verdict.String())
+		}
 		sp.End()
 	}
-	return m, nil
+	return memos, nil
 }
 
 // Executions returns the number of verifier executions (toolflow steps

@@ -49,8 +49,13 @@ type costKey struct {
 
 // JobCost is one cell of the engine's per-(test, stack) cost matrix:
 // cumulative wall time of every executed verification of that pair,
-// split by toolflow phase. Memo hits and deduplicated jobs cost nothing
-// and are not recorded.
+// split by toolflow phase. Memo hits and deduplicated pairs cost nothing
+// and are not recorded. A pair executes inside a (test, mapping) group
+// job: the group's shared time — HLL, Compile, the Enumerate pass with
+// its interleaved cycle checks, and the rest of Total — is split evenly
+// over the group's executed stacks, while Skeleton, Opsim, Candidates
+// and Graphs are the pair's own, so the cells of a group add up to its
+// wall time.
 type JobCost struct {
 	Test   string
 	Family string
@@ -58,9 +63,9 @@ type JobCost struct {
 	// Count is the number of executed evaluations accumulated here
 	// (usually 1 per engine unless the memo cache is disabled).
 	Count int
-	// Total is the end-to-end job wall time; the phase fields split it.
-	// Skeleton and Enumerate are the µhb side of step 3, Opsim the
-	// operational side (so under BackendBoth both are filled).
+	// Total is the pair's share of its group's wall time; the phase
+	// fields split it. Skeleton and Enumerate are the µhb side of step 3,
+	// Opsim the operational side (so under BackendBoth both are filled).
 	Total     time.Duration
 	HLL       time.Duration
 	Compile   time.Duration

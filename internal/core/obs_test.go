@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"tricheck/internal/compile"
 	"tricheck/internal/litmus"
@@ -99,5 +100,37 @@ func TestCostMatrixOpsimPhase(t *testing.T) {
 				t.Errorf("%v %s/%s: µhb phases %v/%v with %d candidates", b, c.Test, c.Stack, c.Skeleton, c.Enumerate, c.Candidates)
 			}
 		}
+	}
+}
+
+// TestCostMatrixSharesGroupTime: a group's shared phases are split over
+// its members rather than charged to each, so on one worker the cells'
+// Totals add up to no more than the sweep's wall time. Charging every
+// member the whole group's time would over-count about 7× here.
+func TestCostMatrixSharesGroupTime(t *testing.T) {
+	tests := litmus.WRC.Generate()
+	stacks, err := SelectStacks("both", "both")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	start := time.Now()
+	if _, err := eng.Sweep(tests, stacks, 1); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	costs := eng.CostMatrix()
+	if want := len(tests) * len(stacks); len(costs) != want {
+		t.Fatalf("cost matrix has %d cells, want %d", len(costs), want)
+	}
+	var sum time.Duration
+	for _, c := range costs {
+		sum += c.Total
+		if split := c.HLL + c.Compile + c.Skeleton + c.Enumerate + c.Opsim; split > c.Total {
+			t.Errorf("%s/%s: phase split %v exceeds total %v", c.Test, c.Stack, split, c.Total)
+		}
+	}
+	if sum > wall {
+		t.Errorf("cells total %v over a %v one-worker sweep", sum, wall)
 	}
 }

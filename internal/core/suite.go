@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"tricheck/internal/compile"
 	"tricheck/internal/farm"
@@ -199,7 +201,9 @@ func LoadMemoSnapshotLenient(eng *Engine, path string, w io.Writer) error {
 }
 
 // LastFarmStats returns the scheduler statistics of the most recent
-// RunSuite/Sweep/SweepStream call.
+// RunSuite/Sweep/SweepStream call. Jobs, Unique, CacheHits, Executed and
+// Skipped count (test, stack) pairs; Stolen and Workers count the farm's
+// group jobs, one per (test, mapping) among the pairs that executed.
 func (e *Engine) LastFarmStats() farm.Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -253,6 +257,15 @@ func (e *Engine) SweepStreamContext(ctx context.Context, tests []*litmus.Test, s
 // SweepStreamBackend is SweepStreamContext on an explicit backend: jobs
 // carry backend-tagged memo keys (so a warm uhb cache never satisfies an
 // opsim or cross-check sweep) and run the backend's evaluation thunk.
+//
+// Memo keys, deduplication, the memo cache and every streamed result
+// are per (test, stack) pair: pairs with equal keys execute once and
+// the rest alias the first; a warm pass serves memoized pairs without
+// scheduling anything. The farm's unit of work is coarser — one group
+// per test and compiler mapping among the pairs still to execute (see
+// group) — so a test is compiled and enumerated once per mapping, not
+// once per stack. A finished group puts every member in the memo cache
+// before streaming them, even when the sweep has been cancelled.
 func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, stacks []Stack, workers int, backend Backend, events chan<- Progress) ([]*SuiteResult, error) {
 	if events != nil {
 		defer close(events)
@@ -265,61 +278,144 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		testFPs[i] = t.Fingerprint()
 	}
 	// The sweep inherits the caller's trace (e.g. a /v1/verify request
-	// span) so sampled verdict spans correlate with it; stack display
-	// names are precomputed so job thunks never format.
+	// span) so sampled verdict spans correlate with it.
 	trace, parentSpan := obs.TraceFromContext(ctx)
-	// Jobs are laid out stack-major in test order, so job i is
+	// Pairs are laid out stack-major in test order, so pair i is
 	// (stack i/len(tests), test i%len(tests)).
 	n := len(tests)
-	jobs := make([]farm.Job[string, *Memo], 0, n*len(stacks))
-	stackNames := make([]string, len(stacks))
+	total := n * len(stacks)
+	keys := make([]string, 0, total)
+	members := make([]member, len(stacks))
 	for si, s := range stacks {
-		s := s
 		sfp := StackFingerprint(s)
-		sname := s.Name()
-		mname := s.Model.FullName()
-		stackNames[si] = sname
-		for ti, t := range tests {
-			t := t
-			jobs = append(jobs, farm.Job[string, *Memo]{
-				Key: jobKeyFromFPs(testFPs[ti], sfp) + backend.keySuffix(),
-				Run: func() (*Memo, error) {
-					return e.evaluate(t, s, backend, sname, mname, trace, parentSpan)
-				},
-			})
+		members[si] = newMember(s)
+		for ti := range tests {
+			keys = append(keys, jobKeyFromFPs(testFPs[ti], sfp)+backend.keySuffix())
 		}
 	}
-	total := len(jobs)
+
+	// Deduplicate by key: the first pair with a key is canonical, later
+	// ones are aliases that receive a copy of its result.
+	stats := farm.Stats{Jobs: total}
+	canon := make(map[string]int, total)
+	aliases := make(map[int][]int)
+	pending := make([]int, 0, total)
+	for i, k := range keys {
+		if ci, ok := canon[k]; ok {
+			aliases[ci] = append(aliases[ci], i)
+			continue
+		}
+		canon[k] = i
+		pending = append(pending, i)
+	}
+	stats.Unique = len(pending)
+	if stats.Jobs > stats.Unique {
+		farmMetrics.Deduped.Add(uint64(stats.Jobs - stats.Unique))
+	}
+
+	memos := make([]*Memo, total)
 	done := 0
-	opts := farm.Options[string, *Memo]{
+	// emit lands one pair's result. Calls are serialized: the warm pass
+	// runs before the farm starts, and the farm serializes OnResult.
+	emit := func(i int, m *Memo, cached bool) {
+		memos[i] = m
+		t, sname := tests[i%n], members[i/n].name
+		// Discrimination vectors record here — the one point that sees
+		// every result, memoized or executed, so warm all-cached reruns
+		// still populate the ledger's verdict-vector matrix.
+		e.ledger.RecordVector(t.Name, sname, uint8(m.Verdict))
+		if events == nil {
+			return
+		}
+		done++
+		events <- Progress{
+			Done:         done,
+			Total:        total,
+			Stack:        sname,
+			Test:         t.Name,
+			Verdict:      m.Verdict,
+			Key:          keys[i],
+			Cached:       cached,
+			SpecifiedBug: m.Observable[t.Specified] && !m.Allowed[t.Specified],
+			Opsim:        m.Opsim,
+		}
+	}
+	// deliver lands a canonical pair's result and its aliases'.
+	deliver := func(i int, m *Memo, cached bool) {
+		emit(i, m, cached)
+		for _, a := range aliases[i] {
+			emit(a, m, true)
+		}
+	}
+
+	// Warm pass: serve whatever the memo cache holds without scheduling.
+	if e.memo != nil {
+		uncached := pending[:0]
+		for _, i := range pending {
+			start := time.Now()
+			m, ok := e.memo.Get(keys[i])
+			farmMetrics.ObserveLookup(start, ok)
+			if ok {
+				stats.CacheHits++
+				deliver(i, m, true)
+				continue
+			}
+			uncached = append(uncached, i)
+		}
+		pending = uncached
+	}
+
+	// Group the remaining pairs by (test, mapping), in order of first
+	// appearance: groups come out mapping-major in test order.
+	type groupKey struct {
+		test    int
+		mapping *compile.Mapping
+	}
+	index := map[groupKey]int{}
+	var groupPairs [][]int
+	for _, i := range pending {
+		gk := groupKey{i % n, stacks[i/n].Mapping}
+		gi, ok := index[gk]
+		if !ok {
+			gi = len(groupPairs)
+			index[gk] = gi
+			groupPairs = append(groupPairs, nil)
+		}
+		groupPairs[gi] = append(groupPairs[gi], i)
+	}
+	var executed atomic.Int64
+	jobs := make([]farm.Job[int, []*Memo], len(groupPairs))
+	for gi, pairs := range groupPairs {
+		g := group{test: tests[pairs[0]%n], members: make([]member, len(pairs))}
+		for j, i := range pairs {
+			g.members[j] = members[i/n]
+		}
+		jobs[gi] = farm.Job[int, []*Memo]{Key: gi, Run: func() ([]*Memo, error) {
+			executed.Add(int64(len(pairs)))
+			ms, err := e.evaluate(g, backend, trace, parentSpan)
+			if err == nil && e.memo != nil {
+				for j, i := range pairs {
+					e.memo.Put(keys[i], ms[j])
+				}
+			}
+			return ms, err
+		}}
+	}
+	_, gstats, err := farm.Run(jobs, farm.Options[int, []*Memo]{
 		Workers: workers,
-		Cache:   e.memo,
 		Context: ctx,
 		Metrics: farmMetrics,
-		OnResult: func(i int, m *Memo, cached bool) {
-			t, sname := tests[i%n], stackNames[i/n]
-			// Discrimination vectors record here — the one point that sees
-			// every result, memoized or executed, so warm all-cached reruns
-			// still populate the ledger's verdict-vector matrix.
-			e.ledger.RecordVector(t.Name, sname, uint8(m.Verdict))
-			if events == nil {
-				return
-			}
-			done++
-			events <- Progress{
-				Done:         done,
-				Total:        total,
-				Stack:        sname,
-				Test:         t.Name,
-				Verdict:      m.Verdict,
-				Key:          jobs[i].Key,
-				Cached:       cached,
-				SpecifiedBug: m.Observable[t.Specified] && !m.Allowed[t.Specified],
-				Opsim:        m.Opsim,
+		OnResult: func(gi int, ms []*Memo, _ bool) {
+			for j, i := range groupPairs[gi] {
+				deliver(i, ms[j], false)
 			}
 		},
-	}
-	memos, stats, err := farm.Run(jobs, opts)
+	})
+	// Pairs count as executed when their group ran, error or not; the
+	// rest of the unserved pairs were never scheduled.
+	stats.Executed = int(executed.Load())
+	stats.Skipped = stats.Unique - stats.CacheHits - stats.Executed
+	stats.Stolen, stats.Workers = gstats.Stolen, gstats.Workers
 	e.mu.Lock()
 	e.lastFarm = stats
 	e.mu.Unlock()

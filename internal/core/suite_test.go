@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"tricheck/internal/c11"
 	"tricheck/internal/litmus"
+	"tricheck/internal/mem"
+	"tricheck/internal/obs"
 	"tricheck/internal/uspec"
 )
 
@@ -373,4 +376,142 @@ func stackNames(ss []Stack) []string {
 		out = append(out, s.Name())
 	}
 	return out
+}
+
+// TestSweepGroupsKeepPerPairAccounting: the farm runs (test, mapping)
+// groups, but everything a caller sees stays per (test, stack). With 4
+// of the 7 base/curr stacks warm, a 7-stack sweep executes exactly the 3
+// cold stacks' pairs, counts the 4 warm stacks' pairs as memo hits (in
+// the farm stats and in tricheck_farm_memo_total), streams cached:true
+// on exactly those stacks, and renders like a cold 7-stack sweep.
+func TestSweepGroupsKeepPerPairAccounting(t *testing.T) {
+	tests := litmus.MP.Generate()
+	all, err := SelectStacks("base", "curr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := []Stack{all[0], all[2], all[4], all[6]}
+	eng := NewEngine()
+	eng.EnableMemo(0)
+	if _, err := eng.Sweep(tests, warm, 4); err != nil {
+		t.Fatal(err)
+	}
+	n := len(tests)
+	execs := eng.Executions()
+	hits, misses, lookups := farmMetrics.MemoHits.Value(), farmMetrics.MemoMisses.Value(), farmMetrics.MemoLookup.Count()
+
+	events := make(chan Progress, n*len(all))
+	got, err := eng.SweepStream(tests, all, 4, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := eng.Executions() - execs; d != uint64(3*n) {
+		t.Errorf("executed %d pairs, want %d", d, 3*n)
+	}
+	stats := eng.LastFarmStats()
+	if stats.Jobs != 7*n || stats.Unique != 7*n || stats.CacheHits != 4*n || stats.Executed != 3*n || stats.Skipped != 0 {
+		t.Errorf("farm stats %+v, want jobs=unique=%d hits=%d executed=%d skipped=0", stats, 7*n, 4*n, 3*n)
+	}
+	if d := farmMetrics.MemoHits.Value() - hits; d != uint64(4*n) {
+		t.Errorf("memo hit counter moved %d, want %d", d, 4*n)
+	}
+	if d := farmMetrics.MemoMisses.Value() - misses; d != uint64(3*n) {
+		t.Errorf("memo miss counter moved %d, want %d", d, 3*n)
+	}
+	if d := farmMetrics.MemoLookup.Count() - lookups; d != uint64(7*n) {
+		t.Errorf("memo lookup histogram moved %d, want %d", d, 7*n)
+	}
+	isWarm := map[string]bool{}
+	for _, s := range warm {
+		isWarm[s.Name()] = true
+	}
+	cached, streamed := map[string]int{}, 0
+	for ev := range events {
+		streamed++
+		if ev.Cached {
+			cached[ev.Stack]++
+		}
+	}
+	if streamed != 7*n {
+		t.Errorf("streamed %d results, want %d", streamed, 7*n)
+	}
+	for _, s := range all {
+		want := 0
+		if isWarm[s.Name()] {
+			want = n
+		}
+		if cached[s.Name()] != want {
+			t.Errorf("%s: %d results streamed cached, want %d", s.Name(), cached[s.Name()], want)
+		}
+	}
+	if cells := len(eng.CostMatrix()); cells != 7*n {
+		t.Errorf("cost matrix has %d cells, want one per executed pair (%d)", cells, 7*n)
+	}
+	cold, err := NewEngine().Sweep(tests, all, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderSuites(got) != renderSuites(cold) {
+		t.Error("partly warm sweep renders differently from a cold one")
+	}
+}
+
+// TestSweepCompilesAndEnumeratesOncePerMapping: a cold sweep of one
+// paper family over the 28 Figure 15 stacks runs C11, compiles and
+// enumerates each test once per compiler mapping (4), not once per
+// stack (28), while every stack's model still builds its own skeleton.
+func TestSweepCompilesAndEnumeratesOncePerMapping(t *testing.T) {
+	tests := litmus.MP.Generate()
+	stacks, err := SelectStacks("both", "both")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase := func(name string) *obs.Histogram {
+		return obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", name))
+	}
+	names := []string{"hll", "compile", "enumerate", "skeleton"}
+	before := map[string]uint64{}
+	for _, p := range names {
+		before[p] = phase(p).Count()
+	}
+	if _, err := NewEngine().Sweep(tests, stacks, 4); err != nil {
+		t.Fatal(err)
+	}
+	n := len(tests)
+	want := map[string]int{"hll": 4 * n, "compile": 4 * n, "enumerate": 4 * n, "skeleton": 28 * n}
+	for _, p := range names {
+		if d := phase(p).Count() - before[p]; d != uint64(want[p]) {
+			t.Errorf("%s phase observed %d times, want %d", p, d, want[p])
+		}
+	}
+}
+
+// TestSweepErrorsAreNotMemoized: a group whose evaluation fails puts
+// nothing in the memo cache, so a rerun serves the good pairs from the
+// cache and executes the failed ones again — failing again, rather than
+// replaying a cached verdict.
+func TestSweepErrorsAreNotMemoized(t *testing.T) {
+	// The paper's mappings have no recipe for C11 RMWs, so this test
+	// passes the C11 step and fails to compile on every stack.
+	p := c11.New(1, "x")
+	p.RMW(0, c11.Rlx, mem.Const(0), mem.Const(1), 0, mem.RMWAdd)
+	p.Observe(0, 0, "r0")
+	rmw := &litmus.Test{Name: "rmw", Shape: &litmus.Shape{Name: "rmw"}, Prog: p}
+	good := litmus.MP.Generate()[:3]
+	tests := append(good, rmw)
+	stacks := testStacks()
+
+	eng := NewEngine()
+	eng.EnableMemo(0)
+	for run := 0; run < 2; run++ {
+		if _, err := eng.Sweep(tests, stacks, 2); err == nil || !strings.Contains(err.Error(), "RMW") {
+			t.Fatalf("run %d: err = %v, want the RMW compile error", run, err)
+		}
+		if ms, _ := eng.MemoStats(); ms.Len != len(good)*len(stacks) {
+			t.Fatalf("run %d: memo holds %d entries, want the %d good pairs", run, ms.Len, len(good)*len(stacks))
+		}
+	}
+	if st := eng.LastFarmStats(); st.CacheHits != len(good)*len(stacks) || st.Executed != len(stacks) {
+		t.Fatalf("rerun farm stats %+v, want %d hits and the %d failed pairs executed", st, len(good)*len(stacks), len(stacks))
+	}
 }

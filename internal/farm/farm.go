@@ -1,23 +1,28 @@
 // Package farm is the verification farm substrate: a sharded
-// work-stealing scheduler with job deduplication and a memoized result
-// cache (in-memory LRU plus an optional JSON snapshot on disk).
+// work-stealing scheduler with job deduplication, plus a memoized result
+// cache (in-memory LRU plus an optional JSON snapshot on disk) for its
+// callers' warm passes.
 //
 // The farm is deliberately generic. Jobs are (key, thunk) pairs: the key
-// is a canonical fingerprint of the work (for TriCheck, a hash of the
-// litmus test program plus the full-stack identity) and the thunk
-// performs it. The scheduler:
+// is a canonical fingerprint of the work and the thunk performs it. For
+// TriCheck a job is a (test, mapping) group — one litmus test and the
+// stacks of a sweep that share its compiler mapping — while memo keys,
+// the cache and deduplication of identical (test, stack) pairs stay with
+// the engine (internal/core), which consults the cache before it builds
+// any group. The scheduler:
 //
 //   - deduplicates jobs by key, executing each distinct key once and
 //     fanning the result out to every submitted duplicate;
-//   - consults the optional cache before scheduling, so a warm farm
-//     performs zero executions for previously-verified work;
-//   - distributes the remaining jobs over per-worker shard deques; each
-//     worker drains its own shard LIFO and steals FIFO from the others
-//     when idle, so stragglers (litmus tests with large execution-
-//     candidate spaces) never serialize the sweep;
+//   - distributes the jobs over per-worker shard deques; each worker
+//     drains its own shard LIFO and steals FIFO from the others when
+//     idle, so stragglers (litmus tests with large execution-candidate
+//     spaces) never serialize the sweep;
 //   - streams every result to an optional observer as it lands, for
 //     progressive reporting, while still returning the full result slice
 //     in submission order for deterministic aggregation.
+//
+// Stats.Stolen and Stats.Workers therefore count jobs — groups, under
+// the engine — not (test, stack) pairs.
 //
 // Determinism: results are assigned by submission index, the cache is
 // keyed by content fingerprints, and verdict aggregation happens outside
@@ -39,7 +44,7 @@ type Job[K comparable, V any] struct {
 	// Key is the canonical fingerprint of the work.
 	Key K
 	// Run performs the work. It is called at most once per distinct key
-	// per farm run, and not at all on a cache hit.
+	// per farm run.
 	Run func() (V, error)
 }
 
@@ -48,8 +53,9 @@ type Stats struct {
 	// Jobs is the number of submitted jobs; Unique the number of
 	// distinct keys among them.
 	Jobs, Unique int
-	// CacheHits counts distinct keys satisfied from the cache without
-	// execution; Executed counts keys whose thunk actually ran.
+	// CacheHits counts distinct keys satisfied from a memo cache without
+	// execution — by the caller's warm pass, so Run leaves it zero;
+	// Executed counts keys whose thunk actually ran.
 	CacheHits, Executed int
 	// Stolen counts executions a worker took from a foreign shard.
 	Stolen int
@@ -64,22 +70,19 @@ type Stats struct {
 type Options[K comparable, V any] struct {
 	// Workers bounds the worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Cache, when non-nil, memoizes results across runs.
-	Cache *Cache[K, V]
 	// OnResult, when non-nil, observes every job's result as it lands
-	// (duplicates and cache hits included, with cached=true). Calls are
-	// serialized; index is the job's submission index.
+	// (duplicates included, with cached=true). Calls are serialized;
+	// index is the job's submission index.
 	OnResult func(index int, v V, cached bool)
 	// Context, when non-nil, aborts the run: once it is cancelled no new
-	// job is scheduled (in-flight jobs finish, land in the cache, and are
-	// streamed to OnResult as usual — a cancelled run never poisons a
-	// shared cache) and Run returns the context's error. Nil means run to
-	// completion.
+	// job is scheduled (in-flight jobs finish and are streamed to
+	// OnResult as usual) and Run returns the context's error. Nil means
+	// run to completion.
 	Context context.Context
 	// Metrics, when non-nil, receives scheduler telemetry: queue-wait and
-	// run-time distributions, memo lookup latencies and disposition
-	// counters. Recording is atomic adds on pre-registered handles — the
-	// instrumented path performs no allocation or formatting.
+	// run-time distributions and disposition counters. Recording is
+	// atomic adds on pre-registered handles — the instrumented path
+	// performs no allocation or formatting.
 	Metrics *Metrics
 }
 
@@ -163,26 +166,6 @@ func Run[K comparable, V any](jobs []Job[K, V], opts Options[K, V]) ([]V, Stats,
 		obsm.Deduped.Add(uint64(stats.Jobs - stats.Unique))
 	}
 
-	// Warm-cache pass: satisfy whatever we can without scheduling.
-	if opts.Cache != nil {
-		uncached := pending[:0]
-		for _, i := range pending {
-			var lookupStart time.Time
-			if obsm != nil {
-				lookupStart = time.Now()
-			}
-			v, ok := opts.Cache.Get(jobs[i].Key)
-			obsm.observeLookup(lookupStart, ok)
-			if ok {
-				stats.CacheHits++
-				emit(i, v, true)
-				continue
-			}
-			uncached = append(uncached, i)
-		}
-		pending = uncached
-	}
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -248,9 +231,6 @@ func Run[K comparable, V any](jobs []Job[K, V], opts Options[K, V]) ([]V, Stats,
 				mu.Unlock()
 				if err != nil {
 					continue
-				}
-				if opts.Cache != nil {
-					opts.Cache.Put(jobs[i].Key, v)
 				}
 				emit(i, v, false)
 			}

@@ -8,9 +8,10 @@ import (
 
 // Metrics is the farm's scheduler telemetry: per-job queue-wait and
 // run-time distributions, steal/dedup/skip counters and memo-cache
-// hit/miss counters with lookup latencies. All fields are pre-registered
-// obs handles; recording is atomic adds only, so instrumented runs keep
-// the farm's hot loop allocation-free.
+// hit/miss counters with lookup latencies (the last three recorded by
+// the caller's warm pass through ObserveLookup). All fields are
+// pre-registered obs handles; recording is atomic adds only, so
+// instrumented runs keep the farm's hot loop allocation-free.
 type Metrics struct {
 	// QueueWait is the time a job spent enqueued before a worker took it.
 	QueueWait *obs.Histogram
@@ -43,8 +44,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// observeLookup times one cache lookup; nil-safe.
-func (m *Metrics) observeLookup(start time.Time, hit bool) {
+// ObserveLookup records one memo-cache lookup that began at start, by
+// outcome; nil-safe. The scheduler itself never consults a cache: the
+// caller's warm pass (core's engine) records its lookups here.
+func (m *Metrics) ObserveLookup(start time.Time, hit bool) {
 	if m == nil {
 		return
 	}

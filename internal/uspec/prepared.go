@@ -1,6 +1,7 @@
 package uspec
 
 import (
+	"errors"
 	"time"
 
 	"tricheck/internal/isa"
@@ -9,13 +10,14 @@ import (
 	"tricheck/internal/uhb"
 )
 
-// Per-verdict phase timing histograms. Skeleton build and candidate
-// enumeration are observed once per prepared evaluation (job
-// granularity — two atomic-add observations against work that costs
-// tens of microseconds to milliseconds). The overlay cycle check is the
-// innermost loop: it is observed only under 1-in-N sampling
-// (obs.SetCycleSampling), default off, so the PR-3 zero-allocation/
-// zero-format verdict-path invariants hold with telemetry enabled.
+// Per-verdict phase timing histograms. Skeleton build is observed once
+// per Prepare (per model) and candidate enumeration once per EvaluateAll
+// (per group of models sharing a program) — atomic-add observations
+// against work that costs tens of microseconds to milliseconds. The
+// overlay cycle check is the innermost loop: it is observed only under
+// 1-in-N sampling (obs.SetCycleSampling), default off, so the PR-3
+// zero-allocation/zero-format verdict-path invariants hold with
+// telemetry enabled.
 const phaseHelp = "Per-verdict toolflow phase durations."
 
 var (
@@ -165,43 +167,74 @@ func (pr *Prepared) Close() {
 
 // Evaluate computes the observable outcome set of the prepared program —
 // the Figure 6 step 3 body, sharing one skeleton and one overlay across
-// the whole candidate enumeration.
+// the whole candidate enumeration. It is EvaluateAll's one-model case.
 func (pr *Prepared) Evaluate() (*Result, error) {
+	rs, err := EvaluateAll([]*Prepared{pr})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// EvaluateAll evaluates several models over one compiled program in a
+// single candidate enumeration: every Prepared must have been prepared
+// on the same program. Each candidate execution is enumerated and its
+// outcome interned once, then offered to every model under that model's
+// own skip-if-known-observable rule, so each model sees exactly the
+// candidate sequence — and keeps exactly the skeleton, overlay,
+// incremental order, coverage and Graphs count — it would alone. The
+// scratch execution and the outcome ids are shared, which is why
+// ExecutionObservable must never mutate its argument.
+//
+// Results are returned in prs order. Their All maps are one shared,
+// read-only set: the candidate universe does not depend on the model.
+func EvaluateAll(prs []*Prepared) ([]*Result, error) {
+	if len(prs) == 0 {
+		return nil, nil
+	}
+	p := prs[0].p
+	for _, pr := range prs[1:] {
+		if pr.p != p {
+			return nil, errors.New("uspec: EvaluateAll over models prepared on different programs")
+		}
+	}
 	start := time.Now()
-	res := &Result{}
+	k := len(prs)
+	res := make([]Result, k)
 	// Outcomes are interned: the per-candidate bookkeeping runs on dense
-	// ids against slices, and the outcome maps are built once at the end.
-	// Ids are assigned in first-seen order, so the skip-if-known-
-	// observable logic — and therefore the Graphs counter — is
-	// bit-identical to the map-based loop.
-	cache := mem.AcquireOutcomeCache(pr.p.Mem())
+	// ids against a flat known-observable table (row id, column model),
+	// and the outcome maps are built once at the end. Ids are assigned in
+	// first-seen order, so the skip logic — and therefore every Graphs
+	// counter — is bit-identical to a map-based loop.
+	cache := mem.AcquireOutcomeCache(p.Mem())
 	defer mem.ReleaseOutcomeCache(cache)
-	var obsv []bool
+	var known []bool
+	candidates := 0
 	// The innermost loop stays untimed unless cycle sampling is on: a
 	// single atomic load per checked graph decides, and only every Nth
 	// check pays for two monotonic clock reads.
 	sampleN := uint64(obs.CycleSampling())
-	err := mem.Enumerate(pr.p.Mem(), func(x *mem.Execution) bool {
-		res.Candidates++
+	err := mem.Enumerate(p.Mem(), func(x *mem.Execution) bool {
+		candidates++
 		_, id := cache.Lookup(x)
-		if id == len(obsv) {
-			obsv = append(obsv, false)
-		}
-		if obsv[id] {
-			return true // this outcome is already known observable
-		}
-		res.Graphs++
-		if sampleN > 0 && uint64(res.Graphs)%sampleN == 0 {
-			t0 := time.Now()
-			ok := pr.ExecutionObservable(x)
-			phaseCycle.Observe(time.Since(t0))
-			if ok {
-				obsv[id] = true
+		if id*k == len(known) {
+			for range prs {
+				known = append(known, false)
 			}
-			return true
 		}
-		if pr.ExecutionObservable(x) {
-			obsv[id] = true
+		row := known[id*k : id*k+k]
+		for i, pr := range prs {
+			if row[i] {
+				continue // this outcome is already known observable here
+			}
+			res[i].Graphs++
+			if sampleN > 0 && uint64(res[i].Graphs)%sampleN == 0 {
+				t0 := time.Now()
+				row[i] = pr.ExecutionObservable(x)
+				phaseCycle.Observe(time.Since(t0))
+				continue
+			}
+			row[i] = pr.ExecutionObservable(x)
 		}
 		return true
 	})
@@ -209,16 +242,24 @@ func (pr *Prepared) Evaluate() (*Result, error) {
 		return nil, err
 	}
 	outs := cache.Outcomes()
-	res.All = make(map[mem.Outcome]bool, len(outs))
-	res.Observable = make(map[mem.Outcome]bool, len(outs))
-	for id, o := range outs {
-		res.All[o] = true
-		if obsv[id] {
-			res.Observable[o] = true
+	all := make(map[mem.Outcome]bool, len(outs))
+	for _, o := range outs {
+		all[o] = true
+	}
+	out := make([]*Result, k)
+	for i := range res {
+		r := &res[i]
+		r.Candidates, r.All = candidates, all
+		r.Observable = make(map[mem.Outcome]bool, len(outs))
+		for id, o := range outs {
+			if known[id*k+i] {
+				r.Observable[o] = true
+			}
 		}
+		out[i] = r
 	}
 	phaseEnumerate.Observe(time.Since(start))
-	return res, nil
+	return out, nil
 }
 
 // Observable reports whether a specific outcome is observable, stopping at

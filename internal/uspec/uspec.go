@@ -216,7 +216,8 @@ func Table7(v Variant) []TableRow {
 type Result struct {
 	// Observable is the set of outcomes with at least one acyclic µhb graph.
 	Observable map[mem.Outcome]bool
-	// All is the full candidate outcome universe.
+	// All is the full candidate outcome universe. It depends only on the
+	// program, so the results of one EvaluateAll share it: read-only.
 	All map[mem.Outcome]bool
 	// Candidates counts enumerated executions; Graphs counts µhb
 	// acyclicity checks actually run — overlay evaluations on the
