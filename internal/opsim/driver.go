@@ -84,7 +84,7 @@ func SetMiswired(on bool) { miswire.Store(on) }
 // *CapabilityError naming the unsupported relaxation.
 func Supports(cfg uspec.Config) error {
 	unsupported := func(reason string) error {
-		return &CapabilityError{Model: fmt.Sprintf("%s/%s", cfg.Name, cfg.Variant), Reason: reason}
+		return &CapabilityError{Model: cfg.Name + "/" + cfg.Variant.String(), Reason: reason}
 	}
 	switch {
 	case cfg.CacheProtocol:

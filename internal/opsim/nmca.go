@@ -1,6 +1,7 @@
 package opsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -45,14 +46,15 @@ type NMCASimulator struct {
 	maxRegs []int
 	seen    map[string]bool
 	out     map[mem.Outcome]bool
+	key     []byte    // appendKey buffer, reused for every lookup
+	free    []*nstate // explored successors, recycled by next
 	// States counts distinct explored configurations.
 	States int
 }
 
 // NewNMCA returns an operational nWR simulator.
 func NewNMCA(p *isa.Program) *NMCASimulator {
-	base := New(p)
-	return &NMCASimulator{p: p, maxRegs: base.maxRegs, seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
+	return &NMCASimulator{p: p, maxRegs: regWidths(p), seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
 }
 
 // drained is one coherence-ordered write.
@@ -86,46 +88,56 @@ type nstate struct {
 	pending  []*pendingAtomic
 }
 
-func (s *nstate) clone() *nstate {
-	c := &nstate{
-		pc:       append([]int(nil), s.pc...),
-		writes:   append([]drained(nil), s.writes...),
-		drainSeq: append([]int(nil), s.drainSeq...),
-		pending:  append([]*pendingAtomic(nil), s.pending...),
-	}
-	c.regs = make([][]int64, len(s.regs))
-	for i := range s.regs {
-		c.regs[i] = append([]int64(nil), s.regs[i]...)
-	}
-	c.sb = make([][]sbEntry, len(s.sb))
-	for i := range s.sb {
-		c.sb[i] = append([]sbEntry(nil), s.sb[i]...)
-	}
-	c.order = make([][]int, len(s.order))
-	for i := range s.order {
-		c.order[i] = append([]int(nil), s.order[i]...)
-	}
-	c.applied = make([][]int, len(s.applied))
-	for i := range s.applied {
-		c.applied[i] = append([]int(nil), s.applied[i]...)
-	}
+// cloneInto copies s into c, reusing c's slices, and returns c. Pending
+// atomics are shared: they are never modified, only replaced.
+func (s *nstate) cloneInto(c *nstate) *nstate {
+	c.pc = append(c.pc[:0], s.pc...)
+	c.writes = append(c.writes[:0], s.writes...)
+	c.drainSeq = append(c.drainSeq[:0], s.drainSeq...)
+	c.pending = append(c.pending[:0], s.pending...)
+	c.regs = copyRows(c.regs, s.regs)
+	c.sb = copyRows(c.sb, s.sb)
+	c.order = copyRows(c.order, s.order)
+	c.applied = copyRows(c.applied, s.applied)
 	return c
 }
 
-func (s *nstate) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|%v|%v|%v|%v|", s.pc, s.regs, s.order, s.applied, s.drainSeq, s.writes)
-	for _, q := range s.sb {
-		fmt.Fprintf(&b, "%v;", q)
+// appendKey appends s's visited-set key to buf: a length-prefixed varint
+// encoding of pc, regs, order, applied, drainSeq, every drained write,
+// the store buffers and the pending atomics, so two states share a key
+// exactly when they are equal.
+func (s *nstate) appendKey(buf []byte) []byte {
+	buf = appendInts(buf, s.pc)
+	buf = appendRows(buf, s.regs)
+	buf = appendRows(buf, s.order)
+	buf = appendRows(buf, s.applied)
+	buf = appendInts(buf, s.drainSeq)
+	buf = binary.AppendUvarint(buf, uint64(len(s.writes)))
+	for _, w := range s.writes {
+		buf = binary.AppendVarint(buf, int64(w.loc))
+		buf = binary.AppendVarint(buf, w.val)
+		buf = binary.AppendVarint(buf, int64(w.src))
+		buf = binary.AppendVarint(buf, int64(w.srcSeq))
+		buf = appendBool(buf, w.atomic)
 	}
+	buf = appendBuffers(buf, s.sb)
+	buf = binary.AppendUvarint(buf, uint64(len(s.pending)))
 	for _, p := range s.pending {
-		if p == nil {
-			b.WriteString("-;")
-		} else {
-			fmt.Fprintf(&b, "%v;", *p)
+		buf = appendBool(buf, p != nil)
+		if p != nil {
+			buf = binary.AppendVarint(buf, int64(p.loc))
+			buf = binary.AppendVarint(buf, p.data)
+			buf = appendBool(buf, p.add)
 		}
 	}
-	return b.String()
+	return buf
+}
+
+func appendBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
 }
 
 // view returns the value of loc as core c currently sees it (latest
@@ -219,6 +231,13 @@ func (s *NMCASimulator) commitPending(st *nstate, t int) {
 // final states (cores quiesce: buffers empty, every write applied
 // everywhere — eventual visibility).
 func (s *NMCASimulator) Outcomes() map[mem.Outcome]bool {
+	s.explore(s.initial())
+	return s.out
+}
+
+// initial returns the reset configuration: pcs and registers at zero, no
+// write drained, buffered or pending.
+func (s *NMCASimulator) initial() *nstate {
 	nlocs := s.p.Mem().NumLocs
 	n := s.p.NumThreads()
 	init := &nstate{
@@ -228,22 +247,52 @@ func (s *NMCASimulator) Outcomes() map[mem.Outcome]bool {
 		order:    make([][]int, nlocs),
 		applied:  make([][]int, n),
 		drainSeq: make([]int, n),
+		pending:  make([]*pendingAtomic, n),
 	}
-	init.pending = make([]*pendingAtomic, n)
 	for t := 0; t < n; t++ {
 		init.regs[t] = make([]int64, s.maxRegs[t])
 		init.applied[t] = make([]int, nlocs)
 	}
-	s.explore(init)
-	return s.out
+	return init
+}
+
+// visit reports whether st is new to seen, and marks it seen.
+func (s *NMCASimulator) visit(seen map[string]bool, st *nstate) bool {
+	s.key = st.appendKey(s.key[:0])
+	if seen[string(s.key)] {
+		return false
+	}
+	seen[string(s.key)] = true
+	return true
+}
+
+// next returns a copy of st in a recycled state; release it once
+// explored.
+func (s *NMCASimulator) next(st *nstate) *nstate {
+	var c *nstate
+	if n := len(s.free); n > 0 {
+		c, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		c = &nstate{}
+	}
+	return st.cloneInto(c)
+}
+
+func (s *NMCASimulator) release(st *nstate) { s.free = append(s.free, st) }
+
+// drainHead moves thread t's store-buffer head into the coherence order,
+// shifting the buffer in place like drain.
+func (s *NMCASimulator) drainHead(st *nstate, t int) sbEntry {
+	e := st.sb[t][0]
+	st.sb[t] = append(st.sb[t][:0], st.sb[t][1:]...)
+	s.appendWrite(st, t, e.loc, e.val, false)
+	return e
 }
 
 func (s *NMCASimulator) explore(st *nstate) {
-	k := st.key()
-	if s.seen[k] {
+	if !s.visit(s.seen, st) {
 		return
 	}
-	s.seen[k] = true
 	s.States++
 	progress := false
 	n := s.p.NumThreads()
@@ -252,9 +301,10 @@ func (s *NMCASimulator) explore(st *nstate) {
 		for l := range st.order {
 			if st.canApply(c, mem.Loc(l)) {
 				progress = true
-				next := st.clone()
+				next := s.next(st)
 				next.applied[c][l]++
 				s.explore(next)
+				s.release(next)
 			}
 		}
 	}
@@ -262,9 +312,10 @@ func (s *NMCASimulator) explore(st *nstate) {
 		// Commit: a pending SC-AMO write takes its global instant.
 		if st.canCommit(t) {
 			progress = true
-			next := st.clone()
+			next := s.next(st)
 			s.commitPending(next, t)
 			s.explore(next)
+			s.release(next)
 		}
 		// Drain: move the SB head into the coherence order. The draining
 		// core must be caught up on the location (it acquires the line)
@@ -274,11 +325,10 @@ func (s *NMCASimulator) explore(st *nstate) {
 		// visible anywhere before the atomic's instant.
 		if len(st.sb[t]) > 0 && st.pending[t] == nil && st.caughtUp(t, st.sb[t][0].loc) {
 			progress = true
-			next := st.clone()
-			e := next.sb[t][0]
-			next.sb[t] = next.sb[t][1:]
-			s.appendWrite(next, t, e.loc, e.val, false)
+			next := s.next(st)
+			s.drainHead(next, t)
 			s.explore(next)
+			s.release(next)
 		}
 		// Execute the next instruction.
 		if st.pc[t] < len(s.p.Instrs[t]) {
@@ -287,10 +337,11 @@ func (s *NMCASimulator) explore(st *nstate) {
 				continue
 			}
 			progress = true
-			next := st.clone()
+			next := s.next(st)
 			s.execute(next, t, ins)
 			next.pc[t]++
 			s.explore(next)
+			s.release(next)
 		}
 	}
 	if !progress {
@@ -461,37 +512,21 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 // actions, or nil if unreachable. Like Simulator.Trace it uses its own
 // visited set.
 func (s *NMCASimulator) Trace(target mem.Outcome) []string {
-	nlocs := s.p.Mem().NumLocs
 	n := s.p.NumThreads()
-	init := &nstate{
-		pc:       make([]int, n),
-		regs:     make([][]int64, n),
-		sb:       make([][]sbEntry, n),
-		order:    make([][]int, nlocs),
-		applied:  make([][]int, n),
-		drainSeq: make([]int, n),
-	}
-	init.pending = make([]*pendingAtomic, n)
-	for t := 0; t < n; t++ {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-		init.applied[t] = make([]int, nlocs)
-	}
 	seen := map[string]bool{}
 	var path []string
 	var found []string
 	var dfs func(st *nstate) bool
 	dfs = func(st *nstate) bool {
-		k := st.key()
-		if seen[k] {
+		if !s.visit(seen, st) {
 			return false
 		}
-		seen[k] = true
 		progress := false
 		for c := 0; c < n; c++ {
 			for l := range st.order {
 				if st.canApply(c, mem.Loc(l)) {
 					progress = true
-					next := st.clone()
+					next := s.next(st)
 					w := next.writes[next.order[l][next.applied[c][l]]]
 					next.applied[c][l]++
 					path = append(path, fmt.Sprintf("T%d: apply %s=%d (written by T%d)",
@@ -499,6 +534,7 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 					if dfs(next) {
 						return true
 					}
+					s.release(next)
 					path = path[:len(path)-1]
 				}
 			}
@@ -506,7 +542,7 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 		for t := 0; t < n; t++ {
 			if st.canCommit(t) {
 				progress = true
-				next := st.clone()
+				next := s.next(st)
 				p := *st.pending[t]
 				s.commitPending(next, t)
 				path = append(path, fmt.Sprintf("T%d: commit atomic %s=%d to every core",
@@ -514,19 +550,19 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 				if dfs(next) {
 					return true
 				}
+				s.release(next)
 				path = path[:len(path)-1]
 			}
 			if len(st.sb[t]) > 0 && st.pending[t] == nil && st.caughtUp(t, st.sb[t][0].loc) {
 				progress = true
-				next := st.clone()
-				e := next.sb[t][0]
-				next.sb[t] = next.sb[t][1:]
-				s.appendWrite(next, t, e.loc, e.val, false)
+				next := s.next(st)
+				e := s.drainHead(next, t)
 				path = append(path, fmt.Sprintf("T%d: drain %s=%d into the coherence order",
 					t, s.p.Mem().LocName(e.loc), e.val))
 				if dfs(next) {
 					return true
 				}
+				s.release(next)
 				path = path[:len(path)-1]
 			}
 			if st.pc[t] < len(s.p.Instrs[t]) {
@@ -535,13 +571,14 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 					continue
 				}
 				progress = true
-				next := st.clone()
+				next := s.next(st)
 				s.execute(next, t, ins)
 				next.pc[t]++
 				path = append(path, fmt.Sprintf("T%d: execute instruction %d", t, st.pc[t]))
 				if dfs(next) {
 					return true
 				}
+				s.release(next)
 				path = path[:len(path)-1]
 			}
 		}
@@ -551,7 +588,7 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 		}
 		return false
 	}
-	if dfs(init) {
+	if dfs(s.initial()) {
 		return found
 	}
 	return nil

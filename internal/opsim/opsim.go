@@ -14,6 +14,7 @@
 package opsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -28,7 +29,7 @@ type sbEntry struct {
 }
 
 // state is a full machine configuration. States are memoized by their
-// canonical string key.
+// appendKey encoding.
 type state struct {
 	pc   []int
 	regs [][]int64
@@ -36,29 +37,63 @@ type state struct {
 	mem  []int64
 }
 
-func (s *state) clone() *state {
-	c := &state{
-		pc:  append([]int(nil), s.pc...),
-		mem: append([]int64(nil), s.mem...),
-	}
-	c.regs = make([][]int64, len(s.regs))
-	for i := range s.regs {
-		c.regs[i] = append([]int64(nil), s.regs[i]...)
-	}
-	c.sb = make([][]sbEntry, len(s.sb))
-	for i := range s.sb {
-		c.sb[i] = append([]sbEntry(nil), s.sb[i]...)
-	}
+// cloneInto copies s into c, reusing c's slices, and returns c.
+func (s *state) cloneInto(c *state) *state {
+	c.pc = append(c.pc[:0], s.pc...)
+	c.mem = append(c.mem[:0], s.mem...)
+	c.regs = copyRows(c.regs, s.regs)
+	c.sb = copyRows(c.sb, s.sb)
 	return c
 }
 
-func (s *state) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|%v|", s.pc, s.regs, s.mem)
-	for _, q := range s.sb {
-		fmt.Fprintf(&b, "%v;", q)
+// appendKey appends s's visited-set key to buf: a length-prefixed varint
+// encoding of pc, regs, mem and the store buffers, so two states share a
+// key exactly when they are equal.
+func (s *state) appendKey(buf []byte) []byte {
+	buf = appendInts(buf, s.pc)
+	buf = appendRows(buf, s.regs)
+	buf = appendInts(buf, s.mem)
+	return appendBuffers(buf, s.sb)
+}
+
+// copyRows copies src into dst, reusing dst's rows where the shapes
+// already match (every state of one simulator has the same shape).
+func copyRows[T any](dst, src [][]T) [][]T {
+	if len(dst) != len(src) {
+		dst = make([][]T, len(src))
 	}
-	return b.String()
+	for i, row := range src {
+		dst[i] = append(dst[i][:0], row...)
+	}
+	return dst
+}
+
+func appendInts[T ~int | ~int64](buf []byte, xs []T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(xs)))
+	for _, x := range xs {
+		buf = binary.AppendVarint(buf, int64(x))
+	}
+	return buf
+}
+
+func appendRows[T ~int | ~int64](buf []byte, rows [][]T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	for _, r := range rows {
+		buf = appendInts(buf, r)
+	}
+	return buf
+}
+
+func appendBuffers(buf []byte, sb [][]sbEntry) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(sb)))
+	for _, q := range sb {
+		buf = binary.AppendUvarint(buf, uint64(len(q)))
+		for _, e := range q {
+			buf = binary.AppendVarint(buf, int64(e.loc))
+			buf = binary.AppendVarint(buf, e.val)
+		}
+	}
+	return buf
 }
 
 // Simulator explores a program on the operational WR (or, with
@@ -68,6 +103,8 @@ type Simulator struct {
 	maxRegs []int
 	seen    map[string]bool
 	out     map[mem.Outcome]bool
+	key     []byte   // appendKey buffer, reused for every lookup
+	free    []*state // explored successors, recycled by next
 	// Forwarding lets plain loads read the newest same-address entry of
 	// the local store buffer instead of stalling — turning the WR machine
 	// into an x86-TSO-like one (cross-checked against uspec.TSO).
@@ -83,8 +120,13 @@ type Simulator struct {
 
 // New returns a simulator for the program on the WR machine.
 func New(p *isa.Program) *Simulator {
-	s := &Simulator{p: p, seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
-	s.maxRegs = make([]int, p.NumThreads())
+	return &Simulator{p: p, maxRegs: regWidths(p), seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
+}
+
+// regWidths returns, per thread, the number of registers its
+// instructions name.
+func regWidths(p *isa.Program) []int {
+	widths := make([]int, p.NumThreads())
 	for t, th := range p.Instrs {
 		max := 0
 		for _, ins := range th {
@@ -97,9 +139,9 @@ func New(p *isa.Program) *Simulator {
 				}
 			}
 		}
-		s.maxRegs[t] = max
+		widths[t] = max
 	}
-	return s
+	return widths
 }
 
 // NewTSO returns a simulator with store-buffer forwarding enabled.
@@ -121,6 +163,13 @@ func NewSC(p *isa.Program) *Simulator {
 // reachable final states (register observers plus final memory observers,
 // in the same canonical form as the axiomatic side).
 func (s *Simulator) Outcomes() map[mem.Outcome]bool {
+	s.explore(s.initial())
+	return s.out
+}
+
+// initial returns the reset configuration: pcs, registers and memory at
+// zero, store buffers empty.
+func (s *Simulator) initial() *state {
 	init := &state{
 		pc:   make([]int, s.p.NumThreads()),
 		mem:  make([]int64, s.p.Mem().NumLocs),
@@ -130,16 +179,46 @@ func (s *Simulator) Outcomes() map[mem.Outcome]bool {
 	for t := range init.regs {
 		init.regs[t] = make([]int64, s.maxRegs[t])
 	}
-	s.explore(init)
-	return s.out
+	return init
+}
+
+// visit reports whether st is new to seen, and marks it seen.
+func (s *Simulator) visit(seen map[string]bool, st *state) bool {
+	s.key = st.appendKey(s.key[:0])
+	if seen[string(s.key)] {
+		return false
+	}
+	seen[string(s.key)] = true
+	return true
+}
+
+// next returns a copy of st in a recycled state; release it once
+// explored.
+func (s *Simulator) next(st *state) *state {
+	var c *state
+	if n := len(s.free); n > 0 {
+		c, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		c = &state{}
+	}
+	return st.cloneInto(c)
+}
+
+func (s *Simulator) release(st *state) { s.free = append(s.free, st) }
+
+// drain retires thread t's oldest store-buffer entry to memory. The
+// buffer shifts in place, so a recycled state keeps its capacity.
+func drain(st *state, t int) sbEntry {
+	e := st.sb[t][0]
+	st.sb[t] = append(st.sb[t][:0], st.sb[t][1:]...)
+	st.mem[e.loc] = e.val
+	return e
 }
 
 func (s *Simulator) explore(st *state) {
-	k := st.key()
-	if s.seen[k] {
+	if !s.visit(s.seen, st) {
 		return
 	}
-	s.seen[k] = true
 	s.States++
 
 	progress := false
@@ -147,11 +226,10 @@ func (s *Simulator) explore(st *state) {
 		// Drain the oldest store-buffer entry.
 		if len(st.sb[t]) > 0 {
 			progress = true
-			next := st.clone()
-			e := next.sb[t][0]
-			next.sb[t] = next.sb[t][1:]
-			next.mem[e.loc] = e.val
+			next := s.next(st)
+			drain(next, t)
 			s.explore(next)
+			s.release(next)
 		}
 		// Execute the next instruction if not blocked.
 		if st.pc[t] < len(s.p.Instrs[t]) {
@@ -160,10 +238,11 @@ func (s *Simulator) explore(st *state) {
 				continue
 			}
 			progress = true
-			next := st.clone()
+			next := s.next(st)
 			s.execute(next, t, ins)
 			next.pc[t]++
 			s.explore(next)
+			s.release(next)
 		}
 	}
 	if !progress {
@@ -284,37 +363,25 @@ func (s *Simulator) execute(st *state, t int, ins *isa.Instr) {
 // It uses its own visited set, so call it on a fresh or reused Simulator
 // freely.
 func (s *Simulator) Trace(target mem.Outcome) []string {
-	init := &state{
-		pc:   make([]int, s.p.NumThreads()),
-		mem:  make([]int64, s.p.Mem().NumLocs),
-		regs: make([][]int64, s.p.NumThreads()),
-		sb:   make([][]sbEntry, s.p.NumThreads()),
-	}
-	for t := range init.regs {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-	}
 	seen := map[string]bool{}
 	var path []string
 	var found []string
 	var dfs func(st *state) bool
 	dfs = func(st *state) bool {
-		k := st.key()
-		if seen[k] {
+		if !s.visit(seen, st) {
 			return false
 		}
-		seen[k] = true
 		progress := false
 		for t := 0; t < s.p.NumThreads(); t++ {
 			if len(st.sb[t]) > 0 {
 				progress = true
-				next := st.clone()
-				e := next.sb[t][0]
-				next.sb[t] = next.sb[t][1:]
-				next.mem[e.loc] = e.val
+				next := s.next(st)
+				e := drain(next, t)
 				path = append(path, fmt.Sprintf("T%d: drain %s=%d to memory", t, s.p.Mem().LocName(e.loc), e.val))
 				if dfs(next) {
 					return true
 				}
+				s.release(next)
 				path = path[:len(path)-1]
 			}
 			if st.pc[t] < len(s.p.Instrs[t]) {
@@ -323,13 +390,14 @@ func (s *Simulator) Trace(target mem.Outcome) []string {
 					continue
 				}
 				progress = true
-				next := st.clone()
+				next := s.next(st)
 				s.execute(next, t, ins)
 				next.pc[t]++
 				path = append(path, fmt.Sprintf("T%d: execute instruction %d", t, st.pc[t]))
 				if dfs(next) {
 					return true
 				}
+				s.release(next)
 				path = path[:len(path)-1]
 			}
 		}
@@ -339,7 +407,7 @@ func (s *Simulator) Trace(target mem.Outcome) []string {
 		}
 		return false
 	}
-	if dfs(init) {
+	if dfs(s.initial()) {
 		return found
 	}
 	return nil

@@ -1,0 +1,229 @@
+package opsim
+
+import (
+	"fmt"
+	"hash/fnv"
+	"io"
+	"sort"
+	"strings"
+	"testing"
+
+	"tricheck/internal/compile"
+	"tricheck/internal/isa"
+	"tricheck/internal/litmus"
+	"tricheck/internal/mem"
+	"tricheck/internal/uspec"
+)
+
+// pinnedExploration is the explored state space of one litmus family
+// under one compiler mapping on one operational machine: the sum of
+// StateCount over the family's tests, and a digest of every test's
+// reachable outcome set.
+type pinnedExploration struct {
+	family, mapping, machine string
+	states                   int
+	outcomes                 string
+}
+
+// pinnedExplorations is the reference state space per (family, mapping,
+// machine), recorded with fmt-printed visited-set keys and a freshly
+// allocated state per successor. A key that merges distinct
+// configurations, or a recycled state aliasing a live one, moves these
+// totals. "iriw[0]" is the family's first test alone
+// (iriw[rlx,rlx,rlx,rlx,rlx,rlx]); the full iriw rows are skipped under
+// -short.
+var pinnedExplorations = []pinnedExploration{
+	{"mp", "riscv-base-intuitive", "SC", 2412, "822978837db3eb8e"},
+	{"mp", "riscv-base-intuitive", "WR", 3762, "822978837db3eb8e"},
+	{"mp", "riscv-base-intuitive", "TSO", 3762, "822978837db3eb8e"},
+	{"mp", "riscv-base-intuitive", "nWR", 5382, "822978837db3eb8e"},
+	{"sb", "riscv-base-intuitive", "SC", 2574, "73ec4957435a01ef"},
+	{"sb", "riscv-base-intuitive", "WR", 5085, "d31e426bb04e8f49"},
+	{"sb", "riscv-base-intuitive", "TSO", 5085, "d31e426bb04e8f49"},
+	{"sb", "riscv-base-intuitive", "nWR", 11565, "d31e426bb04e8f49"},
+	{"wrc", "riscv-base-intuitive", "SC", 26082, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base-intuitive", "WR", 39123, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base-intuitive", "TSO", 39123, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base-intuitive", "nWR", 147312, "1767c10e76b9b5ff"},
+	{"rwc", "riscv-base-intuitive", "SC", 27918, "3b6f547523b0c64a"},
+	{"rwc", "riscv-base-intuitive", "WR", 48006, "e04ca73d034875b6"},
+	{"rwc", "riscv-base-intuitive", "TSO", 48006, "e04ca73d034875b6"},
+	{"rwc", "riscv-base-intuitive", "nWR", 255447, "b3853deb59d25459"},
+	{"iriw[0]", "riscv-base-intuitive", "SC", 97, "98395157156adab6"},
+	{"iriw[0]", "riscv-base-intuitive", "WR", 164, "98395157156adab6"},
+	{"iriw[0]", "riscv-base-intuitive", "TSO", 164, "98395157156adab6"},
+	{"iriw[0]", "riscv-base-intuitive", "nWR", 3372, "98caf7af272705c5"},
+	{"iriw", "riscv-base-intuitive", "SC", 293976, "c60644da0f1c622a"},
+	{"iriw", "riscv-base-intuitive", "WR", 457191, "c60644da0f1c622a"},
+	{"iriw", "riscv-base-intuitive", "TSO", 457191, "c60644da0f1c622a"},
+	{"iriw", "riscv-base-intuitive", "nWR", 7466472, "657d9c2266bd33f9"},
+	{"mp", "riscv-base+a-intuitive", "SC", 1053, "822978837db3eb8e"},
+	{"mp", "riscv-base+a-intuitive", "WR", 1269, "822978837db3eb8e"},
+	{"mp", "riscv-base+a-intuitive", "TSO", 1269, "822978837db3eb8e"},
+	{"mp", "riscv-base+a-intuitive", "nWR", 2079, "822978837db3eb8e"},
+	{"sb", "riscv-base+a-intuitive", "SC", 1053, "73ec4957435a01ef"},
+	{"sb", "riscv-base+a-intuitive", "WR", 1452, "da66bb53bdd3bd09"},
+	{"sb", "riscv-base+a-intuitive", "TSO", 1452, "da66bb53bdd3bd09"},
+	{"sb", "riscv-base+a-intuitive", "nWR", 4109, "d31e426bb04e8f49"},
+	{"wrc", "riscv-base+a-intuitive", "SC", 8748, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base+a-intuitive", "WR", 10611, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base+a-intuitive", "TSO", 10611, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base+a-intuitive", "nWR", 45198, "fee0d7b9a48175c5"},
+	{"rwc", "riscv-base+a-intuitive", "SC", 8748, "3b6f547523b0c64a"},
+	{"rwc", "riscv-base+a-intuitive", "WR", 11178, "f09f626e7d15fa66"},
+	{"rwc", "riscv-base+a-intuitive", "TSO", 11178, "f09f626e7d15fa66"},
+	{"rwc", "riscv-base+a-intuitive", "nWR", 65232, "8a2b6ba8b6cdca8c"},
+	{"iriw[0]", "riscv-base+a-intuitive", "SC", 97, "98395157156adab6"},
+	{"iriw[0]", "riscv-base+a-intuitive", "WR", 164, "98395157156adab6"},
+	{"iriw[0]", "riscv-base+a-intuitive", "TSO", 164, "98395157156adab6"},
+	{"iriw[0]", "riscv-base+a-intuitive", "nWR", 3372, "98caf7af272705c5"},
+	{"iriw", "riscv-base+a-intuitive", "SC", 70713, "c60644da0f1c622a"},
+	{"iriw", "riscv-base+a-intuitive", "WR", 85536, "c60644da0f1c622a"},
+	{"iriw", "riscv-base+a-intuitive", "TSO", 85536, "c60644da0f1c622a"},
+	{"iriw", "riscv-base+a-intuitive", "nWR", 1321677, "dd009131b6d571c2"},
+	{"mp", "riscv-base-refined", "SC", 2412, "822978837db3eb8e"},
+	{"mp", "riscv-base-refined", "WR", 3762, "822978837db3eb8e"},
+	{"mp", "riscv-base-refined", "TSO", 3762, "822978837db3eb8e"},
+	{"sb", "riscv-base-refined", "SC", 2574, "73ec4957435a01ef"},
+	{"sb", "riscv-base-refined", "WR", 5085, "d31e426bb04e8f49"},
+	{"sb", "riscv-base-refined", "TSO", 5085, "d31e426bb04e8f49"},
+	{"wrc", "riscv-base-refined", "SC", 26082, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base-refined", "WR", 39123, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base-refined", "TSO", 39123, "79e5fbbe925a4179"},
+	{"rwc", "riscv-base-refined", "SC", 27918, "3b6f547523b0c64a"},
+	{"rwc", "riscv-base-refined", "WR", 48006, "e04ca73d034875b6"},
+	{"rwc", "riscv-base-refined", "TSO", 48006, "e04ca73d034875b6"},
+	{"iriw[0]", "riscv-base-refined", "SC", 97, "98395157156adab6"},
+	{"iriw[0]", "riscv-base-refined", "WR", 164, "98395157156adab6"},
+	{"iriw[0]", "riscv-base-refined", "TSO", 164, "98395157156adab6"},
+	{"iriw", "riscv-base-refined", "SC", 293976, "c60644da0f1c622a"},
+	{"iriw", "riscv-base-refined", "WR", 457191, "c60644da0f1c622a"},
+	{"iriw", "riscv-base-refined", "TSO", 457191, "c60644da0f1c622a"},
+	{"mp", "riscv-base+a-refined", "SC", 1053, "822978837db3eb8e"},
+	{"mp", "riscv-base+a-refined", "WR", 1269, "822978837db3eb8e"},
+	{"mp", "riscv-base+a-refined", "TSO", 1269, "822978837db3eb8e"},
+	{"sb", "riscv-base+a-refined", "SC", 1053, "73ec4957435a01ef"},
+	{"sb", "riscv-base+a-refined", "WR", 1566, "ff57e8ecfae9e833"},
+	{"sb", "riscv-base+a-refined", "TSO", 1566, "ff57e8ecfae9e833"},
+	{"wrc", "riscv-base+a-refined", "SC", 8748, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base+a-refined", "WR", 10611, "79e5fbbe925a4179"},
+	{"wrc", "riscv-base+a-refined", "TSO", 10611, "79e5fbbe925a4179"},
+	{"rwc", "riscv-base+a-refined", "SC", 8748, "3b6f547523b0c64a"},
+	{"rwc", "riscv-base+a-refined", "WR", 11583, "d2438414ea32f261"},
+	{"rwc", "riscv-base+a-refined", "TSO", 11583, "d2438414ea32f261"},
+	{"iriw[0]", "riscv-base+a-refined", "SC", 97, "98395157156adab6"},
+	{"iriw[0]", "riscv-base+a-refined", "WR", 164, "98395157156adab6"},
+	{"iriw[0]", "riscv-base+a-refined", "TSO", 164, "98395157156adab6"},
+	{"iriw", "riscv-base+a-refined", "SC", 70713, "c60644da0f1c622a"},
+	{"iriw", "riscv-base+a-refined", "WR", 85536, "c60644da0f1c622a"},
+	{"iriw", "riscv-base+a-refined", "TSO", 85536, "c60644da0f1c622a"},
+}
+
+// machineName names the operational machine ForConfig picked.
+func machineName(e Enumerator) string {
+	switch s := e.(type) {
+	case *NMCASimulator:
+		return "nWR"
+	case *Simulator:
+		switch {
+		case s.WriteThrough:
+			return "SC"
+		case s.Forwarding:
+			return "TSO"
+		}
+		return "WR"
+	}
+	return fmt.Sprintf("%T", e)
+}
+
+// outcomeDigest folds a test's name and its sorted outcome set into h.
+func outcomeDigest(h io.Writer, name string, out map[mem.Outcome]bool) {
+	sorted := make([]string, 0, len(out))
+	for o := range out {
+		sorted = append(sorted, string(o))
+	}
+	sort.Strings(sorted)
+	fmt.Fprintf(h, "%s\t%s\n", name, strings.Join(sorted, "|"))
+}
+
+// TestExplorationCountsPinned runs the mp, sb, wrc, rwc and iriw
+// families through the four RISC-V mappings, on every machine ForConfig
+// picks for the mapping's variant's Table 7 models plus SC, and pins the
+// explored state counts and outcome sets.
+func TestExplorationCountsPinned(t *testing.T) {
+	mappings := []struct {
+		m *compile.Mapping
+		v uspec.Variant
+	}{
+		{compile.RISCVBaseIntuitive, uspec.Curr},
+		{compile.RISCVAtomicsIntuitive, uspec.Curr},
+		{compile.RISCVBaseRefined, uspec.Ours},
+		{compile.RISCVAtomicsRefined, uspec.Ours},
+	}
+	families := []struct {
+		name  string
+		tests []*litmus.Test
+		full  bool // skipped under -short
+	}{
+		{"mp", litmus.MP.Generate(), false},
+		{"sb", litmus.SB.Generate(), false},
+		{"wrc", litmus.WRC.Generate(), false},
+		{"rwc", litmus.RWC.Generate(), false},
+		{"iriw[0]", litmus.IRIW.Generate()[:1], false},
+		{"iriw", litmus.IRIW.Generate(), true},
+	}
+	want := map[[3]string]pinnedExploration{}
+	rows := map[string]int{} // pinned rows per mapping
+	for _, p := range pinnedExplorations {
+		want[[3]string{p.family, p.mapping, p.machine}] = p
+		rows[p.mapping]++
+	}
+	for _, mv := range mappings {
+		t.Run(mv.m.Name, func(t *testing.T) {
+			t.Parallel()
+			models := append([]*uspec.Model{uspec.SCProof()}, uspec.Models(mv.v)...)
+			ran := 0
+			for _, fam := range families {
+				if fam.full && testing.Short() {
+					continue
+				}
+				progs := make([]*isa.Program, len(fam.tests))
+				for i, tst := range fam.tests {
+					p, err := compile.Compile(mv.m, tst.Prog)
+					if err != nil {
+						t.Fatalf("%s: %v", tst.Name, err)
+					}
+					progs[i] = p
+				}
+				done := map[string]bool{}
+				for _, model := range models {
+					probe, err := ForConfig(model.Config, progs[0])
+					if err != nil {
+						continue // no machine for this profile
+					}
+					machine := machineName(probe)
+					if done[machine] {
+						continue
+					}
+					done[machine] = true
+					got := pinnedExploration{family: fam.name, mapping: mv.m.Name, machine: machine}
+					h := fnv.New64a()
+					for i, p := range progs {
+						sim, _ := ForConfig(model.Config, p)
+						outcomeDigest(h, fam.tests[i].Name, sim.Outcomes())
+						got.states += sim.StateCount()
+					}
+					got.outcomes = fmt.Sprintf("%016x", h.Sum64())
+					if w := want[[3]string{got.family, got.mapping, got.machine}]; w != got {
+						t.Errorf("explored %+v, want %+v\n\t{%q, %q, %q, %d, %q},",
+							got, w, got.family, got.mapping, got.machine, got.states, got.outcomes)
+					}
+					ran++
+				}
+			}
+			if !testing.Short() && ran != rows[mv.m.Name] {
+				t.Errorf("ran %d (family, machine) cases, %d pinned", ran, rows[mv.m.Name])
+			}
+		})
+	}
+}
