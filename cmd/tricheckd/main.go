@@ -24,7 +24,6 @@
 //	POST /v1/memo/load merge a snapshot (e.g. another node's
 //	                 /v1/memo/snapshot) into the memo cache
 //	GET  /metrics    Prometheus text exposition
-//	GET  /debug/vars expvar
 //	GET  /debug/pprof/*  runtime profiles (only with -pprof)
 //	GET  /healthz    liveness
 //

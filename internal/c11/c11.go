@@ -115,9 +115,8 @@ type Program struct {
 	memp *mem.Program
 	// Ops mirrors the per-thread structure for rendering.
 	Ops [][]Op
-	// per-GID metadata
-	ord  []Order
-	kind []OpKind
+	// per-GID memory order
+	ord []Order
 }
 
 // New returns an empty program over nlocs locations with optional names.
@@ -127,12 +126,6 @@ func New(nlocs int, names ...string) *Program {
 
 // Mem exposes the underlying event program (used by compile and tests).
 func (p *Program) Mem() *mem.Program { return p.memp }
-
-// OrderOf returns the memory order of the event with the given GID.
-func (p *Program) OrderOf(gid int) Order { return p.ord[gid] }
-
-// KindOf returns the operation kind of the event with the given GID.
-func (p *Program) KindOf(gid int) OpKind { return p.kind[gid] }
 
 func (p *Program) add(t int, op Op) *mem.Event {
 	var ev mem.Event
@@ -154,7 +147,6 @@ func (p *Program) add(t int, op Op) *mem.Event {
 	}
 	p.Ops[t] = append(p.Ops[t], op)
 	p.ord = append(p.ord, op.Ord)
-	p.kind = append(p.kind, op.Kind)
 	return e
 }
 

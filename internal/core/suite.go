@@ -242,21 +242,17 @@ type Progress struct {
 // closed before SweepStream returns. A slow consumer backpressures the
 // farm, so buffer the channel or drain it promptly.
 func (e *Engine) SweepStream(tests []*litmus.Test, stacks []Stack, workers int, events chan<- Progress) ([]*SuiteResult, error) {
-	return e.SweepStreamContext(context.Background(), tests, stacks, workers, events)
+	return e.SweepStreamBackend(context.Background(), tests, stacks, workers, BackendUHB, events)
 }
 
-// SweepStreamContext is SweepStream under a context: cancelling ctx
-// stops scheduling the sweep's remaining farm jobs (in-flight jobs
-// finish, are streamed, and stay in the memo cache — an aborted sweep
-// never poisons it) and returns ctx's error. The events channel, when
-// non-nil, is closed before returning in every case.
-func (e *Engine) SweepStreamContext(ctx context.Context, tests []*litmus.Test, stacks []Stack, workers int, events chan<- Progress) ([]*SuiteResult, error) {
-	return e.SweepStreamBackend(ctx, tests, stacks, workers, BackendUHB, events)
-}
-
-// SweepStreamBackend is SweepStreamContext on an explicit backend: jobs
-// carry backend-tagged memo keys (so a warm uhb cache never satisfies an
-// opsim or cross-check sweep) and run the backend's evaluation thunk.
+// SweepStreamBackend is SweepStream under a context on an explicit
+// backend. Cancelling ctx stops scheduling the sweep's remaining farm
+// jobs (in-flight jobs finish, are streamed, and stay in the memo cache
+// — an aborted sweep never poisons it) and returns ctx's error. The
+// events channel, when non-nil, is closed before returning in every
+// case. Jobs carry backend-tagged memo keys (so a warm uhb cache never
+// satisfies an opsim or cross-check sweep) and run the backend's
+// evaluation thunk.
 //
 // Memo keys, deduplication, the memo cache and every streamed result
 // are per (test, stack) pair: pairs with equal keys execute once and

@@ -266,7 +266,7 @@ func TestSweepStreamContextCancellationStopsScheduling(t *testing.T) {
 	// Single worker + unbuffered-ish channel: the farm cannot race far
 	// ahead of the consumer, so cancelling after 3 events leaves most of
 	// the sweep unscheduled.
-	results, err := eng.SweepStreamContext(ctx, tests, stacks, 1, events)
+	results, err := eng.SweepStreamBackend(ctx, tests, stacks, 1, BackendUHB, events)
 	<-done
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

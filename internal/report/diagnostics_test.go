@@ -48,12 +48,12 @@ func TestDiagnosticsBytesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile %s with %s: %v", tst.Name, s.mapping.Name, err)
 			}
-			res, err := s.model.Evaluate(prog)
+			all, err := mem.Outcomes(prog.Mem())
 			if err != nil {
 				t.Fatal(err)
 			}
 			var outs []string
-			for o := range res.All {
+			for o := range all {
 				outs = append(outs, string(o))
 			}
 			sort.Strings(outs)

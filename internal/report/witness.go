@@ -41,24 +41,10 @@ func Witness(model *uspec.Model, p *isa.Program, outcome mem.Outcome) (string, e
 		return b.String(), nil
 	}
 	fmt.Fprintf(&b, "OBSERVABLE — one µhb-consistent timeline:\n")
-	order := g.TopoOrder()
-	step := 1
-	for _, node := range order {
-		label := g.Label(node)
-		if !interestingNode(label) || g.IsIsolated(node) {
-			continue
-		}
-		fmt.Fprintf(&b, "  %2d. %s\n", step, label)
-		step++
+	for i, label := range g.Timeline() {
+		fmt.Fprintf(&b, "  %2d. %s\n", i+1, label)
 	}
 	return b.String(), nil
-}
-
-// interestingNode filters the timeline to externally meaningful events:
-// performs and visibility points (fetch/execute/commit noise omitted).
-func interestingNode(label string) bool {
-	return strings.Contains(label, "Perform") || strings.Contains(label, "Visible") ||
-		strings.Contains(label, "GetM")
 }
 
 // WitnessGraphDOT renders the witness (or forbidding) graph in Graphviz

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"tricheck/api"
 	"tricheck/client"
 )
 
@@ -15,7 +16,7 @@ import (
 // single verifier execution, and a corrupt or version-skewed snapshot is
 // a 400 that leaves its cache as it was.
 func TestMemoTransferWarmsAFreshServer(t *testing.T) {
-	req := VerifyRequest{Family: "mp", ISA: "base", Variant: "curr"}
+	req := api.VerifyRequest{Family: "mp", ISA: "base", Variant: "curr"}
 	srvA, tsA := newTestServer(t, Config{})
 	verdicts, summary := drainStream(t, postVerify(t, tsA.URL, req))
 	if summary == nil || summary.Done != summary.Total || len(verdicts) == 0 {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tricheck/api"
 	"tricheck/internal/obs"
 )
 
@@ -16,7 +17,7 @@ import (
 // IDs.
 func TestVerifyStreamCarriesTraceID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"}
+	req := api.VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"}
 
 	verdicts, summary, err := drainStreamE(postVerify(t, ts.URL, req))
 	if err != nil {
@@ -55,7 +56,7 @@ func TestVerifyStreamCarriesTraceID(t *testing.T) {
 // the server's own counters rendered alongside.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	drainStream(t, postVerify(t, ts.URL, VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"}))
+	drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"}))
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -91,7 +92,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // request, contains that request's root verify span.
 func TestTracesEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	_, summary := drainStream(t, postVerify(t, ts.URL, VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"}))
+	_, summary := drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"}))
 
 	resp, err := http.Get(ts.URL + "/v1/traces")
 	if err != nil {

@@ -22,7 +22,6 @@
 //	POST /v1/memo/load merge a posted snapshot into the memo cache
 //	GET  /metrics    the process obs registry plus the service counters
 //	                 in Prometheus text exposition format
-//	GET  /debug/vars expvar (process globals plus the tricheckd map)
 //	GET  /debug/pprof/* runtime profiles, only with Config.EnablePprof
 //	GET  /healthz    liveness probe
 //
@@ -38,7 +37,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -47,6 +45,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tricheck/api"
@@ -115,16 +114,15 @@ type Server struct {
 	log        *log.Logger
 	start      time.Time
 
-	// Counters are expvar values so /debug/vars exposes them; they are
-	// per-server (not globally registered), keeping tests and multiple
-	// instances independent.
-	vars      *expvar.Map
-	requests  *expvar.Int
-	inflight  *expvar.Int
-	errors    *expvar.Int
-	cancels   *expvar.Int
-	verdicts  *expvar.Int
-	busyNanos *expvar.Int
+	// Counters are per-server (not globally registered), keeping tests
+	// and multiple instances independent; /v1/stats and /metrics read
+	// them.
+	requests  atomic.Int64
+	inflight  atomic.Int64
+	errors    atomic.Int64
+	cancels   atomic.Int64
+	verdicts  atomic.Int64
+	busyNanos atomic.Int64
 
 	// sweepStarts tracks in-flight sweeps' start times so Stats can
 	// include their elapsed time in the throughput denominator —
@@ -164,21 +162,8 @@ func New(cfg Config) (*Server, error) {
 		sem:         make(chan struct{}, maxInFlight),
 		log:         logger,
 		start:       time.Now(),
-		vars:        new(expvar.Map).Init(),
-		requests:    new(expvar.Int),
-		inflight:    new(expvar.Int),
-		errors:      new(expvar.Int),
-		cancels:     new(expvar.Int),
-		verdicts:    new(expvar.Int),
-		busyNanos:   new(expvar.Int),
 		sweepStarts: map[uint64]time.Time{},
 	}
-	s.vars.Set("requests_total", s.requests)
-	s.vars.Set("requests_inflight", s.inflight)
-	s.vars.Set("request_errors", s.errors)
-	s.vars.Set("requests_cancelled", s.cancels)
-	s.vars.Set("verdicts_streamed", s.verdicts)
-	s.vars.Set("busy_nanos", s.busyNanos)
 	if s.cachePath != "" {
 		if err := core.LoadMemoSnapshotLenient(eng, s.cachePath, logWriter{logger}); err != nil {
 			return nil, fmt.Errorf("server: loading cache %s: %w", s.cachePath, err)
@@ -210,7 +195,7 @@ func (s *Server) SaveSnapshot() error {
 }
 
 // InFlight reports the number of requests currently sweeping.
-func (s *Server) InFlight() int64 { return s.inflight.Value() }
+func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
 // Handler returns the service's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -222,7 +207,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/traces", s.handleTraces)
 	mux.HandleFunc("/v1/coverage", s.handleCoverage)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/vars", s.handleDebugVars)
 	if s.pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -239,16 +223,16 @@ func (s *Server) Handler() http.Handler {
 // handleMetrics renders the process obs registry (farm, memo,
 // verdict-phase and prof metrics) followed by this server's own
 // counters in Prometheus text exposition format. The per-server
-// counters stay expvar values (see the struct comment) and are
-// formatted here rather than double-registered in the global registry.
+// counters (see the struct comment) are formatted here rather than
+// double-registered in the global registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.Default.WritePrometheus(w)
-	writePromCounter(w, "tricheckd_requests_total", "Verify requests accepted.", s.requests.Value())
-	writePromGauge(w, "tricheckd_requests_inflight", "Verify requests currently sweeping.", s.inflight.Value())
-	writePromCounter(w, "tricheckd_request_errors_total", "Verify requests failed by a service error.", s.errors.Value())
-	writePromCounter(w, "tricheckd_requests_cancelled_total", "Verify requests aborted by client disconnect/cancel.", s.cancels.Value())
-	writePromCounter(w, "tricheckd_verdicts_streamed_total", "NDJSON verdict records written to clients.", s.verdicts.Value())
+	writePromCounter(w, "tricheckd_requests_total", "Verify requests accepted.", s.requests.Load())
+	writePromGauge(w, "tricheckd_requests_inflight", "Verify requests currently sweeping.", s.inflight.Load())
+	writePromCounter(w, "tricheckd_request_errors_total", "Verify requests failed by a service error.", s.errors.Load())
+	writePromCounter(w, "tricheckd_requests_cancelled_total", "Verify requests aborted by client disconnect/cancel.", s.cancels.Load())
+	writePromCounter(w, "tricheckd_verdicts_streamed_total", "NDJSON verdict records written to clients.", s.verdicts.Load())
 	writePromGauge(w, "tricheckd_uptime_seconds", "Seconds since server construction.", int64(time.Since(s.start).Seconds()))
 }
 
@@ -335,7 +319,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req VerifyRequest
+	var req api.VerifyRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -439,7 +423,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		arm()
-		rec := VerdictRecord{
+		rec := api.VerdictRecord{
 			Type:         "verdict",
 			Trace:        traceHex,
 			Done:         ev.Done,
@@ -486,7 +470,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.log.Printf("verify[%s]: aborted after %d/%d: %v", traceHex, tr.Done, tr.Total, out.err)
 		if clientOK {
 			rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-			enc.Encode(ErrorRecord{Type: "error", Error: out.err.Error()})
+			enc.Encode(api.ErrorRecord{Type: "error", Error: out.err.Error()})
 			flush()
 		}
 		return
@@ -534,14 +518,14 @@ func uhbObservableOf(op *core.OpsimMemo) []string {
 }
 
 // Stats returns the service counter snapshot /v1/stats serves.
-func (s *Server) Stats() StatsRecord {
-	st := StatsRecord{
+func (s *Server) Stats() api.StatsRecord {
+	st := api.StatsRecord{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
-		RequestsTotal:    s.requests.Value(),
-		RequestsInFlight: s.inflight.Value(),
-		RequestErrors:    s.errors.Value(),
-		RequestCancels:   s.cancels.Value(),
-		VerdictsStreamed: s.verdicts.Value(),
+		RequestsTotal:    s.requests.Load(),
+		RequestsInFlight: s.inflight.Load(),
+		RequestErrors:    s.errors.Load(),
+		RequestCancels:   s.cancels.Load(),
+		VerdictsStreamed: s.verdicts.Load(),
 		JobsExecuted:     s.eng.Executions(),
 		Divergences:      s.eng.Divergences(),
 	}
@@ -552,7 +536,7 @@ func (s *Server) Stats() StatsRecord {
 	// serialization (tests, future snapshots) loses the monotonic part,
 	// and a wall-clock step backwards would otherwise subtract from busy
 	// time and inflate — or NaN — the rate.
-	busy := time.Duration(s.busyNanos.Value())
+	busy := time.Duration(s.busyNanos.Load())
 	s.mu.Lock()
 	for _, begin := range s.sweepStarts {
 		if d := time.Since(begin); d > 0 {
@@ -562,14 +546,14 @@ func (s *Server) Stats() StatsRecord {
 	s.mu.Unlock()
 	st.TestsPerSecond = streamRate(st.VerdictsStreamed, busy)
 	if ms, ok := s.eng.MemoStats(); ok {
-		m := &MemoStatsJSON{Hits: ms.Hits, Misses: ms.Misses, Len: ms.Len, Cap: ms.Cap}
+		m := &api.MemoStatsJSON{Hits: ms.Hits, Misses: ms.Misses, Len: ms.Len, Cap: ms.Cap}
 		if lookups := ms.Hits + ms.Misses; lookups > 0 {
 			m.HitRate = float64(ms.Hits) / float64(lookups)
 		}
 		st.Memo = m
 	}
 	if reuse, rebuild := uspec.IncrementalStats(); reuse+rebuild > 0 {
-		st.Incremental = &IncrementalStatsJSON{
+		st.Incremental = &api.IncrementalStatsJSON{
 			Reuse:      reuse,
 			Rebuild:    rebuild,
 			ReuseRatio: float64(reuse) / float64(reuse+rebuild),
@@ -595,20 +579,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(s.Stats())
-}
-
-// handleDebugVars serves the standard expvar globals (memstats,
-// cmdline, anything else the process published) plus this server's
-// counters under the "tricheckd" key. The stock expvar.Handler only
-// serves the global registry, and registering per-server vars there
-// would panic on the second Server in a process.
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	expvar.Do(func(kv expvar.KeyValue) {
-		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-	})
-	fmt.Fprintf(w, "%q: %s\n}\n", "tricheckd", s.vars.String())
 }
 
 // logWriter adapts a *log.Logger to io.Writer for the lenient cache

@@ -4,41 +4,15 @@ import (
 	"tricheck/api"
 	"tricheck/internal/core"
 	"tricheck/internal/cover"
-	"tricheck/internal/obs"
 	"tricheck/internal/report"
 )
 
 // The service's wire format lives in the versioned tricheck/api package,
-// which both this server and the Go client import — the two sides can
-// never disagree about the schema, and external consumers depend on api
-// without touching server internals. The aliases below keep this
-// package's historical names working; this file owns only the
-// core→wire conversions.
+// which both this server and the Go client import. This file owns only
+// the core→wire conversions.
 
-type (
-	VerifyRequest        = api.VerifyRequest
-	VerdictRecord        = api.VerdictRecord
-	TallyJSON            = api.TallyJSON
-	FamilyTally          = api.FamilyTally
-	StackSummary         = api.StackSummary
-	SummaryRecord        = api.SummaryRecord
-	ErrorRecord          = api.ErrorRecord
-	MemoStatsJSON        = api.MemoStatsJSON
-	StatsRecord          = api.StatsRecord
-	IncrementalStatsJSON = api.IncrementalStatsJSON
-	CoverageTotals       = api.CoverageTotals
-)
-
-// CoverageSnapshot is the GET /v1/coverage response. The handler serves
-// the engine ledger's own snapshot (cover.Snapshot); its JSON encoding
-// is locked field-for-field to api.CoverageSnapshot by the wire tests.
-type CoverageSnapshot = cover.Snapshot
-
-// TraceJSON is one retained slow span as GET /v1/traces serves it.
-type TraceJSON = obs.TraceRecord
-
-func tallyJSON(t core.Tally) TallyJSON {
-	return TallyJSON{
+func tallyJSON(t core.Tally) api.TallyJSON {
+	return api.TallyJSON{
 		Bugs:          t.Bugs,
 		Strict:        t.Strict,
 		Equivalent:    t.Equivalent,
@@ -48,8 +22,8 @@ func tallyJSON(t core.Tally) TallyJSON {
 	}
 }
 
-func coverageTotals(t cover.Totals) CoverageTotals {
-	return CoverageTotals{
+func coverageTotals(t cover.Totals) api.CoverageTotals {
+	return api.CoverageTotals{
 		Models:       t.Models,
 		Jobs:         t.Jobs,
 		AxiomsFired:  t.AxiomsFired,
@@ -85,8 +59,8 @@ func outcomeStrings[T ~string](os []T) []string {
 
 // summarize builds the terminal summary record from the sweep's results,
 // the tracker that observed its stream, and the engine ledger's totals.
-func summarize(results []*core.SuiteResult, tr *report.Tracker, trace string, backend core.Backend, cov cover.Totals) *SummaryRecord {
-	sum := &SummaryRecord{
+func summarize(results []*core.SuiteResult, tr *report.Tracker, trace string, backend core.Backend, cov cover.Totals) *api.SummaryRecord {
+	sum := &api.SummaryRecord{
 		Type:           "summary",
 		Trace:          trace,
 		Done:           tr.Done,
@@ -104,13 +78,13 @@ func summarize(results []*core.SuiteResult, tr *report.Tracker, trace string, ba
 		sum.Backend = backend.String()
 	}
 	for _, sr := range results {
-		ss := StackSummary{
+		ss := api.StackSummary{
 			Stack:        sr.Stack.Name(),
 			Tally:        tallyJSON(sr.Tally),
 			OpsimSkipped: opsimSkipNote(sr),
 		}
 		for _, fam := range sr.FamilyNames() {
-			ss.Families = append(ss.Families, FamilyTally{Family: fam, TallyJSON: tallyJSON(*sr.ByFamily[fam])})
+			ss.Families = append(ss.Families, api.FamilyTally{Family: fam, TallyJSON: tallyJSON(*sr.ByFamily[fam])})
 		}
 		sum.Stacks = append(sum.Stacks, ss)
 	}

@@ -111,34 +111,13 @@ func (ic *Incr) Attach(skel *Skeleton) {
 	ic.deferred = ic.deferred[:0]
 	ic.synced = false
 
-	// Kahn: indeg in mark (reset above), FIFO in ord's backing storage
-	// is unsafe (ord is the output), so reuse stack.
-	indeg := ic.mark
-	s := skel
-	for i := range s.dst {
-		indeg[s.dst[i]]++
+	// Kahn over the static CSR: indeg in mark (reset above), the FIFO
+	// in stack's storage, since ord is the output.
+	placed, queue := skel.kahn(ic.ord, ic.mark, ic.stack)
+	ic.stack = queue
+	for i, v := range ic.ord[:placed] {
+		ic.pos[v] = int32(i)
 	}
-	queue := ic.stack[:0]
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, int32(v))
-		}
-	}
-	placed := 0
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		ic.ord[placed] = v
-		ic.pos[v] = int32(placed)
-		placed++
-		for i := s.off[v]; i < s.off[v+1]; i++ {
-			w := s.dst[i]
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	ic.stack = queue[:0]
 	ic.skelCyclic = placed < n
 	if ic.skelCyclic {
 		// No valid order exists; every verdict is cyclic regardless of

@@ -16,11 +16,14 @@ import (
 // worker via AcquireOverlay, Reset it per execution, and release it when
 // the sweep ends.
 //
-// Unlike Graph and Skeleton, an Overlay does not deduplicate edges:
-// duplicates cannot change acyclicity, the number of AddEdge calls is
-// already bounded by the builder's work, and skipping the lookup keeps
-// the hot path branch-free. Reason codes are stored but never resolved
-// here; diagnostics always go through the materialized Graph path.
+// Unlike a Skeleton, an Overlay does not deduplicate edges: duplicates
+// cannot change acyclicity, the number of AddEdge calls is already
+// bounded by the builder's work, and skipping the lookup keeps the hot
+// path branch-free. Reason codes are stored but never resolved here.
+//
+// The overlay's DFS is the package's one cycle search: an overlay over a
+// skeleton with no dynamic edges searches the skeleton alone, which is
+// how diagnostics find the cycle of a fully materialized graph.
 type Overlay struct {
 	skel *Skeleton
 
@@ -124,10 +127,6 @@ func (o *Overlay) Reset(skel *Skeleton) {
 // NumNodes returns the node count of the bound skeleton.
 func (o *Overlay) NumNodes() int { return o.skel.n }
 
-// NumDynamicEdges returns the number of dynamic edge records
-// (duplicates included).
-func (o *Overlay) NumDynamicEdges() int { return len(o.to) }
-
 // Skeleton returns the bound static tier.
 func (o *Overlay) Skeleton() *Skeleton { return o.skel }
 
@@ -174,8 +173,8 @@ func (o *Overlay) ForEachDynamicEdge(fn func(from, to int, reason uint32)) {
 // synthesized variants can neither overflow a goroutine stack nor
 // allocate per call.
 func (o *Overlay) HasCycle() bool {
-	_, cyclic := o.cycle(false, nil)
-	return cyclic
+	j, _, _ := o.cycle()
+	return j >= 0
 }
 
 // HasCycleReasons is HasCycle with provenance: when a cycle exists, the
@@ -186,10 +185,37 @@ func (o *Overlay) HasCycle() bool {
 // overlay contents, and insertion order. Pass a buffer with spare
 // capacity (e.g. a reused buf[:0]) to keep the call allocation-free.
 func (o *Overlay) HasCycleReasons(buf []uint32) ([]uint32, bool) {
-	return o.cycle(true, buf)
+	j, f, r := o.cycle()
+	if j < 0 {
+		return buf, false
+	}
+	buf = append(buf, o.fvia[j+1:f+1]...)
+	return append(buf, r), true
 }
 
-func (o *Overlay) cycle(collect bool, buf []uint32) ([]uint32, bool) {
+// FindCycle returns the nodes of the first cycle the DFS finds, or nil
+// if the graph is acyclic: c[0] → c[1] → … → c[len-1] → c[0], where
+// c[len-1] is the node the closing edge re-enters. Successors are
+// explored static tier first, in target order, so over a skeleton with
+// no dynamic edges the reported cycle depends only on the edge set.
+func (o *Overlay) FindCycle() []int {
+	j, f, _ := o.cycle()
+	if j < 0 {
+		return nil
+	}
+	c := make([]int, 0, f-j+1)
+	for _, v := range o.fnode[j+1 : f+1] {
+		c = append(c, int(v))
+	}
+	return append(c, int(o.fnode[j]))
+}
+
+// cycle runs the DFS. On a cycle it returns the stack frames it spans:
+// frame j holds the node the closing edge re-enters, frames j+1..f the
+// path from there to the closing edge's source (each entered through
+// the reason in fvia), and r is the closing edge's reason. j is -1 when
+// the graph is acyclic.
+func (o *Overlay) cycle() (j, f int, r uint32) {
 	const (
 		white = 0 // unvisited
 		gray  = 1 // on stack
@@ -238,25 +264,16 @@ func (o *Overlay) cycle(collect bool, buf []uint32) ([]uint32, bool) {
 				o.fvia[sp] = r
 				sp++
 			case gray:
-				if collect {
-					// w is gray, so it sits somewhere on the DFS stack;
-					// the cycle is w → … → v → w. The frames above w's
-					// record the reason each was entered through, and r
-					// closes the loop.
-					j := f
-					for o.fnode[j] != w {
-						j--
-					}
-					for k := j + 1; k <= f; k++ {
-						buf = append(buf, o.fvia[k])
-					}
-					buf = append(buf, r)
+				// w is gray, so it sits somewhere on the DFS stack.
+				j := f
+				for o.fnode[j] != w {
+					j--
 				}
-				return buf, true
+				return j, f, r
 			}
 		}
 	}
-	return buf, false
+	return -1, -1, 0
 }
 
 // overlayPool recycles overlays across evaluations; a whole enumeration

@@ -17,7 +17,8 @@ import (
 // from-reads, cumulative fence closures) layer on top via an Overlay.
 // Edges carry opaque uint32 reason codes supplied by the builder; the
 // Skeleton never formats or stores a string, keeping diagnostics entirely
-// lazy.
+// lazy. Diagnostics build a one-tier skeleton holding every edge of one
+// execution, static and dynamic, and search it with an edge-less Overlay.
 //
 // Construction is two-phase: AddEdge while building, then Freeze, after
 // which the edge set is immutable and stored in CSR (compressed sparse
@@ -87,8 +88,7 @@ func (s *Skeleton) NumEdges() int { return len(s.dst) }
 
 // AddEdge records a static edge with an opaque reason code. Panics if the
 // skeleton is frozen or the edge is out of range. Duplicates are accepted
-// and collapsed by Freeze, keeping the first reason — matching the
-// first-reason-wins semantics of Graph.AddEdge.
+// and collapsed by Freeze, keeping the first reason.
 func (s *Skeleton) AddEdge(from, to int, reason uint32) {
 	if s.frozen {
 		panic("uhb: AddEdge on frozen Skeleton")
@@ -215,4 +215,44 @@ func (s *Skeleton) ForEachEdge(fn func(from, to int, reason uint32)) {
 			fn(v, int(s.dst[i]), s.reason[i])
 		}
 	}
+}
+
+// TopoOrder returns the nodes in a topological order of the static
+// edges, or nil if they are cyclic (valid after Freeze). It is the same
+// Kahn pass Incr.Attach seeds its order with: a FIFO queue started from
+// the sources in node order, successors released in target order.
+func (s *Skeleton) TopoOrder() []int32 {
+	ord := make([]int32, s.n)
+	if placed, _ := s.kahn(ord, make([]int32, s.n), nil); placed < s.n {
+		return nil
+	}
+	return ord
+}
+
+// kahn writes a topological order of the static edges into ord and
+// returns how many nodes it placed (n exactly when they are acyclic).
+// indeg must be n zeros; queue is scratch whose capacity is reused and
+// which is returned truncated to length zero.
+func (s *Skeleton) kahn(ord, indeg, queue []int32) (int, []int32) {
+	for _, w := range s.dst {
+		indeg[w]++
+	}
+	queue = queue[:0]
+	for v := 0; v < s.n; v++ {
+		if indeg[v] == 0 {
+			queue = append(queue, int32(v))
+		}
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		ord[qi] = v
+		for i := s.off[v]; i < s.off[v+1]; i++ {
+			w := s.dst[i]
+			indeg[w]--
+			if indeg[w] == 0 {
+				queue = append(queue, w)
+			}
+		}
+	}
+	return len(queue), queue[:0]
 }

@@ -193,35 +193,33 @@ func TestQuickOverlayCycleReasonsAgree(t *testing.T) {
 }
 
 // TestQuickOverlayMatchesGraph: splitting a random edge set arbitrarily
-// into static and dynamic tiers never changes acyclicity — the two-tier
-// verdict always equals the single-graph verdict over the union.
+// into static and dynamic tiers never changes acyclicity. The reference
+// is Kahn over a one-tier skeleton of the union, an algorithm the DFS
+// under test does not share.
 func TestQuickOverlayMatchesGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(14)
-		type edge struct{ from, to int }
-		var edges []edge
-		for i := 0; i < 3*n; i++ {
-			edges = append(edges, edge{rng.Intn(n), rng.Intn(n)})
-		}
-		g := NewGraph(n)
+		union := NewSkeleton(n)
 		s := NewSkeleton(n)
-		var dyn []edge
-		for _, e := range edges {
-			g.AddEdge(e.from, e.to, "e")
+		var dyn [][2]int
+		for i := 0; i < 3*n; i++ {
+			from, to := rng.Intn(n), rng.Intn(n)
+			union.AddEdge(from, to, 0)
 			if rng.Intn(2) == 0 {
-				s.AddEdge(e.from, e.to, 0)
+				s.AddEdge(from, to, 0)
 			} else {
-				dyn = append(dyn, e)
+				dyn = append(dyn, [2]int{from, to})
 			}
 		}
+		union.Freeze()
 		s.Freeze()
 		o := AcquireOverlay(s)
 		defer ReleaseOverlay(o)
 		for _, e := range dyn {
-			o.AddEdge(e.from, e.to, 0)
+			o.AddEdge(e[0], e[1], 0)
 		}
-		return o.HasCycle() == !g.Acyclic()
+		return o.HasCycle() == (union.TopoOrder() == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -281,6 +279,253 @@ func BenchmarkOverlayCheck(b *testing.B) {
 				o.AddEdge(from, to, 0)
 			}
 		}
+		if o.HasCycle() {
+			b.Fatal("unexpected cycle")
+		}
+	}
+}
+
+// frozen returns a frozen skeleton over n nodes holding edges, each
+// with its index as reason code.
+func frozen(n int, edges ...[2]int) *Skeleton {
+	s := NewSkeleton(n)
+	for i, e := range edges {
+		s.AddEdge(e[0], e[1], uint32(i))
+	}
+	s.Freeze()
+	return s
+}
+
+// findCycle runs the overlay DFS over s alone.
+func findCycle(s *Skeleton) []int { return NewOverlay(s).FindCycle() }
+
+func TestAcyclicSimple(t *testing.T) {
+	o := NewOverlay(frozen(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}))
+	if o.HasCycle() || o.FindCycle() != nil {
+		t.Fatal("chain should be acyclic")
+	}
+	o.AddEdge(3, 0, 9)
+	if !o.HasCycle() || o.FindCycle() == nil {
+		t.Fatal("closed chain should be cyclic")
+	}
+}
+
+func TestSelfLoop(t *testing.T) {
+	if c := findCycle(frozen(2, [2]int{1, 1})); len(c) != 1 || c[0] != 1 {
+		t.Fatalf("self-loop cycle = %v, want [1]", c)
+	}
+}
+
+// TestFindCycleIsRealCycle: the reported cycle is made of real edges and
+// ends at the node its closing edge re-enters — the DFS enters 1 first,
+// so the cycle 1→2→4→5→1 is reported as [2 4 5 1].
+func TestFindCycleIsRealCycle(t *testing.T) {
+	s := frozen(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 4}, [2]int{4, 5}, [2]int{5, 1}, [2]int{3, 0})
+	cycle := findCycle(s)
+	want := []int{2, 4, 5, 1}
+	if len(cycle) != len(want) {
+		t.Fatalf("cycle = %v, want %v", cycle, want)
+	}
+	for i, v := range cycle {
+		if v != want[i] || !s.HasEdge(v, cycle[(i+1)%len(cycle)]) {
+			t.Fatalf("cycle = %v, want %v", cycle, want)
+		}
+	}
+}
+
+// TestDuplicateEdgesKeepFirstReason: Freeze keeps the reason of the
+// first AddEdge of a (from, to) pair wherever its duplicates fall among
+// the node's other edges — the stable order diagnostics rely on to name
+// each edge by the first axiom that demanded it.
+func TestDuplicateEdgesKeepFirstReason(t *testing.T) {
+	s := NewSkeleton(4)
+	s.AddEdge(0, 3, 1)
+	s.AddEdge(0, 1, 2)
+	s.AddEdge(0, 2, 3)
+	s.AddEdge(0, 1, 4)
+	s.AddEdge(0, 3, 5)
+	s.AddEdge(0, 1, 6)
+	s.Freeze()
+	if s.NumEdges() != 3 {
+		t.Fatalf("NumEdges = %d, want 3", s.NumEdges())
+	}
+	for to, want := range map[int]uint32{1: 2, 2: 3, 3: 1} {
+		if r, _ := s.Reason(0, to); r != want {
+			t.Errorf("Reason(0,%d) = %d, want %d", to, r, want)
+		}
+	}
+}
+
+func TestTopoOrder(t *testing.T) {
+	order := frozen(4, [2]int{2, 0}, [2]int{0, 1}, [2]int{1, 3}).TopoOrder()
+	if order == nil {
+		t.Fatal("acyclic graph must have a topo order")
+	}
+	pos := make([]int, 4)
+	for i, v := range order {
+		pos[v] = i
+	}
+	if !(pos[2] < pos[0] && pos[0] < pos[1] && pos[1] < pos[3]) {
+		t.Fatalf("order %v not topological", order)
+	}
+	if frozen(4, [2]int{2, 0}, [2]int{0, 1}, [2]int{1, 3}, [2]int{3, 2}).TopoOrder() != nil {
+		t.Fatal("cyclic graph must have no topo order")
+	}
+}
+
+// randomSplit builds a random graph over 2..2+span nodes with density
+// edges per node, split at random between a frozen skeleton and an
+// overlay on it.
+func randomSplit(rng *rand.Rand, span, density int) (*Skeleton, *Overlay) {
+	n := 2 + rng.Intn(span)
+	s := NewSkeleton(n)
+	var dyn [][2]int
+	for i := 0; i < density*n; i++ {
+		from, to := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(2) == 0 {
+			s.AddEdge(from, to, 0)
+		} else {
+			dyn = append(dyn, [2]int{from, to})
+		}
+	}
+	s.Freeze()
+	o := NewOverlay(s)
+	for _, e := range dyn {
+		o.AddEdge(e[0], e[1], 1)
+	}
+	return s, o
+}
+
+// TestQuickAcyclicityMatchesTopo cross-checks the DFS against Kahn on
+// random one-tier graphs: exactly one of them must succeed.
+func TestQuickAcyclicityMatchesTopo(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(12)
+		s := NewSkeleton(n)
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			s.AddEdge(rng.Intn(n), rng.Intn(n), 0)
+		}
+		s.Freeze()
+		return (findCycle(s) == nil) == (s.TopoOrder() != nil)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickEdgeMonotonicity: adding edges can only create cycles, never
+// remove them.
+func TestQuickEdgeMonotonicity(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s, o := randomSplit(rng, 10, 1)
+		n := s.NumNodes()
+		for i := 0; i < 4*n && !o.HasCycle(); i++ {
+			o.AddEdge(rng.Intn(n), rng.Intn(n), 2)
+		}
+		if !o.HasCycle() {
+			return true
+		}
+		for i := 0; i < n; i++ {
+			o.AddEdge(rng.Intn(n), rng.Intn(n), 2)
+			if !o.HasCycle() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickCycleWitnessValid: any cycle reported across the two tiers
+// consists of real edges, and its reason codes come one per edge.
+func TestQuickCycleWitnessValid(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		_, o := randomSplit(rng, 14, 3)
+		cycle := o.FindCycle()
+		reasons, cyclic := o.HasCycleReasons(nil)
+		if cycle == nil {
+			return !cyclic
+		}
+		for i, v := range cycle {
+			if !o.HasEdge(v, cycle[(i+1)%len(cycle)]) {
+				return false
+			}
+		}
+		return len(reasons) == len(cycle)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFindCycleInsertionOrderIndependent: over a frozen skeleton the
+// reported cycle is a pure function of the edge set — permuting edge
+// insertion order cannot change it. This is what keeps cycle
+// explanations deterministic even when a builder discovers ordering
+// obligations in nondeterministic (map) order.
+func TestFindCycleInsertionOrderIndependent(t *testing.T) {
+	edges := [][2]int{
+		{0, 1}, {1, 2}, {2, 0}, // one cycle
+		{2, 3}, {3, 4}, {4, 2}, // another cycle
+		{5, 0}, {1, 5}, // extra structure
+	}
+	want := findCycle(frozen(6, edges...))
+	if want == nil {
+		t.Fatal("graph must be cyclic")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		perm := make([][2]int, len(edges))
+		for i, j := range rng.Perm(len(edges)) {
+			perm[i] = edges[j]
+		}
+		got := findCycle(frozen(6, perm...))
+		if len(got) != len(want) {
+			t.Fatalf("insertion order changed cycle: got %v want %v", got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("insertion order changed cycle: got %v want %v", got, want)
+			}
+		}
+	}
+}
+
+func TestAddEdgeOutOfRangePanics(t *testing.T) {
+	for name, add := range map[string]func(){
+		"skeleton": func() { NewSkeleton(1).AddEdge(0, 5, 0) },
+		"overlay":  func() { NewOverlay(frozen(1)).AddEdge(5, 0, 0) },
+		"frozen":   func() { frozen(2).AddEdge(0, 1, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", name)
+				}
+			}()
+			add()
+		}()
+	}
+}
+
+func BenchmarkFindCycleDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSkeleton(60)
+	for i := 0; i < 400; i++ {
+		from, to := rng.Intn(60), rng.Intn(60)
+		if from < to { // keep acyclic: worst case for the search
+			s.AddEdge(from, to, 0)
+		}
+	}
+	s.Freeze()
+	o := NewOverlay(s)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if o.HasCycle() {
 			b.Fatal("unexpected cycle")
 		}

@@ -60,7 +60,7 @@ func AxiomNames() []string {
 // verdict path.
 type Coverage struct {
 	// Fired: axioms that demanded at least one edge, counted at emission
-	// time — before Skeleton/Graph first-reason-wins dedup — so an axiom
+	// time — before Skeleton first-reason-wins dedup — so an axiom
 	// whose every edge collapsed onto an earlier axiom's still counts.
 	Fired uint64
 	// Edges: axioms owning at least one stored edge after dedup: the
@@ -70,11 +70,4 @@ type Coverage struct {
 	// Cycle: axioms with an edge on at least one witnessing cycle — a
 	// cycle that forbade a candidate execution during this evaluation.
 	Cycle uint64
-}
-
-// Merge folds another coverage record into c.
-func (c *Coverage) Merge(o Coverage) {
-	c.Fired |= o.Fired
-	c.Edges |= o.Edges
-	c.Cycle |= o.Cycle
 }

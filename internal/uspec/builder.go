@@ -1,8 +1,6 @@
 package uspec
 
 import (
-	"fmt"
-
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
 	"tricheck/internal/uhb"
@@ -19,38 +17,27 @@ const (
 	slotVis0    // first visibility slot; nMCA uses one per core
 )
 
-// tier selects which half of the two-tier µhb graph a builder run emits.
+// builder runs the axiom passes that construct the µhb graph of an
+// execution candidate, or one tier of it.
 //
-// The axiom passes below are written once and shared by all three tiers:
-// every edge-producing statement is annotated static (addS) or dynamic
-// (addD) according to whether it consults the execution candidate
-// (rf/mo/resolved locations) or only the compiled program and model
-// configuration. A tierStatic run emits the static edges into a
-// uhb.Skeleton (built once per program × model), a tierDynamic run emits
-// the dynamic edges into a pooled uhb.Overlay (once per execution), and a
-// tierBoth run emits everything, in the original single-graph order, into
-// a fully materialized uhb.Graph for diagnostics (Explain, witnesses,
-// DOT). tierBoth is the zero value so ad-hoc builders behave like the
-// historical single-tier one.
-type tier uint8
-
-const (
-	tierBoth    tier = iota // materialize: every edge into a diagnostics Graph
-	tierStatic              // execution-independent edges into a Skeleton
-	tierDynamic             // execution-dependent edges into an Overlay
-)
-
-// builder constructs (one tier of) the µhb graph of an execution candidate.
+// The passes below are written once and serve every use: each
+// edge-producing statement is annotated static (addS) or dynamic (addD)
+// according to whether it consults the execution candidate (rf/mo/
+// resolved locations) or only the compiled program and model
+// configuration. A run has up to two sinks. Prepare's run has a skeleton
+// and no execution, and emits the static edges (once per program ×
+// model); ExecutionObservable's run has an overlay and no skeleton, and
+// emits the dynamic edges (once per execution); BuildGraph's run has a
+// skeleton and an execution, and emits every edge, in pass order, into
+// that one skeleton for diagnostics.
 type builder struct {
 	m *Model
 	p *isa.Program
-	x *mem.Execution // nil for tierStatic runs
-	g *uhb.Graph     // tierBoth sink
+	x *mem.Execution // nil on static runs
 
-	skel *uhb.Skeleton // tierStatic sink
-	ov   *uhb.Overlay  // tierDynamic sink
-	mode tier
-	cov  *Coverage // optional axiom attribution (two-tier runs only)
+	skel *uhb.Skeleton // static sink (and dynamic, when ov is nil)
+	ov   *uhb.Overlay  // dynamic sink
+	cov  *Coverage     // optional axiom attribution (verdict runs only)
 
 	ev []*mem.Event
 	C  int // cores (threads)
@@ -81,20 +68,21 @@ func (m *Model) layout(p *isa.Program) (C, K int) {
 }
 
 // BuildGraph constructs the fully materialized µhb graph of execution x of
-// program p under the model's axioms — the diagnostics path, with string
-// reasons and node labels. The graph is acyclic iff the execution is
-// observable. The verdict path does not use it; see Model.Prepare.
-func (m *Model) BuildGraph(p *isa.Program, x *mem.Execution) *uhb.Graph {
+// program p under the model's axioms — the diagnostics path. The graph is
+// acyclic iff the execution is observable. The verdict path does not use
+// it; see Model.Prepare.
+func (m *Model) BuildGraph(p *isa.Program, x *mem.Execution) *Graph {
 	C, K := m.layout(p)
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: C, K: K, mode: tierBoth}
-	b.g = uhb.NewGraph(len(b.ev) * K)
-	b.label()
+	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: C, K: K}
+	b.skel = uhb.NewSkeleton(len(b.ev) * K)
 	b.run()
-	return b.g
+	b.skel.Freeze()
+	b.x = nil // the enumerator reuses x; the graph keeps only the layout
+	return &Graph{s: b.skel, b: b}
 }
 
-// run executes the axiom passes in the historical single-graph order; each
-// pass emits only the edges belonging to the builder's tier.
+// run executes the axiom passes in pass order; each pass emits only the
+// edges its run has a sink for.
 func (b *builder) run() {
 	b.pipeline()
 	b.ppo()
@@ -106,39 +94,38 @@ func (b *builder) run() {
 }
 
 // dyn reports whether this run may consult the execution candidate.
-func (b *builder) dyn() bool { return b.mode != tierStatic }
+func (b *builder) dyn() bool { return b.x != nil }
 
-// addS emits an execution-independent edge. Coverage attribution happens
-// here, at emission — before Skeleton dedup — so every contributing
-// axiom's Fired bit survives even when its edge collapses onto an
-// earlier axiom's (first-reason-wins keeps only one stored reason; the
-// Edges bits are recomputed from the frozen CSR in Prepare).
+// addS emits an execution-independent edge into the skeleton, when the
+// run has one. Coverage attribution happens here, at emission — before
+// Skeleton dedup — so every contributing axiom's Fired bit survives even
+// when its edge collapses onto an earlier axiom's (first-reason-wins
+// keeps only one stored reason; the Edges bits are recomputed from the
+// frozen CSR in Prepare).
 func (b *builder) addS(from, to int, r Reason) {
-	switch b.mode {
-	case tierBoth:
-		b.g.AddEdge(from, to, r.String())
-	case tierStatic:
-		if b.cov != nil {
-			b.cov.Fired |= axiomBit(r)
-		}
-		b.skel.AddEdge(from, to, uint32(r))
+	if b.skel == nil {
+		return
 	}
+	if b.cov != nil {
+		b.cov.Fired |= axiomBit(r)
+	}
+	b.skel.AddEdge(from, to, uint32(r))
 }
 
-// addD emits an execution-dependent edge. The overlay never dedups, so a
-// fired dynamic axiom always owns a stored edge record too.
+// addD emits an execution-dependent edge into the overlay, or into the
+// skeleton on a run without one. The overlay never dedups, so a fired
+// dynamic axiom always owns a stored edge record too.
 func (b *builder) addD(from, to int, r Reason) {
-	switch b.mode {
-	case tierBoth:
-		b.g.AddEdge(from, to, r.String())
-	case tierDynamic:
-		if b.cov != nil {
-			bit := axiomBit(r)
-			b.cov.Fired |= bit
-			b.cov.Edges |= bit
-		}
-		b.ov.AddEdge(from, to, uint32(r))
+	if b.ov == nil {
+		b.skel.AddEdge(from, to, uint32(r))
+		return
 	}
+	if b.cov != nil {
+		bit := axiomBit(r)
+		b.cov.Fired |= bit
+		b.cov.Edges |= bit
+	}
+	b.ov.AddEdge(from, to, uint32(r))
 }
 
 // add dispatches on the static flag — for shared loops whose elements mix
@@ -186,8 +173,7 @@ func (b *builder) visTo(w, c int) int {
 }
 
 // numVis returns the number of distinct visibility nodes of write w;
-// visN(w, i) for i < numVis(w) enumerates them. The pair replaces the
-// slice-returning visAll on the allocation-free paths.
+// visN(w, i) for i < numVis(w) enumerates them.
 func (b *builder) numVis(w int) int {
 	if b.atomicWrite(w) {
 		return 1
@@ -203,16 +189,6 @@ func (b *builder) visN(w, i int) int {
 	return b.node(w, slotVis0+i)
 }
 
-// visAll returns the distinct visibility nodes of write w (allocates; use
-// numVis/visN on hot paths).
-func (b *builder) visAll(w int) []int {
-	out := make([]int, b.numVis(w))
-	for i := range out {
-		out[i] = b.visN(w, i)
-	}
-	return out
-}
-
 // scAMO reports whether the instruction is a "sequentially consistent" AMO:
 // one that participates in the ISA's global SC total order (aq+rl under
 // Curr; the .sc bit under Ours).
@@ -226,37 +202,10 @@ func (b *builder) scAMO(ins *isa.Instr) bool {
 	return ins.SCBit
 }
 
-// label names every node for diagnostics (tierBoth only; the skeleton and
-// overlay never carry labels).
-func (b *builder) label() {
-	for _, e := range b.ev {
-		diagFormats.Add(1)
-		base := fmt.Sprintf("T%d.i%d", e.Thread, e.Index)
-		b.g.SetLabel(b.fetch(e.GID), base+".Fetch")
-		b.g.SetLabel(b.exec(e.GID), base+".Execute")
-		b.g.SetLabel(b.perform(e.GID), base+".Perform")
-		b.g.SetLabel(b.sbEnter(e.GID), base+".SBEnter")
-		b.g.SetLabel(b.getM(e.GID), base+".GetM")
-		b.g.SetLabel(b.complete(e.GID), base+".Complete")
-		if e.IsWrite() {
-			for i, v := range b.visAll(e.GID) {
-				if b.atomicWrite(e.GID) {
-					b.g.SetLabel(v, base+".VisibleAll")
-				} else if b.m.NMCA {
-					diagFormats.Add(1)
-					b.g.SetLabel(v, fmt.Sprintf("%s.Visible@C%d", base, i))
-				} else {
-					b.g.SetLabel(v, base+".Visible")
-				}
-			}
-		}
-	}
-}
-
 // pipeline adds the in-order front-end chains and per-instruction paths.
 // Entirely static: it consults only the program and model configuration.
 func (b *builder) pipeline() {
-	if b.mode == tierDynamic {
+	if b.skel == nil {
 		return
 	}
 	for _, th := range b.p.Mem().Threads {
@@ -392,7 +341,7 @@ func (b *builder) pointwiseVis(ag, cg int, r Reason, static bool) {
 // cannot begin executing until the source load has performed. Static: the
 // dependency structure is syntactic, not value-dependent.
 func (b *builder) deps() {
-	if !b.m.RespectDeps || b.mode == tierDynamic {
+	if !b.m.RespectDeps || b.skel == nil {
 		return
 	}
 	for _, th := range b.p.Mem().Threads {
@@ -504,7 +453,7 @@ func (b *builder) fences() {
 }
 
 func (b *builder) fenceEdges(th []*mem.Event, f *mem.Event, ins *isa.Instr) {
-	if b.mode == tierDynamic && ins.Cum == isa.CumNone {
+	if b.skel == nil && ins.Cum == isa.CumNone {
 		return // a non-cumulative fence contributes no dynamic edges
 	}
 	// Same-thread predecessor/successor event GIDs by access part (static).
@@ -672,19 +621,19 @@ func (b *builder) amoBits() {
 			if !ins.Op.IsAMO() {
 				continue
 			}
-			if ins.Aq && b.mode != tierDynamic {
+			if ins.Aq && b.skel != nil {
 				b.acquireEdges(th, e)
 			}
 			if ins.Rl {
 				if b.m.Variant == Curr {
-					if b.mode != tierDynamic {
+					if b.skel != nil {
 						b.eagerReleaseEdges(th, e)
 					}
 				} else if b.dyn() {
 					b.lazyReleaseEdges(th, e)
 				}
 			}
-			if b.scAMO(ins) && b.mode != tierDynamic {
+			if b.scAMO(ins) && b.skel != nil {
 				b.scPairEdges(th, e)
 			}
 		}

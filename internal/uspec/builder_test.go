@@ -63,12 +63,12 @@ func TestGraphPipelineEdges(t *testing.T) {
 		t.Fatal("trivial program must be acyclic")
 	}
 	// Fetch order between the two instructions.
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 1, K: g.NumNodes() / len(p.Mem().Events())}
-	if !g.HasEdge(b.fetch(0), b.fetch(1)) {
+	b := g.b
+	if !g.s.HasEdge(b.fetch(0), b.fetch(1)) {
 		t.Error("missing po-fetch edge")
 	}
-	if g.Reason(b.fetch(0), b.fetch(1)) != "po-fetch" {
-		t.Errorf("fetch edge reason = %q", g.Reason(b.fetch(0), b.fetch(1)))
+	if r := g.reason(b.fetch(0), b.fetch(1)); r != "po-fetch" {
+		t.Errorf("fetch edge reason = %q", r)
 	}
 	if !strings.Contains(g.Label(b.fetch(0)), "Fetch") {
 		t.Errorf("fetch label = %q", g.Label(b.fetch(0)))
@@ -85,9 +85,9 @@ func TestSameAddrWWPointwiseEdges(t *testing.T) {
 	x := firstExecution(t, p)
 	m := NMM(Curr) // RelaxWW
 	g := m.BuildGraph(p, x)
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: g.NumNodes() / len(p.Mem().Events())}
+	b := g.b
 	for c := 0; c < 2; c++ {
-		if !g.HasEdge(b.visTo(0, c), b.visTo(1, c)) {
+		if !g.s.HasEdge(b.visTo(0, c), b.visTo(1, c)) {
 			t.Errorf("missing same-address W→W visibility edge for core %d", c)
 		}
 	}
@@ -102,8 +102,8 @@ func TestDifferentAddrWWRelaxed(t *testing.T) {
 		p.Add(0, riscv.SW(mem.Const(1), mem.Const(1)))
 		x := firstExecution(t, p)
 		g := m.BuildGraph(p, x)
-		b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 1, K: g.NumNodes() / len(p.Mem().Events())}
-		return g.HasEdge(b.visTo(0, 0), b.visTo(1, 0))
+		b := g.b
+		return g.s.HasEdge(b.visTo(0, 0), b.visTo(1, 0))
 	}
 	if build(RWM(Curr)) {
 		t.Error("rWM must not order different-address stores")
@@ -127,20 +127,19 @@ func TestDependencyEdges(t *testing.T) {
 	})
 	m := NMM(Curr)
 	g := m.BuildGraph(p, x)
-	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 1, K: K}
-	if !g.HasEdge(b.perform(0), b.exec(1)) {
+	b := g.b
+	if !g.s.HasEdge(b.perform(0), b.exec(1)) {
 		t.Error("missing address-dependency edge")
 	}
-	if !g.HasEdge(b.perform(1), b.exec(2)) {
+	if !g.s.HasEdge(b.perform(1), b.exec(2)) {
 		t.Error("missing data-dependency edge")
 	}
-	if !g.HasEdge(b.perform(0), b.exec(2)) {
+	if !g.s.HasEdge(b.perform(0), b.exec(2)) {
 		t.Error("missing control-dependency edge")
 	}
 	alpha := AlphaLike()
 	g2 := alpha.BuildGraph(p, x)
-	if g2.HasEdge(b.perform(0), b.exec(1)) {
+	if g2.s.HasEdge(b.perform(0), b.exec(1)) {
 		t.Error("AlphaLike must not add dependency edges")
 	}
 }
@@ -154,18 +153,17 @@ func TestForwardingEdge(t *testing.T) {
 	x := firstExecution(t, p) // CoWR forces rf from the store
 	fwd := RWR(Curr)
 	g := fwd.BuildGraph(p, x)
-	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: fwd, p: p, x: x, ev: p.Mem().Events(), C: 1, K: K}
-	if !g.HasEdge(b.sbEnter(0), b.perform(1)) {
+	b := g.b
+	if !g.s.HasEdge(b.sbEnter(0), b.perform(1)) {
 		t.Error("rWR: missing rf-forward edge")
 	}
 	nofwd := WR(Curr)
 	g2 := nofwd.BuildGraph(p, x)
-	b2 := &builder{m: nofwd, p: p, x: x, ev: p.Mem().Events(), C: 1, K: K}
-	if g2.HasEdge(b2.sbEnter(0), b2.perform(1)) {
+	b2 := g2.b
+	if g2.s.HasEdge(b2.sbEnter(0), b2.perform(1)) {
 		t.Error("WR: must not forward from the store buffer")
 	}
-	if !g2.HasEdge(b2.visTo(0, 0), b2.perform(1)) {
+	if !g2.s.HasEdge(b2.visTo(0, 0), b2.perform(1)) {
 		t.Error("WR: load must wait for the store's visibility")
 	}
 }
@@ -186,9 +184,7 @@ func TestAcumWritesComputation(t *testing.T) {
 		return x.RF[1] == 0 && x.RF[3] == 2
 	})
 	m := NMM(Ours)
-	g := m.BuildGraph(p, x)
-	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 3, K: K, g: g}
+	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events()}
 	acum := map[int]bool{}
 	for _, w := range b.acumAppend(p.Mem().Threads[2], 1, nil) {
 		acum[w] = true
@@ -213,9 +209,7 @@ func TestReleaseChainWalk(t *testing.T) {
 	// gid 1 swaps, reading gid 0's write.
 	x := executionWhere(t, p, func(x *mem.Execution) bool { return x.RF[1] == 0 })
 	m := NMM(Ours)
-	g := m.BuildGraph(p, x)
-	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: K, g: g}
+	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events()}
 	chain := b.releaseChain(1)
 	if len(chain) != 2 || chain[0] != 1 || chain[1] != 0 {
 		t.Errorf("release chain = %v, want [1 0]", chain)
@@ -231,17 +225,16 @@ func TestA9likeCacheNodes(t *testing.T) {
 	x := firstExecution(t, p)
 	m := A9like(Curr)
 	g := m.BuildGraph(p, x)
-	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: K}
-	if !g.HasEdge(b.sbEnter(0), b.getM(0)) {
+	b := g.b
+	if !g.s.HasEdge(b.sbEnter(0), b.getM(0)) {
 		t.Error("A9like: missing SBEnter→GetM edge")
 	}
-	if !g.HasEdge(b.getM(0), b.visTo(0, 1)) {
+	if !g.s.HasEdge(b.getM(0), b.visTo(0, 1)) {
 		t.Error("A9like: missing GetM→visibility edge")
 	}
 	nmm := NMM(Curr)
 	g2 := nmm.BuildGraph(p, x)
-	if g2.HasEdge(b.sbEnter(0), b.getM(0)) {
+	if g2.s.HasEdge(b.sbEnter(0), b.getM(0)) {
 		t.Error("nMM must not use cache-protocol nodes")
 	}
 }

@@ -49,10 +49,10 @@ func IncrementalStats() (reuse, rebuild uint64) {
 // reads-from/from-reads, same-address refinements, cumulative closures)
 // onto the skeleton through a pooled, resettable overlay.
 //
-// This is the verdict path: no uhb.Graph is materialized, no reason or
-// label string is ever formatted, and steady-state evaluation performs no
-// per-execution graph allocation. Diagnostics (Explain, witness graphs,
-// DOT) still materialize a full Graph via Model.BuildGraph.
+// This is the verdict path: no whole-execution graph is materialized, no
+// reason or label string is ever formatted, and steady-state evaluation
+// performs no per-execution graph allocation. Diagnostics (Explain,
+// witness graphs, DOT) materialize a Graph via Model.BuildGraph.
 //
 // A Prepared is NOT safe for concurrent use: the overlay and the dynamic
 // builder's scratch buffers are shared across calls. Each worker of a
@@ -63,7 +63,7 @@ type Prepared struct {
 	skel *uhb.Skeleton
 	ov   *uhb.Overlay
 	incr *uhb.Incr // incremental acyclicity tier, shared across candidates
-	dyn  builder   // tierDynamic template; x/ov bound per execution
+	dyn  builder   // dynamic run template; x/ov bound per execution
 
 	cov    Coverage // axiom attribution, accumulated across the evaluation
 	cycBuf []uint32 // reused cycle-provenance buffer
@@ -81,7 +81,7 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	C, K := m.layout(p)
 	ev := p.Mem().Events()
 	pr := &Prepared{m: m, p: p}
-	sb := builder{m: m, p: p, ev: ev, C: C, K: K, mode: tierStatic, cov: &pr.cov}
+	sb := builder{m: m, p: p, ev: ev, C: C, K: K, cov: &pr.cov}
 	sb.skel = uhb.AcquireSkeleton(len(ev) * K)
 	sb.run()
 	sb.skel.Freeze()
@@ -94,7 +94,7 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	pr.skel = sb.skel
 	pr.ov = uhb.AcquireOverlay(sb.skel)
 	pr.incr = uhb.AcquireIncr(sb.skel)
-	pr.dyn = builder{m: m, p: p, ev: ev, C: C, K: K, mode: tierDynamic, cov: &pr.cov}
+	pr.dyn = builder{m: m, p: p, ev: ev, C: C, K: K, cov: &pr.cov}
 	return pr
 }
 

@@ -33,9 +33,9 @@ func oracleModels() []*Model {
 // TestTwoTierMatchesMaterializedGraph is the skeleton/overlay equivalence
 // property: for every candidate execution of a sampled paper-suite slice,
 // on every model, the two-tier verdict (static skeleton + pooled dynamic
-// overlay) must equal the single-graph oracle — the fully materialized
-// uhb.Graph built by the historical one-pass path, whose edge set is the
-// union of both tiers by construction.
+// overlay, decided by the incremental order) must equal the single-graph
+// oracle — BuildGraph's one skeleton holding every edge of the execution,
+// searched by a plain DFS.
 func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive execution sweep is not short")
@@ -77,8 +77,7 @@ func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 // TestTwoTierEdgeUnionMatchesGraph checks the stronger structural
 // property on a dependency-carrying test under cumulative-fence
 // semantics: the skeleton's edges plus an execution's overlay edges are
-// exactly the materialized graph's edges, and reason codes resolve to the
-// graph's reason strings.
+// exactly the materialized graph's edges.
 func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
 	tst := litmus.MPAddrDep.Instantiate([]c11.Order{c11.Rel, c11.Rel, c11.Rlx, c11.Acq})
 	prog, err := compile.Compile(compile.RISCVAtomicsRefined, tst.Prog)
@@ -109,12 +108,12 @@ func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
 			if dynEdges == 0 {
 				t.Errorf("%s: execution produced no dynamic edges", m.FullName())
 			}
-			if len(union) != g.NumEdges() {
-				t.Errorf("%s: union has %d distinct edges, graph %d", m.FullName(), len(union), g.NumEdges())
+			if len(union) != g.s.NumEdges() {
+				t.Errorf("%s: union has %d distinct edges, graph %d", m.FullName(), len(union), g.s.NumEdges())
 				return false
 			}
 			for e := range union {
-				if !g.HasEdge(e.from, e.to) {
+				if !g.s.HasEdge(e.from, e.to) {
 					t.Errorf("%s: tiered edge (%d,%d) missing from graph", m.FullName(), e.from, e.to)
 					return false
 				}

@@ -32,8 +32,9 @@
 // each candidate execution only layers its dynamic edges (coherence,
 // reads-from/from-reads, same-address refinements, cumulative closures)
 // onto it through a pooled uhb.Overlay — see Prepared. Diagnostics
-// (Explain, witness graphs, DOT) materialize a full uhb.Graph with string
-// reasons and labels via BuildGraph; the verdict path never formats any.
+// (Explain, witness graphs, DOT) materialize one execution's whole graph
+// into a single skeleton via BuildGraph and render labels and reasons
+// from it; the verdict path never formats any.
 package uspec
 
 import (
@@ -41,7 +42,6 @@ import (
 
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
-	"tricheck/internal/uhb"
 )
 
 // Variant selects the ISA MCM semantics a model implements.
@@ -269,7 +269,7 @@ func (m *Model) Explain(p *isa.Program, want mem.Outcome) (observable bool, expl
 // ObservableGraph returns a µhb graph (preferring an acyclic witness) for
 // the outcome, for DOT export and debugging; found is false if the outcome
 // is not a candidate.
-func (m *Model) ObservableGraph(p *isa.Program, want mem.Outcome) (g *uhb.Graph, found bool, err error) {
+func (m *Model) ObservableGraph(p *isa.Program, want mem.Outcome) (g *Graph, found bool, err error) {
 	e := mem.Enumerate(p.Mem(), func(x *mem.Execution) bool {
 		if x.OutcomeOf() != want {
 			return true

@@ -71,18 +71,12 @@ const (
 	Divergence = core.Divergence
 )
 
-// Verdict backends. The µhb axiomatic evaluator is the reference
-// backend; the operational simulators (internal/opsim) are the second
-// opinion. BackendBoth runs both and cross-checks their observable
-// sets, yielding Divergence verdicts on disagreement.
-type (
-	// Backend selects which verdict engine(s) a sweep runs.
-	Backend = core.Backend
-	// OpsimMemo is the operational half of a cross-checked result
-	// (TestResult.Opsim): observable set, symmetric difference and trace
-	// witness.
-	OpsimMemo = core.OpsimMemo
-)
+// Backend selects which verdict engine(s) a sweep runs. The µhb
+// axiomatic evaluator is the reference backend; the operational
+// simulators (internal/opsim) are the second opinion. BackendBoth runs
+// both and cross-checks their observable sets, yielding Divergence
+// verdicts on disagreement.
+type Backend = core.Backend
 
 // Backend values.
 const (
@@ -108,24 +102,11 @@ func NewEngine() *Engine { return core.NewEngine() }
 // MCM version.
 func RISCVStacks(base bool, v Variant) []Stack { return core.RISCVStacks(base, v) }
 
-// Verification farm types (internal/farm wiring). RunSuite and Sweep
-// run on a sharded work-stealing scheduler; enabling the engine's memo
-// cache (Engine.EnableMemo / LoadMemoSnapshot) makes repeated sweeps
-// re-verify only what changed.
-type (
-	// FarmStats reports what the most recent farm run did
-	// (Engine.LastFarmStats).
-	FarmStats = farm.Stats
-	// CacheStats reports memo-cache hit/miss counters
-	// (Engine.MemoStats).
-	CacheStats = farm.CacheStats
-	// Progress is one streamed farm result (Engine.SweepStream).
-	Progress = core.Progress
-)
-
-// StackFingerprint returns the canonical content hash of a stack's
-// mapping recipes and model configuration.
-func StackFingerprint(s Stack) string { return core.StackFingerprint(s) }
+// Progress is one streamed farm result (Engine.SweepStream). RunSuite
+// and Sweep run on a sharded work-stealing scheduler (internal/farm);
+// enabling the engine's memo cache (Engine.EnableMemo /
+// LoadMemoSnapshot) makes repeated sweeps re-verify only what changed.
+type Progress = core.Progress
 
 // Observability (internal/obs wiring). Every engine sweep records into
 // the process-wide metrics registry and slow-trace ring; the re-exports
@@ -145,43 +126,19 @@ type JobCost = core.JobCost
 // the discrimination matrix. tricheckd serves the same snapshot at
 // GET /v1/coverage.
 type (
-	// CoverageLedger is an engine's coverage accumulator
-	// (Engine.Coverage). Snapshot, Discrimination and TotalsNow are its
-	// read side.
-	CoverageLedger = cover.Ledger
 	// CoverageSnapshot is a ledger's deterministic, portable JSON form —
 	// the GET /v1/coverage body and the `coverage -coverage-out` /
 	// `coverage diff` file format.
 	CoverageSnapshot = cover.Snapshot
-	// CoverageTotals is a ledger's summary line (axioms covered per
-	// kind, jobs, vectors).
-	CoverageTotals = cover.Totals
-	// Discrimination is the per-(test, config) verdict-vector matrix.
-	Discrimination = cover.Discrimination
-	// DiscriminatingSuite is the greedy set-cover reduction of a
-	// discrimination matrix: the minimal test suite separating every
-	// separable pair of configs.
-	DiscriminatingSuite = cover.Suite
 	// CoverageDiff reports verdict flips and axiom-coverage regressions
 	// between two snapshots.
 	CoverageDiff = cover.DiffResult
 )
 
-// AxiomNames returns the µspec axiom catalogue the coverage ledger is
-// keyed by, in bit order.
-func AxiomNames() []string { return uspec.AxiomNames() }
-
 // DiffCoverage compares two coverage snapshots — typically before and
 // after a model edit: verdict flips on shared (test, config) vectors and
 // axiom-coverage regressions on shared models.
 func DiffCoverage(old, cur *CoverageSnapshot) *CoverageDiff { return cover.Diff(old, cur) }
-
-// SlowTrace is one retained slow span (a verify request or a sampled
-// verdict job) with its per-phase durations.
-type SlowTrace = obs.TraceRecord
-
-// SlowTraces returns the process slow-trace ring, slowest first.
-func SlowTraces() []SlowTrace { return obs.DefaultTraces.Slowest() }
 
 // SetVerdictSampling sets per-verdict span sampling to 1-in-n
 // (n <= 0 disables; default 16).
@@ -200,11 +157,6 @@ func IncrementalStats() (reuse, rebuild uint64) { return uspec.IncrementalStats(
 // WriteMetricsJSON dumps the process metrics registry as indented JSON
 // (the -metrics-out format).
 func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
-
-// WriteMetricsPrometheus renders the process metrics registry in the
-// Prometheus text exposition format — the same body tricheckd's
-// /metrics serves.
-func WriteMetricsPrometheus(w io.Writer) error { return obs.Default.WritePrometheus(w) }
 
 // ErrSnapshotVersion reports a memo-cache snapshot written by an
 // incompatible build (errors.Is against Engine.LoadMemoSnapshot's
@@ -255,11 +207,6 @@ func ResolveModel(name, variant string) (*Model, error) { return core.ResolveMod
 // default (uhb) backend.
 func JobKey(t *Test, s Stack) string { return core.JobKey(t, s) }
 
-// JobKeyBackend returns the backend-tagged farm/cache key of one
-// (test, stack, backend) job; the uhb key equals JobKey so existing
-// memo snapshots stay warm.
-func JobKeyBackend(t *Test, s Stack, b Backend) string { return core.JobKeyBackend(t, s, b) }
-
 // Corpus types (internal/corpus): an on-disk litmus corpus in the herd
 // C litmus format.
 type (
@@ -274,12 +221,6 @@ func LoadCorpus(dir string) (*Corpus, error) { return corpus.Load(dir) }
 
 // ExportCorpus writes tests to dir as <family>/<name>.litmus files.
 func ExportCorpus(dir string, tests []*Test) (int, error) { return corpus.Export(dir, tests) }
-
-// EmitLitmus renders a test in the herd C litmus format.
-func EmitLitmus(t *Test) (string, error) { return corpus.EmitString(t) }
-
-// ParseLitmus parses a herd C litmus test.
-func ParseLitmus(src string) (*Test, error) { return corpus.ParseString(src) }
 
 // Litmus testing types.
 type (
@@ -328,8 +269,6 @@ type (
 	// Synthesized is one synthesized shape with its cycle provenance
 	// and novelty classification.
 	Synthesized = synth.Synthesized
-	// SynthCycle is a resolved critical cycle.
-	SynthCycle = synth.Cycle
 	// SynthStats summarizes a synthesis run.
 	SynthStats = synth.Stats
 )
@@ -413,19 +352,7 @@ type (
 	ModelSpec = uspec.Spec
 	// Variant selects riscv-curr or riscv-ours semantics.
 	Variant = uspec.Variant
-	// PreparedModel is a (model, compiled program) pair with its static
-	// µhb skeleton prebuilt — the two-tier evaluation core's verdict-path
-	// handle. Evaluate/Observable stream every execution candidate
-	// through a pooled overlay without materializing a graph or
-	// formatting a single diagnostic; call Close when done.
-	PreparedModel = uspec.Prepared
 )
-
-// PrepareModel builds the static µhb skeleton of a compiled program under
-// a model exactly once and returns the reusable evaluator. Engine sweeps
-// do this per (test, stack) job automatically; use it directly when
-// evaluating one program many times (custom enumeration, ablations).
-func PrepareModel(m *Model, prog *ISAProgram) *PreparedModel { return m.Prepare(prog) }
 
 // MCM variants.
 const (
@@ -521,10 +448,6 @@ func StreamProgress(w io.Writer, events <-chan Progress, every int) {
 // OperationalWR returns an exhaustive interleaving simulator of the WR
 // machine for a compiled program.
 func OperationalWR(p *ISAProgram) *opsim.Simulator { return opsim.New(p) }
-
-// OperationalSC returns the write-through (no store buffering)
-// simulator — an operational SC machine.
-func OperationalSC(p *ISAProgram) *opsim.Simulator { return opsim.NewSC(p) }
 
 // OperationalForConfig maps a µspec model configuration to its
 // operational machine for a compiled program (the backend=opsim/both
