@@ -5,6 +5,7 @@
 // Usage:
 //
 //	herdc11 -test 'wrc[rlx,rlx,rel,acq,rlx]'
+//	herdc11 -file t.litmus   # one test in herd's C .litmus format
 //	herdc11 -shape mp        # evaluate every variant, print verdict counts
 package main
 
@@ -16,13 +17,14 @@ import (
 
 	"tricheck"
 	"tricheck/internal/c11"
+	"tricheck/internal/corpus"
 	"tricheck/internal/litmus"
 )
 
 func main() {
 	testName := flag.String("test", "", "one variant, e.g. 'wrc[rlx,rlx,rel,acq,rlx]'")
 	shapeName := flag.String("shape", "", "evaluate every variant of a shape")
-	file := flag.String("file", "", "read a test in the textual litmus format")
+	file := flag.String("file", "", "read one test from a herd C .litmus file (as tricorpus export writes)")
 	flag.Parse()
 
 	switch {
@@ -32,7 +34,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "herdc11: %v\n", err)
 			os.Exit(2)
 		}
-		t, err := litmus.Parse(f)
+		t, err := corpus.Parse(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "herdc11: %v\n", err)

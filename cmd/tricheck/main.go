@@ -12,7 +12,7 @@
 //	         [-profile prefix] [-metrics-out file] [-fail-on-bug]
 //	         [-backend uhb|opsim|both] [-fail-on-divergence]
 //	tricheck top [-family wrc] [-isa ...] [-variant ...] [-workers N]
-//	         [-k 10] [-cycle-sample 64] [-json]
+//	         [-k 10] [-json]
 //	tricheck coverage [-family wrc] [-isa ...] [-variant ...] [-lattice]
 //	         [-model-file spec.uspec ...] [-workers N] [-cache file]
 //	         [-discriminate] [-coverage-out file] [-k 10]

@@ -21,7 +21,6 @@ func cmdTop(args []string) {
 	variant := fs.String("variant", "both", "MCM version: curr, ours or both")
 	workers := fs.Int("workers", 0, "parallel farm workers (0 = GOMAXPROCS)")
 	topK := fs.Int("k", 10, "rows per ranking table")
-	cycleSample := fs.Int("cycle-sample", 64, "time 1-in-N innermost-loop cycle checks (0 = off); top is a diagnostic run, so sampling defaults on")
 	jsonOut := fs.Bool("json", false, "emit the hot-spot report as JSON instead of tables")
 	fs.Parse(args)
 
@@ -42,7 +41,6 @@ func cmdTop(args []string) {
 		os.Exit(2)
 	}
 
-	tricheck.SetCycleSampling(*cycleSample)
 	eng := tricheck.NewEngine()
 	start := time.Now()
 	if _, err := eng.SweepStream(tests, stacks, *workers, nil); err != nil {

@@ -10,11 +10,11 @@
 //
 // export writes generator suites to DIR as <family>/<name>.litmus
 // files. ls lists the corpus (with fingerprints under -v). show prints
-// one test both as stored and in the internal textual format. verify
-// checks every file round-trips (parse → emit → parse is a fixed point)
-// and that canonical fingerprints are stable — the invariant the
-// verification farm's memo cache relies on; -profile PREFIX captures
-// cpu/heap pprof profiles of the run into PREFIX.{cpu,mem}.pprof.
+// one test's stored file and its fingerprint. verify checks every file
+// round-trips (parse → emit → parse is a fixed point) and that canonical
+// fingerprints are stable — the invariant the verification farm's memo
+// cache relies on; -profile PREFIX captures cpu/heap pprof profiles of
+// the run into PREFIX.{cpu,mem}.pprof.
 package main
 
 import (
@@ -182,10 +182,6 @@ func cmdShow(args []string) {
 		fatal(err)
 	}
 	fmt.Printf("── %s (%s, family %s)\n%s\n", e.Name, e.Path, e.Family, data)
-	fmt.Printf("── internal format\n")
-	if err := litmus.Format(os.Stdout, e.Test); err != nil {
-		fatal(err)
-	}
 	fmt.Printf("── fingerprint %s\n", e.Test.Fingerprint())
 }
 

@@ -77,14 +77,6 @@ func Evaluate(p *Program) (*Result, error) {
 	return res, nil
 }
 
-// Consistent reports whether execution x satisfies the C11 consistency
-// axioms, and whether it contains a non-atomic data race.
-func Consistent(p *Program, x *mem.Execution) (ok, racy bool) {
-	c := newEvalChecker(p)
-	c.bind(x)
-	return c.check()
-}
-
 // checker holds the static relations of a program plus reusable scratch for
 // checking one candidate execution at a time; bind rebinds it to the next
 // candidate without reallocating.

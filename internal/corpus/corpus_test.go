@@ -19,64 +19,52 @@ func TestRoundTripPaperSuite(t *testing.T) {
 		t.Fatalf("paper suite has %d tests, want 1701", len(suite))
 	}
 	for _, tst := range suite {
-		first, err := EmitString(tst)
-		if err != nil {
-			t.Fatalf("%s: emit: %v", tst.Name, err)
-		}
-		parsed, err := ParseString(first)
-		if err != nil {
-			t.Fatalf("%s: parse: %v\n%s", tst.Name, err, first)
-		}
-		second, err := EmitString(parsed)
-		if err != nil {
-			t.Fatalf("%s: re-emit: %v", tst.Name, err)
-		}
-		if first != second {
-			t.Fatalf("%s: emit/parse/emit is not a fixed point\nfirst:\n%s\nsecond:\n%s", tst.Name, first, second)
-		}
-		if got, want := parsed.Fingerprint(), tst.Fingerprint(); got != want {
-			t.Fatalf("%s: fingerprint changed across round trip: %s → %s", tst.Name, want, got)
-		}
-		if parsed.Name != tst.Name {
-			t.Errorf("round trip renamed %s to %s", tst.Name, parsed.Name)
-		}
-		if parsed.Specified != tst.Specified {
-			t.Errorf("%s: specified outcome changed: %q → %q", tst.Name, tst.Specified, parsed.Specified)
-		}
-		if parsed.Shape.Name != tst.Shape.Name {
-			t.Errorf("%s: family changed: %q → %q", tst.Name, tst.Shape.Name, parsed.Shape.Name)
+		checkRoundTrip(t, tst)
+	}
+}
+
+// TestRoundTripExtendedShapes runs the same round trip over every
+// variant of the shapes outside the paper suite: address dependencies,
+// fences and final-memory observers (s, r, 2+2w). RMWs and control
+// dependencies round-trip as FuzzParseLitmus seeds.
+func TestRoundTripExtendedShapes(t *testing.T) {
+	for _, shape := range litmus.ExtendedShapes() {
+		for _, tst := range shape.Generate() {
+			checkRoundTrip(t, tst)
 		}
 	}
 }
 
-// TestRoundTripExtendedShapes covers dependencies (address and
-// control), fences and RMWs on shapes outside the paper suite, where
-// the emitter supports them.
-func TestRoundTripExtendedShapes(t *testing.T) {
-	for _, shape := range litmus.ExtendedShapes() {
-		tests := shape.Generate()
-		// One instantiation per shape keeps the test fast; the paper
-		// suite already covers every memory order combination.
-		tst := tests[0]
-		first, err := EmitString(tst)
-		if err != nil {
-			t.Logf("%s: emit unsupported (%v), skipping", tst.Name, err)
-			continue
-		}
-		parsed, err := ParseString(first)
-		if err != nil {
-			t.Fatalf("%s: parse: %v\n%s", tst.Name, err, first)
-		}
-		second, err := EmitString(parsed)
-		if err != nil {
-			t.Fatalf("%s: re-emit: %v", tst.Name, err)
-		}
-		if first != second {
-			t.Fatalf("%s: emit/parse/emit is not a fixed point\nfirst:\n%s\nsecond:\n%s", tst.Name, first, second)
-		}
-		if got, want := parsed.Fingerprint(), tst.Fingerprint(); got != want {
-			t.Fatalf("%s: fingerprint changed across round trip", tst.Name)
-		}
+// checkRoundTrip checks that emit → parse → emit is a fixed point on tst
+// and that its fingerprint, name, specified outcome and family survive.
+func checkRoundTrip(t *testing.T, tst *litmus.Test) {
+	t.Helper()
+	first, err := EmitString(tst)
+	if err != nil {
+		t.Fatalf("%s: emit: %v", tst.Name, err)
+	}
+	parsed, err := ParseString(first)
+	if err != nil {
+		t.Fatalf("%s: parse: %v\n%s", tst.Name, err, first)
+	}
+	second, err := EmitString(parsed)
+	if err != nil {
+		t.Fatalf("%s: re-emit: %v", tst.Name, err)
+	}
+	if first != second {
+		t.Fatalf("%s: emit/parse/emit is not a fixed point\nfirst:\n%s\nsecond:\n%s", tst.Name, first, second)
+	}
+	if got, want := parsed.Fingerprint(), tst.Fingerprint(); got != want {
+		t.Fatalf("%s: fingerprint changed across round trip: %s → %s", tst.Name, want, got)
+	}
+	if parsed.Name != tst.Name {
+		t.Errorf("round trip renamed %s to %s", tst.Name, parsed.Name)
+	}
+	if parsed.Specified != tst.Specified {
+		t.Errorf("%s: specified outcome changed: %q → %q", tst.Name, tst.Specified, parsed.Specified)
+	}
+	if parsed.Shape.Name != tst.Shape.Name {
+		t.Errorf("%s: family changed: %q → %q", tst.Name, tst.Shape.Name, parsed.Shape.Name)
 	}
 }
 

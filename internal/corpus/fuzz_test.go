@@ -59,8 +59,8 @@ func FuzzParseLitmus(f *testing.F) {
 
 // TestParseRejectsDanglingLocations pins the hardening the fuzzer
 // motivated: locations declared after thread bodies, non-identifier
-// location names and empty test names are rejected rather than
-// producing programs that break downstream.
+// location names, empty test names and sparse thread numbers are
+// rejected rather than producing programs that break downstream.
 func TestParseRejectsDanglingLocations(t *testing.T) {
 	cases := []struct{ name, src, wantErr string }{
 		{
@@ -77,6 +77,13 @@ func TestParseRejectsDanglingLocations(t *testing.T) {
 			"empty name",
 			"C  \n{}\nP0 (atomic_int* x) {\n  *x = 1;\n}\n",
 			"want header",
+		},
+		{
+			// Threads number densely from 0, so a huge first thread
+			// number is refused before anything is sized by it.
+			"sparse thread number",
+			"C t\n{}\nP20000000 (atomic_int* x) {\n  *x = 1;\n}\n",
+			"out of order",
 		},
 	}
 	for _, c := range cases {

@@ -13,12 +13,13 @@ import (
 // This file implements canonical test fingerprints: a content hash of a
 // test's program that is independent of every piece of surface syntax —
 // test and shape names, location names, register numbering, thread
-// ordering, location numbering, and the textual format the test was
-// authored in. Two tests with the same fingerprint have identical
-// semantics at every layer of the toolflow (same candidate executions,
-// same outcome namespace), so the verification farm can deduplicate and
-// memoize (test, stack) jobs by fingerprint, and a corpus round trip
-// through any emitter/parser pair leaves the fingerprint unchanged.
+// ordering, location numbering, and whether the test was built in Go or
+// parsed from a herd .litmus file. Two tests with the same fingerprint
+// have identical semantics at every layer of the toolflow (same candidate
+// executions, same outcome namespace), so the verification farm can
+// deduplicate and memoize (test, stack) jobs by fingerprint, and a corpus
+// round trip through the herd emitter and parser leaves the fingerprint
+// unchanged.
 //
 // What IS part of the fingerprint:
 //   - the thread structure and per-thread operation sequences (but not

@@ -1,7 +1,6 @@
 package litmus
 
 import (
-	"strings"
 	"testing"
 
 	"tricheck/internal/c11"
@@ -217,24 +216,5 @@ func TestFingerprintDistinguishesSuite(t *testing.T) {
 			t.Fatalf("fingerprint collision: %s and %s", prev, tst.Name)
 		}
 		seen[fp] = tst.Name
-	}
-}
-
-// TestFingerprintStableAcrossTextualFormat: the internal textual format
-// (Format/Parse) also preserves fingerprints.
-func TestFingerprintStableAcrossTextualFormat(t *testing.T) {
-	for _, shape := range PaperShapes() {
-		tst := shape.Generate()[0]
-		var b strings.Builder
-		if err := Format(&b, tst); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := ParseString(b.String())
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", tst.Name, err, b.String())
-		}
-		if parsed.Fingerprint() != tst.Fingerprint() {
-			t.Errorf("%s: fingerprint changed across internal-format round trip", tst.Name)
-		}
 	}
 }

@@ -261,23 +261,3 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 	phaseEnumerate.Observe(time.Since(start))
 	return out, nil
 }
-
-// Observable reports whether a specific outcome is observable, stopping at
-// the first acyclic witness.
-func (pr *Prepared) Observable(want mem.Outcome) (bool, error) {
-	found := false
-	err := mem.Enumerate(pr.p.Mem(), func(x *mem.Execution) bool {
-		if x.OutcomeOf() != want {
-			return true
-		}
-		if pr.ExecutionObservable(x) {
-			found = true
-			return false
-		}
-		return true
-	})
-	if err != nil && err != mem.ErrStopped {
-		return false, err
-	}
-	return found, nil
-}

@@ -235,14 +235,6 @@ func (m *Model) Evaluate(p *isa.Program) (*Result, error) {
 	return pr.Evaluate()
 }
 
-// Observable reports whether a specific outcome is observable on the model,
-// stopping at the first acyclic witness.
-func (m *Model) Observable(p *isa.Program, want mem.Outcome) (bool, error) {
-	pr := m.Prepare(p)
-	defer pr.Close()
-	return pr.Observable(want)
-}
-
 // Explain returns a human-readable verdict for an outcome: either an
 // acyclic witness summary or the µhb cycle forbidding the last candidate.
 func (m *Model) Explain(p *isa.Program, want mem.Outcome) (observable bool, explanation string, err error) {
