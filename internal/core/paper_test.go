@@ -231,46 +231,79 @@ func TestX86TSOClassicResult(t *testing.T) {
 	}
 }
 
-// TestRefinementLoopNarrative walks the refinement step of Figure 6 on
-// the paper's three kinds of finding: each baseline verdict, then the
-// refinement that repairs it.
-//   - wrc (Section 5.1.1, Figure 3) is a bug under riscv-curr on nMM that
-//     cumulative fences fix: the refined mapping on the riscv-ours model.
-//   - corr (Section 5.1.3) is a pure ISA/hardware bug. Relaxed loads
-//     compile identically under both mappings, so refining the mapping
-//     leaves it; ordering same-address loads in riscv-ours repairs it.
-//   - mp[sc,rlx,sc,sc] (Section 5.2.2, roach motel) is overly strict
-//     under the intuitive Base+A mapping on either model, and exact under
-//     the refined one.
-func TestRefinementLoopNarrative(t *testing.T) {
+// refinement is one stack of a refinement walk and the verdict a test
+// must get on it.
+type refinement struct {
+	mapping *compile.Mapping
+	model   *uspec.Model
+	want    Verdict
+}
+
+// checkRefinements runs the named variant on each stack of a walk through
+// the refinement step of Figure 6 and checks its verdict there.
+func checkRefinements(t *testing.T, test string, walk []refinement) {
+	t.Helper()
+	tst, err := litmus.ParseVariantName(test)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := NewEngine()
-	for _, c := range []struct {
-		test    string
-		mapping *compile.Mapping
-		model   *uspec.Model
-		want    Verdict
-	}{
-		{"wrc[rlx,rlx,rel,acq,rlx]", compile.RISCVBaseIntuitive, uspec.NMM(uspec.Curr), Bug},
-		{"wrc[rlx,rlx,rel,acq,rlx]", compile.RISCVBaseRefined, uspec.NMM(uspec.Ours), Equivalent},
-		{"corr[rlx,rlx,rlx,rlx]", compile.RISCVBaseIntuitive, uspec.RMM(uspec.Curr), Bug},
-		{"corr[rlx,rlx,rlx,rlx]", compile.RISCVBaseRefined, uspec.RMM(uspec.Curr), Bug},
-		{"corr[rlx,rlx,rlx,rlx]", compile.RISCVBaseIntuitive, uspec.RMM(uspec.Ours), Equivalent},
-		{"mp[sc,rlx,sc,sc]", compile.RISCVAtomicsIntuitive, uspec.NMM(uspec.Curr), OverlyStrict},
-		{"mp[sc,rlx,sc,sc]", compile.RISCVAtomicsIntuitive, uspec.NMM(uspec.Ours), OverlyStrict},
-		{"mp[sc,rlx,sc,sc]", compile.RISCVAtomicsRefined, uspec.NMM(uspec.Curr), Equivalent},
-		{"mp[sc,rlx,sc,sc]", compile.RISCVAtomicsRefined, uspec.NMM(uspec.Ours), Equivalent},
-	} {
-		tst, err := litmus.ParseVariantName(c.test)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range walk {
 		s := Stack{Mapping: c.mapping, Model: c.model}
 		r, err := e.Run(tst, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Verdict != c.want {
-			t.Errorf("%s on %s: verdict %v, want %v", c.test, s.Name(), r.Verdict, c.want)
+			t.Errorf("%s on %s: verdict %v, want %v", test, s.Name(), r.Verdict, c.want)
 		}
 	}
+}
+
+// TestRefinementLoopNarrative walks the Section 5.1 refinement loop on the
+// Figure 3 WRC test: bug found under riscv-curr on nMM, apply the proposed
+// fix (cumulative fences: refined mapping on the riscv-ours model), rerun,
+// fixed.
+func TestRefinementLoopNarrative(t *testing.T) {
+	checkRefinements(t, "wrc[rlx,rlx,rel,acq,rlx]", []refinement{
+		{compile.RISCVBaseIntuitive, uspec.NMM(uspec.Curr), Bug},
+		{compile.RISCVBaseRefined, uspec.NMM(uspec.Ours), Equivalent},
+	})
+}
+
+// TestSuggestFixesWRC: the Section 5.1.1 bug needs cumulative fences.
+// Refining the model alone leaves it, because the intuitive mapping's
+// fences stay non-cumulative. Refining the mapping alone repairs it: the
+// refined mapping emits the proposed cumulative fences, and the µspec
+// models honour the cumulativity of whatever fence they are given.
+func TestSuggestFixesWRC(t *testing.T) {
+	checkRefinements(t, "wrc[rlx,rlx,rel,acq,rlx]", []refinement{
+		{compile.RISCVBaseRefined, uspec.NMM(uspec.Curr), Equivalent},
+		{compile.RISCVBaseIntuitive, uspec.NMM(uspec.Ours), Bug},
+	})
+}
+
+// TestSuggestFixesCoRR: the Section 5.1.3 bug is a pure ISA/hardware
+// problem. Relaxed loads compile identically under both mappings, so
+// refining the mapping alone leaves it; ordering same-address loads in
+// riscv-ours repairs it.
+func TestSuggestFixesCoRR(t *testing.T) {
+	checkRefinements(t, "corr[rlx,rlx,rlx,rlx]", []refinement{
+		{compile.RISCVBaseIntuitive, uspec.RMM(uspec.Curr), Bug},
+		{compile.RISCVBaseRefined, uspec.RMM(uspec.Curr), Bug},
+		{compile.RISCVBaseIntuitive, uspec.RMM(uspec.Ours), Equivalent},
+	})
+}
+
+// TestSuggestFixesStrictness: the roach-motel finding of Section 5.2.2,
+// mp[sc,rlx,sc,sc], is overly strict under the intuitive Base+A mapping
+// on either model, and refining the mapping makes it exact on either; no
+// refinement introduces a bug.
+func TestSuggestFixesStrictness(t *testing.T) {
+	checkRefinements(t, "mp[sc,rlx,sc,sc]", []refinement{
+		{compile.RISCVAtomicsIntuitive, uspec.NMM(uspec.Curr), OverlyStrict},
+		{compile.RISCVAtomicsIntuitive, uspec.NMM(uspec.Ours), OverlyStrict},
+		{compile.RISCVAtomicsRefined, uspec.NMM(uspec.Curr), Equivalent},
+		{compile.RISCVAtomicsRefined, uspec.NMM(uspec.Ours), Equivalent},
+	})
 }
