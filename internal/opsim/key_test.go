@@ -55,25 +55,24 @@ func TestStateKeyDistinguishes(t *testing.T) {
 			p.a.cloneInto(&state{}).appendKey(nil), p.a.cloneInto(p.b).appendKey(nil))
 	}
 
-	nwr := func(edit func(*nstate)) *nstate {
-		st := &nstate{
-			pc:       []int{0, 0},
-			regs:     [][]int64{{0, 0}, {0}},
-			sb:       [][]sbEntry{nil, nil},
-			order:    [][]int{nil},
-			applied:  [][]int{{0}, {0}},
-			drainSeq: []int{0, 0},
-			pending:  []*pendingAtomic{nil, nil},
-		}
+	// nWR states are built in their simulator's layout: every row is a
+	// window of its state's arrays, so edits append within the windows.
+	shape := func(regs ...int) *nshape {
+		return &nshape{regs: regs, sb: []int{1, 1}, locs: 1, writes: 1}
+	}
+	twoOne := shape(2, 1)
+	nwrIn := func(sh *nshape, edit func(*nstate)) *nstate {
+		st := sh.newState()
 		if edit != nil {
 			edit(st)
 		}
 		return st
 	}
+	nwr := func(edit func(*nstate)) *nstate { return nwrIn(twoOne, edit) }
 	drainedWrite := func(val int64, atomic bool) func(*nstate) {
 		return func(s *nstate) {
-			s.writes = []drained{{loc: 0, val: val, src: 0, srcSeq: 0, atomic: atomic}}
-			s.order[0] = []int{0}
+			s.writes = append(s.writes, drained{loc: 0, val: val, src: 0, srcSeq: 0, atomic: atomic})
+			s.order[0] = append(s.order[0], 0)
 			s.applied[0][0] = 1
 			s.drainSeq[0] = 1
 		}
@@ -82,15 +81,15 @@ func TestStateKeyDistinguishes(t *testing.T) {
 		name string
 		a, b *nstate
 	}{
-		{"empty vs. {x,0} buffered", nwr(nil), nwr(func(s *nstate) { s.sb[0] = []sbEntry{{0, 0}} })},
-		{"entry in thread 0 vs. thread 1", nwr(func(s *nstate) { s.sb[0] = []sbEntry{{0, 1}} }),
-			nwr(func(s *nstate) { s.sb[1] = []sbEntry{{0, 1}} })},
-		{"register split", nwr(nil), nwr(func(s *nstate) { s.regs = [][]int64{{0}, {0, 0}} })},
+		{"empty vs. {x,0} buffered", nwr(nil), nwr(func(s *nstate) { s.sb[0] = append(s.sb[0], sbEntry{0, 0}) })},
+		{"entry in thread 0 vs. thread 1", nwr(func(s *nstate) { s.sb[0] = append(s.sb[0], sbEntry{0, 1}) }),
+			nwr(func(s *nstate) { s.sb[1] = append(s.sb[1], sbEntry{0, 1}) })},
+		{"register split", nwr(nil), nwrIn(shape(1, 2), nil)},
 		{"negative vs. positive write", nwr(drainedWrite(-1, false)), nwr(drainedWrite(1, false))},
 		{"drained write's atomic flag", nwr(drainedWrite(1, false)), nwr(drainedWrite(1, true))},
-		{"pending nil vs. {x,0}", nwr(nil), nwr(func(s *nstate) { s.pending[0] = &pendingAtomic{} })},
-		{"pending in thread 0 vs. thread 1", nwr(func(s *nstate) { s.pending[0] = &pendingAtomic{} }),
-			nwr(func(s *nstate) { s.pending[1] = &pendingAtomic{} })},
+		{"pending nil vs. {x,0}", nwr(nil), nwr(func(s *nstate) { s.pending[0] = pendingAtomic{set: true} })},
+		{"pending in thread 0 vs. thread 1", nwr(func(s *nstate) { s.pending[0] = pendingAtomic{set: true} }),
+			nwr(func(s *nstate) { s.pending[1] = pendingAtomic{set: true} })},
 	} {
 		checkKeys(t, p.name, p.a.appendKey(nil), p.b.appendKey(nil),
 			p.a.cloneInto(&nstate{}).appendKey(nil), p.a.cloneInto(p.b).appendKey(nil))

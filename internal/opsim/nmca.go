@@ -42,19 +42,18 @@ import (
 // thread's own drained writes have been applied by every core — the
 // operational reading of the axiomatic "flush" edges.
 type NMCASimulator struct {
-	p       *isa.Program
-	maxRegs []int
-	seen    map[string]bool
-	out     map[mem.Outcome]bool
-	key     []byte    // appendKey buffer, reused for every lookup
-	free    []*nstate // explored successors, recycled by next
+	p     *isa.Program
+	shape *nshape
+	out   map[mem.Outcome]bool // nil until Outcomes has explored
+	key   []byte               // appendKey buffer, reused for every lookup
+	free  []*nstate            // explored successors, recycled by next
 	// States counts distinct explored configurations.
 	States int
 }
 
 // NewNMCA returns an operational nWR simulator.
 func NewNMCA(p *isa.Program) *NMCASimulator {
-	return &NMCASimulator{p: p, maxRegs: regWidths(p), seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
+	return &NMCASimulator{p: p, shape: newShape(p)}
 }
 
 // drained is one coherence-ordered write.
@@ -69,14 +68,19 @@ type drained struct {
 // pendingAtomic is an executed-but-uncommitted SC-AMO write: it sits
 // outside the coherence order until its commit instant. add marks a
 // fetch-add, whose write value reads memory at the commit itself so the
-// read-modify-write stays indivisible.
+// read-modify-write stays indivisible. set marks a thread's slot as
+// holding one.
 type pendingAtomic struct {
 	loc  mem.Loc
 	data int64
 	add  bool
+	set  bool
 }
 
-// nstate is a full nMCA machine configuration.
+// nstate is a full nMCA machine configuration. Its rows are windows of
+// fixed capacity into three arrays of its own (ints, i64, sbuf), placed
+// by the simulator's nshape, so copying a state copies arrays rather
+// than rebuilding rows.
 type nstate struct {
 	pc       []int
 	regs     [][]int64
@@ -85,20 +89,102 @@ type nstate struct {
 	writes   []drained
 	applied  [][]int // applied[c][loc]: prefix of order[loc] applied at c
 	drainSeq []int   // per thread: number of writes drained so far
-	pending  []*pendingAtomic
+	pending  []pendingAtomic
+
+	shape *nshape
+	ints  []int     // pc, drainSeq, the applied rows, the order windows
+	i64   []int64   // the register rows
+	sbuf  []sbEntry // the store-buffer windows
 }
 
-// cloneInto copies s into c, reusing c's slices, and returns c. Pending
-// atomics are shared: they are never modified, only replaced.
+// nshape sizes the windows of one program's states. A thread buffers
+// at most its own stores, and each writing instruction adds at most one
+// write to the coherence order of the one location it writes, so no
+// window ever grows.
+type nshape struct {
+	regs   []int // per thread: registers
+	sb     []int // per thread: store-buffer window (its stores)
+	locs   int   // locations
+	writes int   // per location: coherence-order window (the program's writing instructions)
+}
+
+// newShape sizes the windows of p's states.
+func newShape(p *isa.Program) *nshape {
+	sh := &nshape{regs: regWidths(p), sb: make([]int, p.NumThreads()), locs: p.Mem().NumLocs}
+	for t, th := range p.Instrs {
+		for i := range th {
+			if th[i].Op == isa.OpStore {
+				sh.sb[t]++
+			}
+			if th[i].HasWritePart() {
+				sh.writes++
+			}
+		}
+	}
+	return sh
+}
+
+// newState returns the reset configuration laid out in sh: pcs and
+// registers at zero, no write drained, buffered or pending.
+func (sh *nshape) newState() *nstate {
+	n := len(sh.regs)
+	sizes := []int{n, n} // pc, drainSeq, then the applied rows and the order windows
+	for range n {
+		sizes = append(sizes, sh.locs)
+	}
+	for range sh.locs {
+		sizes = append(sizes, sh.writes)
+	}
+	st := &nstate{writes: make([]drained, 0, sh.writes), pending: make([]pendingAtomic, n), shape: sh}
+	var rows [][]int
+	st.ints, rows = windows[int](sizes)
+	st.pc, st.drainSeq, st.applied, st.order = rows[0], rows[1], rows[2:2+n:2+n], rows[2+n:]
+	st.i64, st.regs = windows[int64](sh.regs)
+	st.sbuf, st.sb = windows[sbEntry](sh.sb)
+	for l := range st.order {
+		st.order[l] = st.order[l][:0]
+	}
+	for t := range st.sb {
+		st.sb[t] = st.sb[t][:0]
+	}
+	return st
+}
+
+// windows returns a zeroed array of the summed sizes and its
+// consecutive windows: window i has length and capacity sizes[i].
+func windows[T any](sizes []int) ([]T, [][]T) {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	arr, rows := make([]T, total), make([][]T, len(sizes))
+	rest := arr
+	for i, n := range sizes {
+		rows[i], rest = rest[:n:n], rest[n:]
+	}
+	return arr, rows
+}
+
+// cloneInto copies s into c and returns c. Into a state of s's shape
+// that is three array copies, the drained writes, the pending atomics
+// and length-only re-slices of the variable rows, which write no
+// pointer; any other c is laid out in s's shape first.
 func (s *nstate) cloneInto(c *nstate) *nstate {
-	c.pc = append(c.pc[:0], s.pc...)
-	c.writes = append(c.writes[:0], s.writes...)
-	c.drainSeq = append(c.drainSeq[:0], s.drainSeq...)
-	c.pending = append(c.pending[:0], s.pending...)
-	c.regs = copyRows(c.regs, s.regs)
-	c.sb = copyRows(c.sb, s.sb)
-	c.order = copyRows(c.order, s.order)
-	c.applied = copyRows(c.applied, s.applied)
+	if c.shape != s.shape {
+		*c = *s.shape.newState()
+	}
+	copy(c.ints, s.ints)
+	copy(c.i64, s.i64)
+	copy(c.sbuf, s.sbuf)
+	copy(c.pending, s.pending)
+	c.writes = c.writes[:len(s.writes)]
+	copy(c.writes, s.writes)
+	for t := range c.sb {
+		c.sb[t] = c.sb[t][:len(s.sb[t])]
+	}
+	for l := range c.order {
+		c.order[l] = c.order[l][:len(s.order[l])]
+	}
 	return c
 }
 
@@ -123,8 +209,8 @@ func (s *nstate) appendKey(buf []byte) []byte {
 	buf = appendBuffers(buf, s.sb)
 	buf = binary.AppendUvarint(buf, uint64(len(s.pending)))
 	for _, p := range s.pending {
-		buf = appendBool(buf, p != nil)
-		if p != nil {
+		buf = appendBool(buf, p.set)
+		if p.set {
 			buf = binary.AppendVarint(buf, int64(p.loc))
 			buf = binary.AppendVarint(buf, p.data)
 			buf = appendBool(buf, p.add)
@@ -199,7 +285,7 @@ func (s *nstate) ownWritesGloballyApplied(t int) bool {
 // eventually enabled, so a pending commit can never deadlock.
 func (s *nstate) canCommit(t int) bool {
 	p := s.pending[t]
-	if p == nil {
+	if !p.set {
 		return false
 	}
 	for c := range s.applied {
@@ -216,7 +302,7 @@ func (s *nstate) canCommit(t int) bool {
 // applied at every core in the same instant.
 func (s *NMCASimulator) commitPending(st *nstate, t int) {
 	p := st.pending[t]
-	st.pending[t] = nil
+	st.pending[t] = pendingAtomic{}
 	val := p.data
 	if p.add {
 		val = st.view(t, p.loc) + p.data
@@ -229,41 +315,22 @@ func (s *NMCASimulator) commitPending(st *nstate, t int) {
 
 // Outcomes exhaustively explores the machine and returns the reachable
 // final states (cores quiesce: buffers empty, every write applied
-// everywhere — eventual visibility).
+// everywhere — eventual visibility). Later calls return the same set
+// without exploring again.
 func (s *NMCASimulator) Outcomes() map[mem.Outcome]bool {
-	s.explore(s.initial())
+	if s.out == nil {
+		s.out = map[mem.Outcome]bool{}
+		seen := getVisited()
+		s.explore(seen, s.shape.newState())
+		putVisited(seen)
+	}
 	return s.out
 }
 
-// initial returns the reset configuration: pcs and registers at zero, no
-// write drained, buffered or pending.
-func (s *NMCASimulator) initial() *nstate {
-	nlocs := s.p.Mem().NumLocs
-	n := s.p.NumThreads()
-	init := &nstate{
-		pc:       make([]int, n),
-		regs:     make([][]int64, n),
-		sb:       make([][]sbEntry, n),
-		order:    make([][]int, nlocs),
-		applied:  make([][]int, n),
-		drainSeq: make([]int, n),
-		pending:  make([]*pendingAtomic, n),
-	}
-	for t := 0; t < n; t++ {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-		init.applied[t] = make([]int, nlocs)
-	}
-	return init
-}
-
 // visit reports whether st is new to seen, and marks it seen.
-func (s *NMCASimulator) visit(seen map[string]bool, st *nstate) bool {
+func (s *NMCASimulator) visit(seen *visitedSet, st *nstate) bool {
 	s.key = st.appendKey(s.key[:0])
-	if seen[string(s.key)] {
-		return false
-	}
-	seen[string(s.key)] = true
-	return true
+	return seen.insert(s.key)
 }
 
 // next returns a copy of st in a recycled state; release it once
@@ -273,7 +340,7 @@ func (s *NMCASimulator) next(st *nstate) *nstate {
 	if n := len(s.free); n > 0 {
 		c, s.free = s.free[n-1], s.free[:n-1]
 	} else {
-		c = &nstate{}
+		c = s.shape.newState()
 	}
 	return st.cloneInto(c)
 }
@@ -281,16 +348,18 @@ func (s *NMCASimulator) next(st *nstate) *nstate {
 func (s *NMCASimulator) release(st *nstate) { s.free = append(s.free, st) }
 
 // drainHead moves thread t's store-buffer head into the coherence order,
-// shifting the buffer in place like drain.
+// shifting the buffer within its window.
 func (s *NMCASimulator) drainHead(st *nstate, t int) sbEntry {
-	e := st.sb[t][0]
-	st.sb[t] = append(st.sb[t][:0], st.sb[t][1:]...)
+	q := st.sb[t]
+	e := q[0]
+	copy(q, q[1:])
+	st.sb[t] = st.sb[t][:len(q)-1]
 	s.appendWrite(st, t, e.loc, e.val, false)
 	return e
 }
 
-func (s *NMCASimulator) explore(st *nstate) {
-	if !s.visit(s.seen, st) {
+func (s *NMCASimulator) explore(seen *visitedSet, st *nstate) {
+	if !s.visit(seen, st) {
 		return
 	}
 	s.States++
@@ -303,7 +372,7 @@ func (s *NMCASimulator) explore(st *nstate) {
 				progress = true
 				next := s.next(st)
 				next.applied[c][l]++
-				s.explore(next)
+				s.explore(seen, next)
 				s.release(next)
 			}
 		}
@@ -314,7 +383,7 @@ func (s *NMCASimulator) explore(st *nstate) {
 			progress = true
 			next := s.next(st)
 			s.commitPending(next, t)
-			s.explore(next)
+			s.explore(seen, next)
 			s.release(next)
 		}
 		// Drain: move the SB head into the coherence order. The draining
@@ -323,11 +392,11 @@ func (s *NMCASimulator) explore(st *nstate) {
 		// holds drains back: anything buffered behind it is later in
 		// program order, and pointwise W→W says it may not become
 		// visible anywhere before the atomic's instant.
-		if len(st.sb[t]) > 0 && st.pending[t] == nil && st.caughtUp(t, st.sb[t][0].loc) {
+		if len(st.sb[t]) > 0 && !st.pending[t].set && st.caughtUp(t, st.sb[t][0].loc) {
 			progress = true
 			next := s.next(st)
 			s.drainHead(next, t)
-			s.explore(next)
+			s.explore(seen, next)
 			s.release(next)
 		}
 		// Execute the next instruction.
@@ -340,7 +409,7 @@ func (s *NMCASimulator) explore(st *nstate) {
 			next := s.next(st)
 			s.execute(next, t, ins)
 			next.pc[t]++
-			s.explore(next)
+			s.explore(seen, next)
 			s.release(next)
 		}
 	}
@@ -384,7 +453,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// uncommitted same-location SC-AMO write lives at the memory
 		// system, not in the buffer, so the load must wait for its
 		// instant (it may not read an older write than the thread's own).
-		if p := st.pending[t]; p != nil && p.loc == s.loc(st, t, ins) {
+		if p := st.pending[t]; p.set && p.loc == s.loc(st, t, ins) {
 			return true
 		}
 		return false
@@ -394,7 +463,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// buffer and for global visibility of own writes — a pending
 		// atomic is an own write not yet visible anywhere.
 		l := s.loc(st, t, ins)
-		if p := st.pending[t]; p != nil && p.loc == l {
+		if p := st.pending[t]; p.set && p.loc == l {
 			return true
 		}
 		for _, e := range st.sb[t] {
@@ -402,7 +471,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 				return true
 			}
 		}
-		if ins.Rl && (len(st.sb[t]) > 0 || st.pending[t] != nil || !st.ownWritesGloballyApplied(t)) {
+		if ins.Rl && (len(st.sb[t]) > 0 || st.pending[t].set || !st.ownWritesGloballyApplied(t)) {
 			return true
 		}
 		return false
@@ -410,7 +479,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// Writing AMOs flush the buffer (W→W + not-buffered) and wait
 		// for any in-flight atomic (SC pairs order their visibility
 		// instants; plain writes may not overtake one pointwise).
-		if st.pending[t] != nil || len(st.sb[t]) > 0 {
+		if st.pending[t].set || len(st.sb[t]) > 0 {
 			return true
 		}
 		l := s.loc(st, t, ins)
@@ -440,7 +509,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// covered by in-order execution and the source-FIFO application
 		// rule.
 		if ins.Pred.HasW() && ins.Succ.HasR() && ins.Cum != isa.CumLW {
-			return len(st.sb[t]) > 0 || st.pending[t] != nil || !st.ownWritesGloballyApplied(t)
+			return len(st.sb[t]) > 0 || st.pending[t].set || !st.ownWritesGloballyApplied(t)
 		}
 	}
 	return false
@@ -465,14 +534,14 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 	case isa.OpAMOStore:
 		l := s.loc(st, t, ins)
 		if scAtomic(ins) {
-			st.pending[t] = &pendingAtomic{loc: l, data: s.operand(st, t, ins.Data)}
+			st.pending[t] = pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), set: true}
 		} else {
 			s.appendWrite(st, t, l, s.operand(st, t, ins.Data), false)
 		}
 	case isa.OpAMOSwap:
 		l := s.loc(st, t, ins)
 		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = &pendingAtomic{loc: l, data: s.operand(st, t, ins.Data)}
+			st.pending[t] = pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), set: true}
 			break
 		}
 		if ins.Dst != mem.NoDst {
@@ -489,7 +558,7 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 	case isa.OpAMOAdd:
 		l := s.loc(st, t, ins)
 		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = &pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), add: true}
+			st.pending[t] = pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), add: true, set: true}
 			break
 		}
 		old := st.view(t, l)
@@ -513,7 +582,8 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 // visited set.
 func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 	n := s.p.NumThreads()
-	seen := map[string]bool{}
+	seen := getVisited()
+	defer putVisited(seen)
 	var path []string
 	var found []string
 	var dfs func(st *nstate) bool
@@ -543,7 +613,7 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 			if st.canCommit(t) {
 				progress = true
 				next := s.next(st)
-				p := *st.pending[t]
+				p := st.pending[t]
 				s.commitPending(next, t)
 				path = append(path, fmt.Sprintf("T%d: commit atomic %s=%d to every core",
 					t, s.p.Mem().LocName(p.loc), next.writes[len(next.writes)-1].val))
@@ -553,7 +623,7 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 				s.release(next)
 				path = path[:len(path)-1]
 			}
-			if len(st.sb[t]) > 0 && st.pending[t] == nil && st.caughtUp(t, st.sb[t][0].loc) {
+			if len(st.sb[t]) > 0 && !st.pending[t].set && st.caughtUp(t, st.sb[t][0].loc) {
 				progress = true
 				next := s.next(st)
 				e := s.drainHead(next, t)
@@ -588,7 +658,7 @@ func (s *NMCASimulator) Trace(target mem.Outcome) []string {
 		}
 		return false
 	}
-	if dfs(s.initial()) {
+	if dfs(s.shape.newState()) {
 		return found
 	}
 	return nil

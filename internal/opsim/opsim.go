@@ -101,10 +101,9 @@ func appendBuffers(buf []byte, sb [][]sbEntry) []byte {
 type Simulator struct {
 	p       *isa.Program
 	maxRegs []int
-	seen    map[string]bool
-	out     map[mem.Outcome]bool
-	key     []byte   // appendKey buffer, reused for every lookup
-	free    []*state // explored successors, recycled by next
+	out     map[mem.Outcome]bool // nil until Outcomes has explored
+	key     []byte               // appendKey buffer, reused for every lookup
+	free    []*state             // explored successors, recycled by next
 	// Forwarding lets plain loads read the newest same-address entry of
 	// the local store buffer instead of stalling — turning the WR machine
 	// into an x86-TSO-like one (cross-checked against uspec.TSO).
@@ -120,7 +119,7 @@ type Simulator struct {
 
 // New returns a simulator for the program on the WR machine.
 func New(p *isa.Program) *Simulator {
-	return &Simulator{p: p, maxRegs: regWidths(p), seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
+	return &Simulator{p: p, maxRegs: regWidths(p)}
 }
 
 // regWidths returns, per thread, the number of registers its
@@ -161,9 +160,15 @@ func NewSC(p *isa.Program) *Simulator {
 
 // Outcomes exhaustively explores all interleavings and returns the set of
 // reachable final states (register observers plus final memory observers,
-// in the same canonical form as the axiomatic side).
+// in the same canonical form as the axiomatic side). Later calls return
+// the same set without exploring again.
 func (s *Simulator) Outcomes() map[mem.Outcome]bool {
-	s.explore(s.initial())
+	if s.out == nil {
+		s.out = map[mem.Outcome]bool{}
+		seen := getVisited()
+		s.explore(seen, s.initial())
+		putVisited(seen)
+	}
 	return s.out
 }
 
@@ -183,13 +188,9 @@ func (s *Simulator) initial() *state {
 }
 
 // visit reports whether st is new to seen, and marks it seen.
-func (s *Simulator) visit(seen map[string]bool, st *state) bool {
+func (s *Simulator) visit(seen *visitedSet, st *state) bool {
 	s.key = st.appendKey(s.key[:0])
-	if seen[string(s.key)] {
-		return false
-	}
-	seen[string(s.key)] = true
-	return true
+	return seen.insert(s.key)
 }
 
 // next returns a copy of st in a recycled state; release it once
@@ -215,8 +216,8 @@ func drain(st *state, t int) sbEntry {
 	return e
 }
 
-func (s *Simulator) explore(st *state) {
-	if !s.visit(s.seen, st) {
+func (s *Simulator) explore(seen *visitedSet, st *state) {
+	if !s.visit(seen, st) {
 		return
 	}
 	s.States++
@@ -228,7 +229,7 @@ func (s *Simulator) explore(st *state) {
 			progress = true
 			next := s.next(st)
 			drain(next, t)
-			s.explore(next)
+			s.explore(seen, next)
 			s.release(next)
 		}
 		// Execute the next instruction if not blocked.
@@ -241,7 +242,7 @@ func (s *Simulator) explore(st *state) {
 			next := s.next(st)
 			s.execute(next, t, ins)
 			next.pc[t]++
-			s.explore(next)
+			s.explore(seen, next)
 			s.release(next)
 		}
 	}
@@ -363,7 +364,8 @@ func (s *Simulator) execute(st *state, t int, ins *isa.Instr) {
 // It uses its own visited set, so call it on a fresh or reused Simulator
 // freely.
 func (s *Simulator) Trace(target mem.Outcome) []string {
-	seen := map[string]bool{}
+	seen := getVisited()
+	defer putVisited(seen)
 	var path []string
 	var found []string
 	var dfs func(st *state) bool

@@ -140,15 +140,6 @@ type (
 // axiom-coverage regressions on shared models.
 func DiffCoverage(old, cur *CoverageSnapshot) *CoverageDiff { return cover.Diff(old, cur) }
 
-// SetVerdictSampling sets per-verdict span sampling to 1-in-n
-// (n <= 0 disables; default 16).
-func SetVerdictSampling(n int) { obs.SetVerdictSampling(n) }
-
-// SetCycleSampling sets innermost-loop overlay cycle-check timing
-// sampling to 1-in-n (n <= 0 disables — the default, preserving the
-// zero-overhead verdict hot path).
-func SetCycleSampling(n int) { obs.SetCycleSampling(n) }
-
 // IncrementalStats returns the process-wide µhb incremental-engine
 // counters: candidate acyclicity verdicts that reused the maintained
 // topological order vs. rebuilt it from scratch.
