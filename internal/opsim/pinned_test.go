@@ -227,3 +227,129 @@ func TestExplorationCountsPinned(t *testing.T) {
 		})
 	}
 }
+
+// pinnedWitness is every Trace witness of one litmus family under one
+// compiler mapping: the number of Trace calls and a digest of their
+// results.
+type pinnedWitness struct {
+	family, mapping string
+	calls           int
+	witnesses       string
+}
+
+// pinnedWitnesses is the reference Trace output per (family, mapping),
+// over the machines TestExplorationCountsPinned covers, recorded while
+// Trace still ran a depth-first search of its own beside Outcomes'. The
+// wrc and rwc rows are skipped under -short.
+var pinnedWitnesses = []pinnedWitness{
+	{"mp", "riscv-base-intuitive", 1296, "7d4db6c5ef63a89b"},
+	{"sb", "riscv-base-intuitive", 1512, "b00a63d3e2dc8ec7"},
+	{"wrc", "riscv-base-intuitive", 8019, "376ff97a421fda85"},
+	{"rwc", "riscv-base-intuitive", 8343, "e38358522de7c939"},
+	{"iriw[0]", "riscv-base-intuitive", 65, "6a77280ab4051de2"},
+	{"mp", "riscv-base+a-intuitive", 1296, "b6344cdbc629fdc9"},
+	{"sb", "riscv-base+a-intuitive", 1432, "7954008c293c2a97"},
+	{"wrc", "riscv-base+a-intuitive", 7938, "095e5085cac7dc19"},
+	{"rwc", "riscv-base+a-intuitive", 8100, "417908c5d6311e0a"},
+	{"iriw[0]", "riscv-base+a-intuitive", 65, "6a77280ab4051de2"},
+	{"mp", "riscv-base-refined", 972, "dcfeb3bbbd8b6671"},
+	{"sb", "riscv-base-refined", 1116, "bd303bfbaa5094ce"},
+	{"wrc", "riscv-base-refined", 5832, "9ac6e30e74d2d7b4"},
+	{"rwc", "riscv-base-refined", 6156, "9170fdad354373b6"},
+	{"iriw[0]", "riscv-base-refined", 48, "ecbd64814d93320d"},
+	{"mp", "riscv-base+a-refined", 972, "d9722cfa4f526d68"},
+	{"sb", "riscv-base+a-refined", 1062, "8c579b7face8bea8"},
+	{"wrc", "riscv-base+a-refined", 5832, "524b45107e64e15a"},
+	{"rwc", "riscv-base+a-refined", 5994, "a8bc5388c933d50a"},
+	{"iriw[0]", "riscv-base+a-refined", 48, "ecbd64814d93320d"},
+}
+
+// unreachable is a Trace target no test reaches.
+const unreachable mem.Outcome = "no such outcome"
+
+// TestTraceWitnessesPinned traces every reachable outcome of the mp, sb,
+// wrc, rwc and iriw[0] tests, and one unreachable target, on every
+// machine ForConfig picks for the mapping's variant's Table 7 models
+// plus SC, and pins the witnesses byte for byte. The unreachable target
+// must give no witness, and Trace must leave StateCount as Outcomes left
+// it.
+func TestTraceWitnessesPinned(t *testing.T) {
+	mappings := []struct {
+		m *compile.Mapping
+		v uspec.Variant
+	}{
+		{compile.RISCVBaseIntuitive, uspec.Curr},
+		{compile.RISCVAtomicsIntuitive, uspec.Curr},
+		{compile.RISCVBaseRefined, uspec.Ours},
+		{compile.RISCVAtomicsRefined, uspec.Ours},
+	}
+	families := []struct {
+		name  string
+		tests []*litmus.Test
+		full  bool // skipped under -short
+	}{
+		{"mp", litmus.MP.Generate(), false},
+		{"sb", litmus.SB.Generate(), false},
+		{"wrc", litmus.WRC.Generate(), true},
+		{"rwc", litmus.RWC.Generate(), true},
+		{"iriw[0]", litmus.IRIW.Generate()[:1], false},
+	}
+	want := map[[2]string]pinnedWitness{}
+	for _, p := range pinnedWitnesses {
+		want[[2]string{p.family, p.mapping}] = p
+	}
+	for _, mv := range mappings {
+		t.Run(mv.m.Name, func(t *testing.T) {
+			t.Parallel()
+			models := append([]*uspec.Model{uspec.SCProof()}, uspec.Models(mv.v)...)
+			for _, fam := range families {
+				if fam.full && testing.Short() {
+					continue
+				}
+				got := pinnedWitness{family: fam.name, mapping: mv.m.Name}
+				h := fnv.New64a()
+				for _, tst := range fam.tests {
+					p, err := compile.Compile(mv.m, tst.Prog)
+					if err != nil {
+						t.Fatalf("%s: %v", tst.Name, err)
+					}
+					done := map[string]bool{}
+					for _, model := range models {
+						sim, err := ForConfig(model.Config, p)
+						if err != nil {
+							continue // no machine for this profile
+						}
+						machine := machineName(sim)
+						if done[machine] {
+							continue
+						}
+						done[machine] = true
+						out := sim.Outcomes()
+						states := sim.StateCount()
+						targets := make([]string, 0, len(out)+1)
+						for o := range out {
+							targets = append(targets, string(o))
+						}
+						sort.Strings(targets)
+						for _, o := range append(targets, string(unreachable)) {
+							w := sim.Trace(mem.Outcome(o))
+							got.calls++
+							if reach := out[mem.Outcome(o)]; reach != (w != nil) {
+								t.Errorf("%s/%s: Trace(%q) = %q for an outcome reachable=%v", tst.Name, machine, o, w, reach)
+							}
+							fmt.Fprintf(h, "%s\t%s\t%s\t%s\n", tst.Name, machine, o, strings.Join(w, "|"))
+						}
+						if sim.StateCount() != states {
+							t.Errorf("%s/%s: StateCount %d after Trace, %d after Outcomes", tst.Name, machine, sim.StateCount(), states)
+						}
+					}
+				}
+				got.witnesses = fmt.Sprintf("%016x", h.Sum64())
+				if w := want[[2]string{got.family, got.mapping}]; w != got {
+					t.Errorf("traced %+v, want %+v\n\t{%q, %q, %d, %q},",
+						got, w, got.family, got.mapping, got.calls, got.witnesses)
+				}
+			}
+		})
+	}
+}
