@@ -439,27 +439,27 @@ type Outcome string
 
 // OutcomeOf computes the observer outcome of the execution.
 func (x *Execution) OutcomeOf() Outcome {
-	b := make([]byte, 0, 16*(len(x.P.Observers)+len(x.P.MemObservers)))
-	for _, o := range x.P.Observers {
-		b = appendOutcomePart(b, o.Label, x.RegValue(o.Thread, o.Reg))
-	}
-	for _, m := range x.P.MemObservers {
-		// Final memory value: the mo-maximal write, matching FinalMem
-		// without materializing the per-location slice.
-		var v int64
-		if ws := x.MO[m.Loc]; len(ws) > 0 {
-			v = x.WVal[ws[len(ws)-1]]
-		}
-		b = appendOutcomePart(b, m.Label, v)
-	}
-	return Outcome(b)
+	return x.P.RenderOutcome(x.RegValue, x.finalValue)
 }
 
-// OutcomeFromValues builds an Outcome from per-observer values.
-func OutcomeFromValues(obs []Observer, value func(Observer) int64) Outcome {
-	b := make([]byte, 0, 16*len(obs))
-	for _, o := range obs {
-		b = appendOutcomePart(b, o.Label, value(o))
+// finalValue returns location l's final value: the mo-maximal write,
+// matching FinalMem without materializing the per-location slice.
+func (x *Execution) finalValue(l Loc) int64 {
+	if ws := x.MO[l]; len(ws) > 0 {
+		return x.WVal[ws[len(ws)-1]]
+	}
+	return 0
+}
+
+// RenderOutcome renders a final state of p as its Outcome: reg(t, r)
+// is thread t's register r, final(l) the final value of location l.
+func (p *Program) RenderOutcome(reg func(t, r int) int64, final func(Loc) int64) Outcome {
+	b := make([]byte, 0, 16*(len(p.Observers)+len(p.MemObservers)))
+	for _, o := range p.Observers {
+		b = appendOutcomePart(b, o.Label, reg(o.Thread, o.Reg))
+	}
+	for _, m := range p.MemObservers {
+		b = appendOutcomePart(b, m.Label, final(m.Loc))
 	}
 	return Outcome(b)
 }

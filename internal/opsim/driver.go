@@ -56,12 +56,6 @@ type Enumerator interface {
 	StateCount() int
 }
 
-// StateCount reports distinct explored configurations.
-func (s *Simulator) StateCount() int { return s.States }
-
-// StateCount reports distinct explored configurations.
-func (s *NMCASimulator) StateCount() int { return s.States }
-
 // MiswireEnv, when set in the environment, deliberately miswires the
 // driver (see SetMiswired) — the subprocess form of the test hook behind
 // the divergence-path e2e tests.

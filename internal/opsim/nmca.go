@@ -2,8 +2,6 @@ package opsim
 
 import (
 	"encoding/binary"
-	"fmt"
-	"strings"
 
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
@@ -42,18 +40,16 @@ import (
 // thread's own drained writes have been applied by every core — the
 // operational reading of the axiomatic "flush" edges.
 type NMCASimulator struct {
-	p     *isa.Program
+	search
 	shape *nshape
-	out   map[mem.Outcome]bool // nil until Outcomes has explored
-	key   []byte               // appendKey buffer, reused for every lookup
-	free  []*nstate            // explored successors, recycled by next
-	// States counts distinct explored configurations.
-	States int
+	free  []*nstate // explored successors, recycled by next
 }
 
 // NewNMCA returns an operational nWR simulator.
 func NewNMCA(p *isa.Program) *NMCASimulator {
-	return &NMCASimulator{p: p, shape: newShape(p)}
+	s := &NMCASimulator{shape: newShape(p)}
+	s.search = search{p: p, root: func() bool { return s.explore(s.shape.newState()) }}
+	return s
 }
 
 // drained is one coherence-ordered write.
@@ -226,6 +222,19 @@ func appendBool(buf []byte, b bool) []byte {
 	return append(buf, 0)
 }
 
+// reg returns thread t's register r.
+func (s *nstate) reg(t, r int) int64 { return s.regs[t][r] }
+
+// final returns the value of loc's last write in the coherence order (or
+// the initial 0).
+func (s *nstate) final(loc mem.Loc) int64 {
+	n := len(s.order[loc])
+	if n == 0 {
+		return 0
+	}
+	return s.writes[s.order[loc][n-1]].val
+}
+
 // view returns the value of loc as core c currently sees it (latest
 // applied write, or the initial 0).
 func (s *nstate) view(c int, loc mem.Loc) int64 {
@@ -313,26 +322,6 @@ func (s *NMCASimulator) commitPending(st *nstate, t int) {
 	}
 }
 
-// Outcomes exhaustively explores the machine and returns the reachable
-// final states (cores quiesce: buffers empty, every write applied
-// everywhere — eventual visibility). Later calls return the same set
-// without exploring again.
-func (s *NMCASimulator) Outcomes() map[mem.Outcome]bool {
-	if s.out == nil {
-		s.out = map[mem.Outcome]bool{}
-		seen := getVisited()
-		s.explore(seen, s.shape.newState())
-		putVisited(seen)
-	}
-	return s.out
-}
-
-// visit reports whether st is new to seen, and marks it seen.
-func (s *NMCASimulator) visit(seen *visitedSet, st *nstate) bool {
-	s.key = st.appendKey(s.key[:0])
-	return seen.insert(s.key)
-}
-
 // next returns a copy of st in a recycled state; release it once
 // explored.
 func (s *NMCASimulator) next(st *nstate) *nstate {
@@ -349,20 +338,23 @@ func (s *NMCASimulator) release(st *nstate) { s.free = append(s.free, st) }
 
 // drainHead moves thread t's store-buffer head into the coherence order,
 // shifting the buffer within its window.
-func (s *NMCASimulator) drainHead(st *nstate, t int) sbEntry {
+func (s *NMCASimulator) drainHead(st *nstate, t int) {
 	q := st.sb[t]
 	e := q[0]
 	copy(q, q[1:])
 	st.sb[t] = st.sb[t][:len(q)-1]
 	s.appendWrite(st, t, e.loc, e.val, false)
-	return e
 }
 
-func (s *NMCASimulator) explore(seen *visitedSet, st *nstate) {
-	if !s.visit(seen, st) {
-		return
+// explore enumerates st's transitions: per-core applies, then per thread
+// a commit, a drain and the next instruction. The machine quiesces with
+// buffers empty and every write applied everywhere (eventual
+// visibility). It reports whether it reached Trace's target (see
+// search).
+func (s *NMCASimulator) explore(st *nstate) bool {
+	if !s.visit(st.appendKey(s.key[:0])) {
+		return false
 	}
-	s.States++
 	progress := false
 	n := s.p.NumThreads()
 	// Apply actions: any core advances any location's visibility.
@@ -372,7 +364,10 @@ func (s *NMCASimulator) explore(seen *visitedSet, st *nstate) {
 				progress = true
 				next := s.next(st)
 				next.applied[c][l]++
-				s.explore(seen, next)
+				if s.explore(next) {
+					w := st.writes[st.order[l][st.applied[c][l]]]
+					return s.record("T%d: apply %s=%d (written by T%d)", c, s.p.Mem().LocName(mem.Loc(l)), w.val, w.src)
+				}
 				s.release(next)
 			}
 		}
@@ -383,7 +378,10 @@ func (s *NMCASimulator) explore(seen *visitedSet, st *nstate) {
 			progress = true
 			next := s.next(st)
 			s.commitPending(next, t)
-			s.explore(seen, next)
+			if s.explore(next) {
+				return s.record("T%d: commit atomic %s=%d to every core",
+					t, s.p.Mem().LocName(st.pending[t].loc), next.writes[len(next.writes)-1].val)
+			}
 			s.release(next)
 		}
 		// Drain: move the SB head into the coherence order. The draining
@@ -396,7 +394,10 @@ func (s *NMCASimulator) explore(seen *visitedSet, st *nstate) {
 			progress = true
 			next := s.next(st)
 			s.drainHead(next, t)
-			s.explore(seen, next)
+			if s.explore(next) {
+				e := st.sb[t][0]
+				return s.record("T%d: drain %s=%d into the coherence order", t, s.p.Mem().LocName(e.loc), e.val)
+			}
 			s.release(next)
 		}
 		// Execute the next instruction.
@@ -409,13 +410,13 @@ func (s *NMCASimulator) explore(seen *visitedSet, st *nstate) {
 			next := s.next(st)
 			s.execute(next, t, ins)
 			next.pc[t]++
-			s.explore(seen, next)
+			if s.explore(next) {
+				return s.record("T%d: execute instruction %d", t, st.pc[t])
+			}
 			s.release(next)
 		}
 	}
-	if !progress {
-		s.out[s.finalOutcome(st)] = true
-	}
+	return !progress && s.quiescent(st.reg, st.final)
 }
 
 // appendWrite adds a drained/executed write to the coherence order and
@@ -431,17 +432,6 @@ func (s *NMCASimulator) appendWrite(st *nstate, t int, loc mem.Loc, val int64, a
 	st.applied[t][loc] = len(st.order[loc])
 }
 
-func (s *NMCASimulator) operand(st *nstate, t int, op mem.Operand) int64 {
-	if op.Kind == mem.OpConst {
-		return op.Const
-	}
-	return st.regs[t][op.Reg]
-}
-
-func (s *NMCASimulator) loc(st *nstate, t int, ins *isa.Instr) mem.Loc {
-	return mem.Loc(s.operand(st, t, ins.Addr))
-}
-
 // scAtomic reports whether the AMO is store atomic under the current spec
 // (aq.rl; this simulator models riscv-curr nWR).
 func scAtomic(ins *isa.Instr) bool { return ins.Aq && ins.Rl }
@@ -453,7 +443,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// uncommitted same-location SC-AMO write lives at the memory
 		// system, not in the buffer, so the load must wait for its
 		// instant (it may not read an older write than the thread's own).
-		if p := st.pending[t]; p.set && p.loc == s.loc(st, t, ins) {
+		if p := st.pending[t]; p.set && p.loc == addr(st.regs[t], ins) {
 			return true
 		}
 		return false
@@ -462,7 +452,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// buffered or pending; rl additionally waits for the whole
 		// buffer and for global visibility of own writes — a pending
 		// atomic is an own write not yet visible anywhere.
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		if p := st.pending[t]; p.set && p.loc == l {
 			return true
 		}
@@ -482,7 +472,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		if st.pending[t].set || len(st.sb[t]) > 0 {
 			return true
 		}
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		if scAtomic(ins) {
 			if ins.Dst == mem.NoDst {
 				// Pure SC write: executes into the pending slot and
@@ -518,7 +508,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 	switch ins.Op {
 	case isa.OpLoad:
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		val := st.view(t, l)
 		for i := len(st.sb[t]) - 1; i >= 0; i-- {
 			if st.sb[t][i].loc == l {
@@ -528,26 +518,26 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 		}
 		st.regs[t][ins.Dst] = val
 	case isa.OpStore:
-		st.sb[t] = append(st.sb[t], sbEntry{loc: s.loc(st, t, ins), val: s.operand(st, t, ins.Data)})
+		st.sb[t] = append(st.sb[t], sbEntry{loc: addr(st.regs[t], ins), val: operand(st.regs[t], ins.Data)})
 	case isa.OpAMOLoad:
-		st.regs[t][ins.Dst] = st.view(t, s.loc(st, t, ins))
+		st.regs[t][ins.Dst] = st.view(t, addr(st.regs[t], ins))
 	case isa.OpAMOStore:
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		if scAtomic(ins) {
-			st.pending[t] = pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), set: true}
+			st.pending[t] = pendingAtomic{loc: l, data: operand(st.regs[t], ins.Data), set: true}
 		} else {
-			s.appendWrite(st, t, l, s.operand(st, t, ins.Data), false)
+			s.appendWrite(st, t, l, operand(st.regs[t], ins.Data), false)
 		}
 	case isa.OpAMOSwap:
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), set: true}
+			st.pending[t] = pendingAtomic{loc: l, data: operand(st.regs[t], ins.Data), set: true}
 			break
 		}
 		if ins.Dst != mem.NoDst {
 			st.regs[t][ins.Dst] = st.view(t, l)
 		}
-		s.appendWrite(st, t, l, s.operand(st, t, ins.Data), scAtomic(ins))
+		s.appendWrite(st, t, l, operand(st.regs[t], ins.Data), scAtomic(ins))
 		if scAtomic(ins) {
 			// blocked() held this back until the commit conditions were
 			// met, so the write's instant is now — apply it everywhere.
@@ -556,16 +546,16 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 			}
 		}
 	case isa.OpAMOAdd:
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), add: true, set: true}
+			st.pending[t] = pendingAtomic{loc: l, data: operand(st.regs[t], ins.Data), add: true, set: true}
 			break
 		}
 		old := st.view(t, l)
 		if ins.Dst != mem.NoDst {
 			st.regs[t][ins.Dst] = old
 		}
-		s.appendWrite(st, t, l, old+s.operand(st, t, ins.Data), scAtomic(ins))
+		s.appendWrite(st, t, l, old+operand(st.regs[t], ins.Data), scAtomic(ins))
 		if scAtomic(ins) {
 			for c := range st.applied {
 				st.applied[c][l] = len(st.order[l])
@@ -574,116 +564,4 @@ func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
 	case isa.OpFence:
 		// Ordering handled in blocked().
 	}
-}
-
-// Trace searches for an interleaving (execute, drain and per-core apply
-// actions) reaching the target outcome and returns it as human-readable
-// actions, or nil if unreachable. Like Simulator.Trace it uses its own
-// visited set.
-func (s *NMCASimulator) Trace(target mem.Outcome) []string {
-	n := s.p.NumThreads()
-	seen := getVisited()
-	defer putVisited(seen)
-	var path []string
-	var found []string
-	var dfs func(st *nstate) bool
-	dfs = func(st *nstate) bool {
-		if !s.visit(seen, st) {
-			return false
-		}
-		progress := false
-		for c := 0; c < n; c++ {
-			for l := range st.order {
-				if st.canApply(c, mem.Loc(l)) {
-					progress = true
-					next := s.next(st)
-					w := next.writes[next.order[l][next.applied[c][l]]]
-					next.applied[c][l]++
-					path = append(path, fmt.Sprintf("T%d: apply %s=%d (written by T%d)",
-						c, s.p.Mem().LocName(mem.Loc(l)), w.val, w.src))
-					if dfs(next) {
-						return true
-					}
-					s.release(next)
-					path = path[:len(path)-1]
-				}
-			}
-		}
-		for t := 0; t < n; t++ {
-			if st.canCommit(t) {
-				progress = true
-				next := s.next(st)
-				p := st.pending[t]
-				s.commitPending(next, t)
-				path = append(path, fmt.Sprintf("T%d: commit atomic %s=%d to every core",
-					t, s.p.Mem().LocName(p.loc), next.writes[len(next.writes)-1].val))
-				if dfs(next) {
-					return true
-				}
-				s.release(next)
-				path = path[:len(path)-1]
-			}
-			if len(st.sb[t]) > 0 && !st.pending[t].set && st.caughtUp(t, st.sb[t][0].loc) {
-				progress = true
-				next := s.next(st)
-				e := s.drainHead(next, t)
-				path = append(path, fmt.Sprintf("T%d: drain %s=%d into the coherence order",
-					t, s.p.Mem().LocName(e.loc), e.val))
-				if dfs(next) {
-					return true
-				}
-				s.release(next)
-				path = path[:len(path)-1]
-			}
-			if st.pc[t] < len(s.p.Instrs[t]) {
-				ins := s.p.Instrs[t][st.pc[t]]
-				if s.blocked(st, t, ins) {
-					continue
-				}
-				progress = true
-				next := s.next(st)
-				s.execute(next, t, ins)
-				next.pc[t]++
-				path = append(path, fmt.Sprintf("T%d: execute instruction %d", t, st.pc[t]))
-				if dfs(next) {
-					return true
-				}
-				s.release(next)
-				path = path[:len(path)-1]
-			}
-		}
-		if !progress && s.finalOutcome(st) == target {
-			found = append([]string(nil), path...)
-			return true
-		}
-		return false
-	}
-	if dfs(s.shape.newState()) {
-		return found
-	}
-	return nil
-}
-
-func (s *NMCASimulator) finalOutcome(st *nstate) mem.Outcome {
-	mp := s.p.Mem()
-	o := mem.OutcomeFromValues(mp.Observers, func(ob mem.Observer) int64 {
-		return st.regs[ob.Thread][ob.Reg]
-	})
-	if len(mp.MemObservers) == 0 {
-		return o
-	}
-	parts := make([]string, 0, len(mp.MemObservers))
-	for _, m := range mp.MemObservers {
-		n := len(st.order[m.Loc])
-		var v int64
-		if n > 0 {
-			v = st.writes[st.order[m.Loc][n-1]].val
-		}
-		parts = append(parts, fmt.Sprintf("%s=%d", m.Label, v))
-	}
-	memPart := mem.Outcome(strings.Join(parts, "; "))
-	if o == "" {
-		return memPart
-	}
-	return o + "; " + memPart
 }

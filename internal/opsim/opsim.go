@@ -15,8 +15,6 @@ package opsim
 
 import (
 	"encoding/binary"
-	"fmt"
-	"strings"
 
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
@@ -27,6 +25,18 @@ type sbEntry struct {
 	loc mem.Loc
 	val int64
 }
+
+// operand returns op's value to a thread whose registers are regs.
+func operand(regs []int64, op mem.Operand) int64 {
+	if op.Kind == mem.OpConst {
+		return op.Const
+	}
+	return regs[op.Reg]
+}
+
+// addr returns the location ins addresses, to a thread whose registers
+// are regs.
+func addr(regs []int64, ins *isa.Instr) mem.Loc { return mem.Loc(operand(regs, ins.Addr)) }
 
 // state is a full machine configuration. States are memoized by their
 // appendKey encoding.
@@ -45,6 +55,12 @@ func (s *state) cloneInto(c *state) *state {
 	c.sb = copyRows(c.sb, s.sb)
 	return c
 }
+
+// reg returns thread t's register r.
+func (s *state) reg(t, r int) int64 { return s.regs[t][r] }
+
+// final returns location l's value in memory.
+func (s *state) final(l mem.Loc) int64 { return s.mem[l] }
 
 // appendKey appends s's visited-set key to buf: a length-prefixed varint
 // encoding of pc, regs, mem and the store buffers, so two states share a
@@ -99,11 +115,9 @@ func appendBuffers(buf []byte, sb [][]sbEntry) []byte {
 // Simulator explores a program on the operational WR (or, with
 // Forwarding, TSO) machine.
 type Simulator struct {
-	p       *isa.Program
+	search
 	maxRegs []int
-	out     map[mem.Outcome]bool // nil until Outcomes has explored
-	key     []byte               // appendKey buffer, reused for every lookup
-	free    []*state             // explored successors, recycled by next
+	free    []*state // explored successors, recycled by next
 	// Forwarding lets plain loads read the newest same-address entry of
 	// the local store buffer instead of stalling — turning the WR machine
 	// into an x86-TSO-like one (cross-checked against uspec.TSO).
@@ -113,13 +127,13 @@ type Simulator struct {
 	// relaxation, so the machine becomes sequentially consistent
 	// (cross-checked against the no-relaxations uspec SC config).
 	WriteThrough bool
-	// States counts distinct explored configurations (diagnostics).
-	States int
 }
 
 // New returns a simulator for the program on the WR machine.
 func New(p *isa.Program) *Simulator {
-	return &Simulator{p: p, maxRegs: regWidths(p)}
+	s := &Simulator{maxRegs: regWidths(p)}
+	s.search = search{p: p, root: func() bool { return s.explore(s.initial()) }}
+	return s
 }
 
 // regWidths returns, per thread, the number of registers its
@@ -158,20 +172,6 @@ func NewSC(p *isa.Program) *Simulator {
 	return s
 }
 
-// Outcomes exhaustively explores all interleavings and returns the set of
-// reachable final states (register observers plus final memory observers,
-// in the same canonical form as the axiomatic side). Later calls return
-// the same set without exploring again.
-func (s *Simulator) Outcomes() map[mem.Outcome]bool {
-	if s.out == nil {
-		s.out = map[mem.Outcome]bool{}
-		seen := getVisited()
-		s.explore(seen, s.initial())
-		putVisited(seen)
-	}
-	return s.out
-}
-
 // initial returns the reset configuration: pcs, registers and memory at
 // zero, store buffers empty.
 func (s *Simulator) initial() *state {
@@ -185,12 +185,6 @@ func (s *Simulator) initial() *state {
 		init.regs[t] = make([]int64, s.maxRegs[t])
 	}
 	return init
-}
-
-// visit reports whether st is new to seen, and marks it seen.
-func (s *Simulator) visit(seen *visitedSet, st *state) bool {
-	s.key = st.appendKey(s.key[:0])
-	return seen.insert(s.key)
 }
 
 // next returns a copy of st in a recycled state; release it once
@@ -209,30 +203,31 @@ func (s *Simulator) release(st *state) { s.free = append(s.free, st) }
 
 // drain retires thread t's oldest store-buffer entry to memory. The
 // buffer shifts in place, so a recycled state keeps its capacity.
-func drain(st *state, t int) sbEntry {
+func drain(st *state, t int) {
 	e := st.sb[t][0]
 	st.sb[t] = append(st.sb[t][:0], st.sb[t][1:]...)
 	st.mem[e.loc] = e.val
-	return e
 }
 
-func (s *Simulator) explore(seen *visitedSet, st *state) {
-	if !s.visit(seen, st) {
-		return
+// explore enumerates st's transitions: per thread, drain the oldest
+// store-buffer entry, then execute the next instruction if not blocked.
+// It reports whether it reached Trace's target (see search).
+func (s *Simulator) explore(st *state) bool {
+	if !s.visit(st.appendKey(s.key[:0])) {
+		return false
 	}
-	s.States++
-
 	progress := false
 	for t := 0; t < s.p.NumThreads(); t++ {
-		// Drain the oldest store-buffer entry.
 		if len(st.sb[t]) > 0 {
 			progress = true
 			next := s.next(st)
 			drain(next, t)
-			s.explore(seen, next)
+			if s.explore(next) {
+				e := st.sb[t][0]
+				return s.record("T%d: drain %s=%d to memory", t, s.p.Mem().LocName(e.loc), e.val)
+			}
 			s.release(next)
 		}
-		// Execute the next instruction if not blocked.
 		if st.pc[t] < len(s.p.Instrs[t]) {
 			ins := s.p.Instrs[t][st.pc[t]]
 			if s.blocked(st, t, ins) {
@@ -242,24 +237,13 @@ func (s *Simulator) explore(seen *visitedSet, st *state) {
 			next := s.next(st)
 			s.execute(next, t, ins)
 			next.pc[t]++
-			s.explore(seen, next)
+			if s.explore(next) {
+				return s.record("T%d: execute instruction %d", t, st.pc[t])
+			}
 			s.release(next)
 		}
 	}
-	if !progress {
-		s.out[s.finalOutcome(st)] = true
-	}
-}
-
-func (s *Simulator) operand(st *state, t int, op mem.Operand) int64 {
-	if op.Kind == mem.OpConst {
-		return op.Const
-	}
-	return st.regs[t][op.Reg]
-}
-
-func (s *Simulator) loc(st *state, t int, ins *isa.Instr) mem.Loc {
-	return mem.Loc(s.operand(st, t, ins.Addr))
+	return !progress && s.quiescent(st.reg, st.final)
 }
 
 // blocked implements the WR stall conditions:
@@ -277,7 +261,7 @@ func (s *Simulator) blocked(st *state, t int, ins *isa.Instr) bool {
 		if s.Forwarding {
 			return false // reads the newest SB entry or memory
 		}
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		for _, e := range st.sb[t] {
 			if e.loc == l {
 				return true
@@ -292,7 +276,7 @@ func (s *Simulator) blocked(st *state, t int, ins *isa.Instr) bool {
 		if ins.Op != isa.OpAMOLoad {
 			return len(st.sb[t]) > 0
 		}
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		for _, e := range st.sb[t] {
 			if e.loc == l {
 				return true
@@ -326,110 +310,35 @@ func (s *Simulator) loadValue(st *state, t int, l mem.Loc) int64 {
 func (s *Simulator) execute(st *state, t int, ins *isa.Instr) {
 	switch ins.Op {
 	case isa.OpLoad:
-		st.regs[t][ins.Dst] = s.loadValue(st, t, s.loc(st, t, ins))
+		st.regs[t][ins.Dst] = s.loadValue(st, t, addr(st.regs[t], ins))
 	case isa.OpStore:
 		if s.WriteThrough {
-			st.mem[s.loc(st, t, ins)] = s.operand(st, t, ins.Data)
+			st.mem[addr(st.regs[t], ins)] = operand(st.regs[t], ins.Data)
 			break
 		}
-		st.sb[t] = append(st.sb[t], sbEntry{loc: s.loc(st, t, ins), val: s.operand(st, t, ins.Data)})
+		st.sb[t] = append(st.sb[t], sbEntry{loc: addr(st.regs[t], ins), val: operand(st.regs[t], ins.Data)})
 	case isa.OpAMOLoad:
 		// Atomic load: reads memory; the write-back of the same value is
 		// silent (see isa.OpAMOLoad).
-		st.regs[t][ins.Dst] = st.mem[s.loc(st, t, ins)]
+		st.regs[t][ins.Dst] = st.mem[addr(st.regs[t], ins)]
 	case isa.OpAMOStore:
 		// Atomic store: bypasses the store buffer (MCA anyway) and writes
 		// memory directly.
-		st.mem[s.loc(st, t, ins)] = s.operand(st, t, ins.Data)
+		st.mem[addr(st.regs[t], ins)] = operand(st.regs[t], ins.Data)
 	case isa.OpAMOSwap:
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		if ins.Dst != mem.NoDst {
 			st.regs[t][ins.Dst] = st.mem[l]
 		}
-		st.mem[l] = s.operand(st, t, ins.Data)
+		st.mem[l] = operand(st.regs[t], ins.Data)
 	case isa.OpAMOAdd:
-		l := s.loc(st, t, ins)
+		l := addr(st.regs[t], ins)
 		old := st.mem[l]
 		if ins.Dst != mem.NoDst {
 			st.regs[t][ins.Dst] = old
 		}
-		st.mem[l] = old + s.operand(st, t, ins.Data)
+		st.mem[l] = old + operand(st.regs[t], ins.Data)
 	case isa.OpFence:
 		// Ordering effects are captured by blocked(); nothing to do.
 	}
-}
-
-// Trace searches for an interleaving reaching the target outcome and
-// returns it as a list of human-readable actions, or nil if unreachable.
-// It uses its own visited set, so call it on a fresh or reused Simulator
-// freely.
-func (s *Simulator) Trace(target mem.Outcome) []string {
-	seen := getVisited()
-	defer putVisited(seen)
-	var path []string
-	var found []string
-	var dfs func(st *state) bool
-	dfs = func(st *state) bool {
-		if !s.visit(seen, st) {
-			return false
-		}
-		progress := false
-		for t := 0; t < s.p.NumThreads(); t++ {
-			if len(st.sb[t]) > 0 {
-				progress = true
-				next := s.next(st)
-				e := drain(next, t)
-				path = append(path, fmt.Sprintf("T%d: drain %s=%d to memory", t, s.p.Mem().LocName(e.loc), e.val))
-				if dfs(next) {
-					return true
-				}
-				s.release(next)
-				path = path[:len(path)-1]
-			}
-			if st.pc[t] < len(s.p.Instrs[t]) {
-				ins := s.p.Instrs[t][st.pc[t]]
-				if s.blocked(st, t, ins) {
-					continue
-				}
-				progress = true
-				next := s.next(st)
-				s.execute(next, t, ins)
-				next.pc[t]++
-				path = append(path, fmt.Sprintf("T%d: execute instruction %d", t, st.pc[t]))
-				if dfs(next) {
-					return true
-				}
-				s.release(next)
-				path = path[:len(path)-1]
-			}
-		}
-		if !progress && s.finalOutcome(st) == target {
-			found = append([]string(nil), path...)
-			return true
-		}
-		return false
-	}
-	if dfs(s.initial()) {
-		return found
-	}
-	return nil
-}
-
-func (s *Simulator) finalOutcome(st *state) mem.Outcome {
-	mp := s.p.Mem()
-	o := mem.OutcomeFromValues(mp.Observers, func(ob mem.Observer) int64 {
-		return st.regs[ob.Thread][ob.Reg]
-	})
-	if len(mp.MemObservers) == 0 {
-		return o
-	}
-	parts := make([]string, 0, len(mp.MemObservers))
-	for _, m := range mp.MemObservers {
-		parts = append(parts, fmt.Sprintf("%s=%d", m.Label, st.mem[m.Loc]))
-	}
-	memPart := mem.Outcome(strings.Join(parts, "; "))
-	if o == "" {
-		return memPart
-	}
-	return o + "; " + memPart
 }
