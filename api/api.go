@@ -237,9 +237,9 @@ type StatsRecord struct {
 	Incremental *IncrementalStatsJSON `json:"incremental,omitempty"`
 }
 
-// The /v1/coverage shapes mirror internal/cover's deterministic JSON
-// snapshot field for field (locked by the golden test), so wire
-// consumers never import engine internals.
+// The /v1/coverage shapes are the coverage ledger's own snapshot types:
+// internal/cover builds them directly, so wire consumers never import
+// engine internals.
 
 // AxiomRow is one axiom's coverage counters within a model matrix.
 type AxiomRow struct {
@@ -250,6 +250,8 @@ type AxiomRow struct {
 }
 
 // ModelMatrix is one model's per-axiom coverage and verdict counts.
+// Axioms lists only rows with at least one nonzero count, in catalogue
+// order.
 type ModelMatrix struct {
 	Model    string            `json:"model"`
 	Jobs     uint64            `json:"jobs"`
@@ -264,7 +266,8 @@ type VectorRecord struct {
 	Verdict string `json:"verdict"`
 }
 
-// CoverageTotals is a coverage ledger's summary line.
+// CoverageTotals is a coverage ledger's summary line: distinct axioms
+// covered per kind (union over models), recorded jobs, and vector count.
 type CoverageTotals struct {
 	Models       int    `json:"models"`
 	Jobs         uint64 `json:"jobs"`

@@ -25,6 +25,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"tricheck/api"
 )
 
 // Ledger is a process- or engine-scoped coverage accumulator. Safe for
@@ -134,52 +136,6 @@ func (l *Ledger) RecordVector(test, stack string, verdict uint8) {
 	l.vmu.Unlock()
 }
 
-// AxiomRow is one (model, axiom) matrix cell group in a snapshot.
-type AxiomRow struct {
-	Axiom  string `json:"axiom"`
-	Fired  uint64 `json:"fired"`
-	Edges  uint64 `json:"edges"`
-	Cycles uint64 `json:"cycles"`
-}
-
-// ModelMatrix is one model's snapshot block. Axioms lists only rows with
-// at least one nonzero count, in catalogue order.
-type ModelMatrix struct {
-	Model    string            `json:"model"`
-	Jobs     uint64            `json:"jobs"`
-	Verdicts map[string]uint64 `json:"verdicts,omitempty"`
-	Axioms   []AxiomRow        `json:"axioms"`
-}
-
-// VectorRecord is one (test, config) verdict in a snapshot.
-type VectorRecord struct {
-	Test    string `json:"test"`
-	Stack   string `json:"stack"`
-	Verdict string `json:"verdict"`
-}
-
-// Totals summarizes a snapshot: distinct axioms covered per kind (union
-// over models), recorded jobs, and vector count.
-type Totals struct {
-	Models       int    `json:"models"`
-	Jobs         uint64 `json:"jobs"`
-	AxiomsFired  int    `json:"axioms_fired"`
-	AxiomsEdged  int    `json:"axioms_edged"`
-	AxiomsCycled int    `json:"axioms_cycled"`
-	Vectors      int    `json:"vectors"`
-}
-
-// Snapshot is the ledger's portable JSON form — the GET /v1/coverage
-// body and the `-coverage-out` / `coverage diff` file format. Fully
-// deterministic: models sorted by name, axiom rows in catalogue order,
-// vectors sorted by (test, stack).
-type Snapshot struct {
-	Axioms  []string       `json:"axioms"`
-	Models  []ModelMatrix  `json:"models"`
-	Vectors []VectorRecord `json:"vectors,omitempty"`
-	Totals  Totals         `json:"totals"`
-}
-
 // verdictName renders a verdict ordinal from the catalogue.
 func (l *Ledger) verdictName(v uint8) string {
 	if int(v) < len(l.verdicts) {
@@ -188,9 +144,13 @@ func (l *Ledger) verdictName(v uint8) string {
 	return fmt.Sprintf("verdict(%d)", v)
 }
 
-// Snapshot captures the ledger's current state.
-func (l *Ledger) Snapshot() *Snapshot {
-	s := &Snapshot{Axioms: append([]string(nil), l.axioms...)}
+// Snapshot captures the ledger's current state in its wire form, the
+// GET /v1/coverage body and the `-coverage-out` / `coverage diff` file
+// format. It is fully deterministic: models sorted by name, axiom rows
+// (only those with a nonzero count) in catalogue order, vectors sorted
+// by (test, stack).
+func (l *Ledger) Snapshot() *api.CoverageSnapshot {
+	s := &api.CoverageSnapshot{Axioms: append([]string(nil), l.axioms...)}
 	var unionFired, unionEdges, unionCycles uint64
 
 	l.mu.Lock()
@@ -201,7 +161,7 @@ func (l *Ledger) Snapshot() *Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		mc := l.models[name]
-		mm := ModelMatrix{Model: name, Jobs: mc.jobs.Load()}
+		mm := api.ModelMatrix{Model: name, Jobs: mc.jobs.Load()}
 		for v := range mc.verdicts {
 			if c := mc.verdicts[v].Load(); c > 0 {
 				if mm.Verdicts == nil {
@@ -211,7 +171,7 @@ func (l *Ledger) Snapshot() *Snapshot {
 			}
 		}
 		for i := range l.axioms {
-			row := AxiomRow{
+			row := api.AxiomRow{
 				Axiom:  l.axioms[i],
 				Fired:  mc.fired[i].Load(),
 				Edges:  mc.edges[i].Load(),
@@ -239,7 +199,7 @@ func (l *Ledger) Snapshot() *Snapshot {
 	l.vmu.Lock()
 	for test, row := range l.vectors {
 		for stack, v := range row {
-			s.Vectors = append(s.Vectors, VectorRecord{
+			s.Vectors = append(s.Vectors, api.VectorRecord{
 				Test: test, Stack: stack, Verdict: l.verdictName(v),
 			})
 		}
@@ -262,8 +222,8 @@ func (l *Ledger) Snapshot() *Snapshot {
 
 // TotalsNow computes the snapshot totals without materializing the full
 // snapshot — the cheap form stamped onto NDJSON summary records.
-func (l *Ledger) TotalsNow() Totals {
-	var t Totals
+func (l *Ledger) TotalsNow() api.CoverageTotals {
+	var t api.CoverageTotals
 	var unionFired, unionEdges, unionCycles uint64
 	l.mu.Lock()
 	t.Models = len(l.models)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"tricheck/api"
 	"tricheck/internal/obs"
 )
 
@@ -31,14 +32,14 @@ func TestLedgerRecordAndSnapshot(t *testing.T) {
 	if m1.Jobs != 2 || m1.Verdicts["Bug"] != 1 || m1.Verdicts["Equivalent"] != 1 {
 		t.Fatalf("m1 block = %+v", m1)
 	}
-	wantRows := []AxiomRow{
+	wantRows := []api.AxiomRow{
 		{Axiom: "alpha", Fired: 1, Edges: 1, Cycles: 1},
 		{Axiom: "beta", Fired: 2, Edges: 1, Cycles: 0},
 	}
 	if !reflect.DeepEqual(m1.Axioms, wantRows) {
 		t.Fatalf("m1 axiom rows = %+v, want %+v", m1.Axioms, wantRows)
 	}
-	wantVec := []VectorRecord{
+	wantVec := []api.VectorRecord{
 		{Test: "t0", Stack: "s1", Verdict: "Equivalent"},
 		{Test: "t1", Stack: "s1", Verdict: "Bug"},
 		{Test: "t1", Stack: "s2", Verdict: "Equivalent"},
@@ -46,7 +47,7 @@ func TestLedgerRecordAndSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(s.Vectors, wantVec) {
 		t.Fatalf("vectors = %+v, want %+v", s.Vectors, wantVec)
 	}
-	want := Totals{Models: 2, Jobs: 3, AxiomsFired: 3, AxiomsEdged: 3, AxiomsCycled: 1, Vectors: 3}
+	want := api.CoverageTotals{Models: 2, Jobs: 3, AxiomsFired: 3, AxiomsEdged: 3, AxiomsCycled: 1, Vectors: 3}
 	if s.Totals != want {
 		t.Fatalf("totals = %+v, want %+v", s.Totals, want)
 	}
@@ -199,7 +200,7 @@ func TestMinimalSuiteDeterministic(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	mk := func(verdict string, fired uint64, withBeta bool) *Snapshot {
+	mk := func(verdict string, fired uint64, withBeta bool) *api.CoverageSnapshot {
 		l := NewLedger(testAxioms, testVerdicts)
 		bits := fired
 		if withBeta {
@@ -219,7 +220,7 @@ func TestDiff(t *testing.T) {
 	old := mk("Bug", 0b0001, true)
 	cur := mk("Equivalent", 0b0001, false)
 	cur.Vectors = cur.Vectors[:1] // drop t_old_only; add a new-only one
-	cur.Vectors = append(cur.Vectors, VectorRecord{Test: "t_new_only", Stack: "s", Verdict: "Bug"})
+	cur.Vectors = append(cur.Vectors, api.VectorRecord{Test: "t_new_only", Stack: "s", Verdict: "Bug"})
 	cur.Totals.Vectors = len(cur.Vectors)
 
 	d := Diff(old, cur)

@@ -1,6 +1,10 @@
 package cover
 
-import "sort"
+import (
+	"sort"
+
+	"tricheck/api"
+)
 
 // Flip is one (test, config) whose verdict changed between two
 // snapshots — the signal that a model or mapping edit moved a result.
@@ -39,7 +43,7 @@ func (d *DiffResult) Clean() bool {
 // verdict flips on shared (test, config) vectors, and axiom-coverage
 // regressions on shared models. Results are deterministic: flips sorted
 // by (test, stack), regressions by (model, axiom, kind).
-func Diff(old, cur *Snapshot) *DiffResult {
+func Diff(old, cur *api.CoverageSnapshot) *DiffResult {
 	res := &DiffResult{}
 
 	curVec := make(map[[2]string]string, len(cur.Vectors))
@@ -66,9 +70,9 @@ func Diff(old, cur *Snapshot) *DiffResult {
 		return res.Flips[i].Stack < res.Flips[j].Stack
 	})
 
-	curModels := make(map[string]map[string]AxiomRow, len(cur.Models))
+	curModels := make(map[string]map[string]api.AxiomRow, len(cur.Models))
 	for _, mm := range cur.Models {
-		rows := make(map[string]AxiomRow, len(mm.Axioms))
+		rows := make(map[string]api.AxiomRow, len(mm.Axioms))
 		for _, r := range mm.Axioms {
 			rows[r.Axiom] = r
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"tricheck/api"
 	"tricheck/internal/core"
-	"tricheck/internal/cover"
 	"tricheck/internal/report"
 )
 
@@ -19,17 +18,6 @@ func tallyJSON(t core.Tally) api.TallyJSON {
 		Divergent:     t.Divergent,
 		Total:         t.Total,
 		SpecifiedBugs: t.SpecifiedBugs,
-	}
-}
-
-func coverageTotals(t cover.Totals) api.CoverageTotals {
-	return api.CoverageTotals{
-		Models:       t.Models,
-		Jobs:         t.Jobs,
-		AxiomsFired:  t.AxiomsFired,
-		AxiomsEdged:  t.AxiomsEdged,
-		AxiomsCycled: t.AxiomsCycled,
-		Vectors:      t.Vectors,
 	}
 }
 
@@ -59,7 +47,7 @@ func outcomeStrings[T ~string](os []T) []string {
 
 // summarize builds the terminal summary record from the sweep's results,
 // the tracker that observed its stream, and the engine ledger's totals.
-func summarize(results []*core.SuiteResult, tr *report.Tracker, trace string, backend core.Backend, cov cover.Totals) *api.SummaryRecord {
+func summarize(results []*core.SuiteResult, tr *report.Tracker, trace string, backend core.Backend, cov api.CoverageTotals) *api.SummaryRecord {
 	sum := &api.SummaryRecord{
 		Type:           "summary",
 		Trace:          trace,
@@ -72,7 +60,7 @@ func summarize(results []*core.SuiteResult, tr *report.Tracker, trace string, ba
 		Cached:         tr.Cached,
 		ElapsedSeconds: tr.Elapsed().Seconds(),
 		TestsPerSecond: tr.Rate(),
-		Coverage:       coverageTotals(cov),
+		Coverage:       cov,
 	}
 	if backend != core.BackendUHB {
 		sum.Backend = backend.String()

@@ -28,6 +28,7 @@ package tricheck
 import (
 	"io"
 
+	"tricheck/api"
 	"tricheck/internal/c11"
 	"tricheck/internal/compile"
 	"tricheck/internal/core"
@@ -129,7 +130,7 @@ type (
 	// CoverageSnapshot is a ledger's deterministic, portable JSON form —
 	// the GET /v1/coverage body and the `coverage -coverage-out` /
 	// `coverage diff` file format.
-	CoverageSnapshot = cover.Snapshot
+	CoverageSnapshot = api.CoverageSnapshot
 	// CoverageDiff reports verdict flips and axiom-coverage regressions
 	// between two snapshots.
 	CoverageDiff = cover.DiffResult
