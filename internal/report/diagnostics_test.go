@@ -13,18 +13,18 @@ import (
 	"tricheck/internal/uspec"
 )
 
-// diagnosticsDigest is the SHA-256 of every Explain, Witness and
-// WitnessGraphDOT rendering of TestDiagnosticsBytesPinned's workload. It
-// was generated before the diagnostics moved from a map-based graph onto
-// the frozen skeleton; matching it is the proof that the move kept every
-// byte.
+// diagnosticsDigest is the SHA-256 of every Explain, Witness and DOT
+// rendering of TestDiagnosticsBytesPinned's workload. It was generated
+// before the diagnostics moved from a map-based graph onto the frozen
+// skeleton; matching it is the proof that the move kept every byte.
 const diagnosticsDigest = "b92511a42ef6b97ea7891ec0c1b38f0dbc6fea289fb29ea47cd38e26f7799031"
 
 // TestDiagnosticsBytesPinned renders the three diagnostics — the Explain
-// verdict line, the witness timeline or cycle, and the DOT graph — for
-// every candidate outcome of the uspec golden workload (every 97th
-// paper-suite test × its six stacks) and pins their concatenation by one
-// digest. witness_test.go checks shapes; this checks bytes.
+// verdict line, the witness timeline or cycle, and ObservableGraph's DOT
+// graph — for every candidate outcome of the uspec golden workload
+// (every 97th paper-suite test × its six stacks) and pins their
+// concatenation by one digest. witness_test.go checks shapes; this
+// checks bytes.
 func TestDiagnosticsBytesPinned(t *testing.T) {
 	type stack struct {
 		mapping *compile.Mapping
@@ -67,12 +67,12 @@ func TestDiagnosticsBytesPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dot, err := WitnessGraphDOT(s.model, prog, outcome)
-				if err != nil {
-					t.Fatal(err)
+				g, found, err := s.model.ObservableGraph(prog, outcome)
+				if err != nil || !found {
+					t.Fatalf("%s on %s: outcome %s: candidate %v, %v", tst.Name, s.model.FullName(), o, found, err)
 				}
 				fmt.Fprintf(h, "%s|%s|%s|%s|%v\n%s\n%s\n%s\n",
-					tst.Name, s.mapping.Name, s.model.FullName(), o, obs, why, w, dot)
+					tst.Name, s.mapping.Name, s.model.FullName(), o, obs, why, w, g.DOT(o))
 				records++
 			}
 		}

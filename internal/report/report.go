@@ -14,18 +14,6 @@ import (
 	"tricheck/internal/uspec"
 )
 
-// Bar renders n as a proportional bar of width w against total.
-func Bar(n, total, w int) string {
-	if total == 0 {
-		return ""
-	}
-	k := n * w / total
-	if n > 0 && k == 0 {
-		k = 1
-	}
-	return strings.Repeat("#", k)
-}
-
 // Figure15 writes the per-family verdict chart for a set of suite results
 // (one per stack), mirroring the paper's Figure 15 panels.
 func Figure15(w io.Writer, results []*core.SuiteResult) {

@@ -105,18 +105,3 @@ func TestMappingTableRendering(t *testing.T) {
 		t.Errorf("atomics table missing .sc AMOs:\n%s", a.String())
 	}
 }
-
-func TestBar(t *testing.T) {
-	if Bar(0, 10, 40) != "" {
-		t.Error("zero bar should be empty")
-	}
-	if Bar(1, 1000, 40) == "" {
-		t.Error("nonzero count must render at least one glyph")
-	}
-	if len(Bar(10, 10, 40)) != 40 {
-		t.Errorf("full bar length %d, want 40", len(Bar(10, 10, 40)))
-	}
-	if Bar(5, 0, 40) != "" {
-		t.Error("zero total should render nothing")
-	}
-}

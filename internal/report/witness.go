@@ -46,47 +46,3 @@ func Witness(model *uspec.Model, p *isa.Program, outcome mem.Outcome) (string, e
 	}
 	return b.String(), nil
 }
-
-// WitnessGraphDOT renders the witness (or forbidding) graph in Graphviz
-// format for external visualization.
-func WitnessGraphDOT(model *uspec.Model, p *isa.Program, outcome mem.Outcome) (string, error) {
-	g, found, err := model.ObservableGraph(p, outcome)
-	if err != nil {
-		return "", err
-	}
-	if !found {
-		return "", fmt.Errorf("report: outcome %q is not a candidate", outcome)
-	}
-	return g.DOT(string(outcome)), nil
-}
-
-// ExplainVerdictDiff renders the difference between the C11-allowed set
-// and the observable set for one test — the step-4 comparison as a
-// human-readable table.
-func ExplainVerdictDiff(allowed, observable, all map[mem.Outcome]bool) string {
-	var rows []string
-	for o := range all {
-		var cls string
-		switch {
-		case observable[o] && !allowed[o]:
-			cls = "BUG      forbidden by C11, observable on hardware"
-		case !observable[o] && allowed[o]:
-			cls = "STRICT   allowed by C11, unobservable on hardware"
-		case observable[o]:
-			cls = "ok       allowed and observable"
-		default:
-			cls = "ok       forbidden and unobservable"
-		}
-		rows = append(rows, fmt.Sprintf("  %-28q %s", o, cls))
-	}
-	sortStrings(rows)
-	return strings.Join(rows, "\n")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

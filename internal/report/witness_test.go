@@ -62,43 +62,4 @@ func TestWitnessNonCandidate(t *testing.T) {
 	if !strings.Contains(out, "not a candidate") {
 		t.Errorf("non-candidate witness: %s", out)
 	}
-	if _, err := WitnessGraphDOT(uspec.NMM(uspec.Curr), prog, mem.Outcome("r0=99")); err == nil {
-		t.Error("DOT for non-candidate should error")
-	}
-}
-
-func TestWitnessGraphDOT(t *testing.T) {
-	tst, m := wrcProgram(t)
-	prog, err := compile.Compile(m, tst.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot, err := WitnessGraphDOT(uspec.NMM(uspec.Curr), prog, tst.Specified)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "rf") {
-		t.Errorf("DOT output malformed:\n%s", dot)
-	}
-}
-
-func TestExplainVerdictDiff(t *testing.T) {
-	allowed := map[mem.Outcome]bool{"a=0": true}
-	observable := map[mem.Outcome]bool{"a=0": true, "a=1": true}
-	all := map[mem.Outcome]bool{"a=0": true, "a=1": true, "a=2": true}
-	s := ExplainVerdictDiff(allowed, observable, all)
-	if !strings.Contains(s, "BUG") {
-		t.Errorf("missing BUG row:\n%s", s)
-	}
-	if !strings.Contains(s, "forbidden and unobservable") {
-		t.Errorf("missing ok row:\n%s", s)
-	}
-	lines := strings.Split(s, "\n")
-	if len(lines) != 3 {
-		t.Errorf("%d rows, want 3", len(lines))
-	}
-	// Sorted deterministically.
-	if !strings.Contains(lines[0], "a=0") {
-		t.Errorf("rows unsorted:\n%s", s)
-	}
 }
