@@ -13,7 +13,9 @@ import (
 // cmdTop implements `tricheck top`: run a sweep on a fresh engine (no
 // memo cache — every job executes, so every job is costed) and print a
 // hot-spot report from the engine's per-(test, stack) cost matrix:
-// where the verification time went, by phase, stack and test.
+// where the verification time went, by phase, stack and test. Cells,
+// stacks and tests rank by attributed phase time (JobCost.Work), so a
+// job that waited on another worker does not rank as one that worked.
 func cmdTop(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	family := fs.String("family", "", "restrict to one litmus family (mp, sb, wrc, ...)")
@@ -134,23 +136,23 @@ func cmdTop(args []string) {
 	fmt.Printf("  order rebuilt  %12d\n", rebuild)
 	fmt.Printf("  reuse ratio    %11.1f%%\n", 100*reuseRatio)
 
-	fmt.Printf("\n── top %d (test, stack) cells ──\n", *topK)
-	fmt.Printf("  %-28s %-26s %10s %6s %9s %9s %8s %8s\n",
-		"TEST", "STACK", "TOTAL", "%", "HLL", "SKEL", "ENUM", "GRAPHS")
+	fmt.Printf("\n── top %d (test, stack) cells by attributed time ──\n", *topK)
+	fmt.Printf("  %-28s %-26s %10s %10s %6s %9s %9s %8s %8s\n",
+		"TEST", "STACK", "WORK", "TOTAL", "%", "HLL", "SKEL", "ENUM", "GRAPHS")
 	for i, c := range costs {
 		if i >= *topK {
 			break
 		}
-		fmt.Printf("  %-28s %-26s %10s %5.1f%% %9s %9s %8s %8d\n",
-			clip(c.Test, 28), clip(c.Stack, 26), c.Total.Round(time.Microsecond), pct(c.Total, total),
+		fmt.Printf("  %-28s %-26s %10s %10s %5.1f%% %9s %9s %8s %8d\n",
+			clip(c.Test, 28), clip(c.Stack, 26), c.Work().Round(time.Microsecond), c.Total.Round(time.Microsecond), pct(c.Total, total),
 			c.HLL.Round(time.Microsecond), c.Skeleton.Round(time.Microsecond),
 			c.Enumerate.Round(time.Microsecond), c.Graphs)
 	}
 
-	fmt.Printf("\n── top %d stacks ──\n", *topK)
+	fmt.Printf("\n── top %d stacks by attributed time ──\n", *topK)
 	printGroup(groupBy(costs, func(c tricheck.JobCost) string { return c.Stack }), *topK, total)
 
-	fmt.Printf("\n── top %d tests ──\n", *topK)
+	fmt.Printf("\n── top %d tests by attributed time ──\n", *topK)
 	printGroup(groupBy(costs, func(c tricheck.JobCost) string { return c.Test }), *topK, total)
 }
 
@@ -207,6 +209,7 @@ func jsonGroups(groups []groupCost, k int) []topGroup {
 // groupCost is one aggregated ranking row.
 type groupCost struct {
 	name   string
+	work   time.Duration // attributed phase time, the ranking key
 	total  time.Duration
 	jobs   int
 	graphs int
@@ -221,6 +224,7 @@ func groupBy(costs []tricheck.JobCost, key func(tricheck.JobCost) string) []grou
 			g = &groupCost{name: k}
 			byKey[k] = g
 		}
+		g.work += c.Work()
 		g.total += c.Total
 		g.jobs += c.Count
 		g.graphs += c.Graphs
@@ -230,8 +234,8 @@ func groupBy(costs []tricheck.JobCost, key func(tricheck.JobCost) string) []grou
 		out = append(out, *g)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].total != out[j].total {
-			return out[i].total > out[j].total
+		if out[i].work != out[j].work {
+			return out[i].work > out[j].work
 		}
 		return out[i].name < out[j].name
 	})
@@ -239,13 +243,13 @@ func groupBy(costs []tricheck.JobCost, key func(tricheck.JobCost) string) []grou
 }
 
 func printGroup(groups []groupCost, k int, total time.Duration) {
-	fmt.Printf("  %-34s %10s %6s %7s %10s\n", "NAME", "TOTAL", "%", "JOBS", "GRAPHS")
+	fmt.Printf("  %-34s %10s %10s %6s %7s %10s\n", "NAME", "WORK", "TOTAL", "%", "JOBS", "GRAPHS")
 	for i, g := range groups {
 		if i >= k {
 			break
 		}
-		fmt.Printf("  %-34s %10s %5.1f%% %7d %10d\n",
-			clip(g.name, 34), g.total.Round(time.Microsecond), pct(g.total, total), g.jobs, g.graphs)
+		fmt.Printf("  %-34s %10s %10s %5.1f%% %7d %10d\n",
+			clip(g.name, 34), g.work.Round(time.Microsecond), g.total.Round(time.Microsecond), pct(g.total, total), g.jobs, g.graphs)
 	}
 }
 

@@ -170,6 +170,15 @@ type hllEntry struct {
 // evaluation regardless of naming, and concurrent farm workers hitting
 // the same test evaluate it exactly once.
 func (e *Engine) HLL(t *litmus.Test) (*c11.Result, error) {
+	r, _, err := e.hllTimed(t)
+	return r, err
+}
+
+// hllTimed is HLL that also returns the time this call spent in
+// c11.Evaluate: the evaluation's wall time for the caller that ran it,
+// and zero for a cache hit or a wait on another caller's evaluation. The
+// hll phase histogram observes each evaluation once.
+func (e *Engine) hllTimed(t *litmus.Test) (*c11.Result, time.Duration, error) {
 	key := t.Fingerprint()
 	e.mu.Lock()
 	ent, ok := e.hll[key]
@@ -178,15 +187,19 @@ func (e *Engine) HLL(t *litmus.Test) (*c11.Result, error) {
 		e.hll[key] = ent
 	}
 	e.mu.Unlock()
+	var ran time.Duration
 	ent.once.Do(func() {
+		start := time.Now()
 		r, err := c11.Evaluate(t.Prog)
+		ran = time.Since(start)
+		phaseHLL.Observe(ran)
 		if err != nil {
 			ent.err = fmt.Errorf("core: HLL evaluation of %s: %w", t.Name, err)
 			return
 		}
 		ent.r = r
 	})
-	return ent.r, ent.err
+	return ent.r, ran, ent.err
 }
 
 // Run executes toolflow steps 1–4 for one test and stack, consulting the
@@ -270,12 +283,15 @@ type group struct {
 //     under both — "cross-check where you can" — rather than an error.
 //
 // Telemetry: each phase is wall-timed into the verdict-phase histograms
-// (hll, compile and enumerate once per group; skeleton once per model;
-// opsim once per member). Each member's cost-matrix cell keeps its own
-// skeleton, simulator, candidate and graph figures, and takes an even
-// share of the group's shared time (HLL, compile, the enumeration with
-// its interleaved cycle checks, and the rest), so the cells' Totals add
-// up to the group's wall time. 1-in-N executed groups
+// (hll once per C11 evaluation; compile and enumerate once per group;
+// skeleton once per model; opsim once per member). Each member's
+// cost-matrix cell keeps its own skeleton, simulator, candidate and
+// graph figures, and takes an even share of the group's shared time
+// (HLL, compile, the enumeration with its interleaved cycle checks, and
+// the rest), so the cells' Totals add up to the group's wall time. HLL
+// is the C11 evaluation only in the group that ran it: a group that
+// found it cached, or waited on another worker's run, charges no HLL,
+// and its wait stays in Total. 1-in-N executed groups
 // (obs.SetVerdictSampling) additionally carry an obs.Span — tagged with
 // the sweep's trace when one is on the context — that lands in the
 // slow-trace ring.
@@ -301,8 +317,7 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 		}
 	}
 	jobStart := time.Now()
-	hll, err := e.HLL(t) // step 1
-	hllTime := time.Since(jobStart)
+	hll, hllTime, err := e.hllTimed(t) // step 1
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +383,6 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 		}
 	}
 
-	phaseHLL.Observe(hllTime)
 	phaseCompile.Observe(compileTime)
 	var skelTime, opsimTime time.Duration // the per-member phases
 	for i := range costs {

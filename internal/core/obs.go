@@ -55,7 +55,9 @@ type costKey struct {
 // its interleaved cycle checks, and the rest of Total — is split evenly
 // over the group's executed stacks, while Skeleton, Opsim, Candidates
 // and Graphs are the pair's own, so the cells of a group add up to its
-// wall time.
+// wall time. A test's C11 evaluation runs once per engine, so only the
+// group that ran it charges HLL; the other groups' wait for it stays in
+// Total, outside every phase.
 type JobCost struct {
 	Test   string
 	Family string
@@ -76,6 +78,12 @@ type JobCost struct {
 	// (executions visited, overlay cycle checks run).
 	Candidates int
 	Graphs     int
+}
+
+// Work is the cell's attributed phase time: HLL, Compile, Skeleton,
+// Enumerate and Opsim. The rest of Total is waiting and bookkeeping.
+func (c JobCost) Work() time.Duration {
+	return c.HLL + c.Compile + c.Skeleton + c.Enumerate + c.Opsim
 }
 
 // recordCost folds one executed job into the cost matrix.
@@ -100,8 +108,8 @@ func (e *Engine) recordCost(c JobCost) {
 }
 
 // CostMatrix returns a copy of the per-(test, stack) cost matrix,
-// sorted most expensive first (ties broken by stack then test for
-// deterministic reports).
+// sorted by Work, most first (ties broken by stack then test for
+// deterministic reports), so waits do not rank as work.
 func (e *Engine) CostMatrix() []JobCost {
 	e.costMu.Lock()
 	out := make([]JobCost, 0, len(e.costs))
@@ -110,8 +118,8 @@ func (e *Engine) CostMatrix() []JobCost {
 	}
 	e.costMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
+		if wi, wj := out[i].Work(), out[j].Work(); wi != wj {
+			return wi > wj
 		}
 		if out[i].Stack != out[j].Stack {
 			return out[i].Stack < out[j].Stack

@@ -13,7 +13,7 @@ import (
 // TestCostMatrixAccumulates pins the per-(test, stack) cost matrix the
 // `tricheck top` report ranks: every executed job lands exactly one
 // costed cell, cells carry a phase split that sums below the job total,
-// and the matrix comes back sorted most-expensive-first.
+// and the matrix comes back sorted by attributed phase time, most first.
 func TestCostMatrixAccumulates(t *testing.T) {
 	tests := litmus.CoRR.Generate()
 	stacks, err := SelectStacks("base", "curr")
@@ -46,8 +46,8 @@ func TestCostMatrixAccumulates(t *testing.T) {
 		if c.Family != litmus.CoRR.Name {
 			t.Errorf("%s/%s: family %q", c.Test, c.Stack, c.Family)
 		}
-		if i > 0 && costs[i-1].Total < c.Total {
-			t.Errorf("matrix not sorted: cell %d (%v) after %v", i, c.Total, costs[i-1].Total)
+		if i > 0 && costs[i-1].Work() < c.Work() {
+			t.Errorf("matrix not sorted: cell %d (%v) after %v", i, c.Work(), costs[i-1].Work())
 		}
 	}
 
@@ -132,5 +132,43 @@ func TestCostMatrixSharesGroupTime(t *testing.T) {
 	}
 	if sum > wall {
 		t.Errorf("cells total %v over a %v one-worker sweep", sum, wall)
+	}
+}
+
+// TestCostMatrixChargesHLLOnce: a test's C11 evaluation runs once per
+// engine, so only the group that ran it charges HLL. The other mappings'
+// groups found it cached or waited on it, and that wait is not C11 work.
+// After an mp sweep over the 28 stacks on 4 workers, each test's cells
+// with HLL time are the 7 stacks of one mapping.
+func TestCostMatrixChargesHLLOnce(t *testing.T) {
+	tests := litmus.MP.Generate()
+	stacks, err := SelectStacks("both", "both")
+	if err != nil || len(stacks) != 28 {
+		t.Fatalf("%d stacks, %v; want the 28 of the four RISC-V mappings", len(stacks), err)
+	}
+	mapping := map[string]string{} // stack name → mapping name
+	for _, s := range stacks {
+		mapping[s.Name()] = s.Mapping.Name
+	}
+	eng := NewEngine()
+	if _, err := eng.Sweep(tests, stacks, 4); err != nil {
+		t.Fatal(err)
+	}
+	charged := map[string][]string{} // test → stacks charged HLL
+	for _, c := range eng.CostMatrix() {
+		if c.HLL > 0 {
+			charged[c.Test] = append(charged[c.Test], c.Stack)
+		}
+	}
+	for _, tst := range tests {
+		got := charged[tst.Name]
+		mappings := map[string]bool{}
+		for _, s := range got {
+			mappings[mapping[s]] = true
+		}
+		if len(got) != 7 || len(mappings) != 1 {
+			t.Errorf("%s: HLL charged to %d cells over %d mappings, want the 7 stacks of one mapping",
+				tst.Name, len(got), len(mappings))
+		}
 	}
 }
