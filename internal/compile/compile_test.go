@@ -248,8 +248,8 @@ func TestAddressDependencyCarriedThrough(t *testing.T) {
 	for _, m := range []*Mapping{RISCVBaseIntuitive, RISCVAtomicsIntuitive} {
 		p := compileTest(t, m, tst.Prog)
 		found := false
-		for _, ins := range p.Instrs[1] {
-			if ins.HasReadPart() && ins.Addr.Kind == mem.OpReg {
+		for _, e := range p.Mem().Threads[1] {
+			if e.IsRead() && e.Addr.Kind == mem.OpReg {
 				found = true
 			}
 		}

@@ -160,15 +160,6 @@ type Instr struct {
 	CtrlDepOn []int
 }
 
-// HasReadPart reports whether the instruction reads memory.
-func (i *Instr) HasReadPart() bool { return i.Op == OpLoad || i.Op.IsAMO() }
-
-// HasWritePart reports whether the instruction writes memory in a
-// coherence-visible way (OpAMOLoad's same-value write-back is silent).
-func (i *Instr) HasWritePart() bool {
-	return i.Op == OpStore || (i.Op.IsAMO() && i.Op != OpAMOLoad)
-}
-
 // Program is an instruction-level litmus program over shared locations.
 type Program struct {
 	Arch Arch
@@ -214,6 +205,10 @@ func (p *Program) Mem() *mem.Program { return p.memp }
 func (p *Program) InstrOf(gid int) *Instr { return p.instrOf[gid] }
 
 // Add appends instruction ins to thread t and returns its per-thread index.
+// The memory event it emits is the one definition of what the
+// instruction does to memory: the candidate enumeration and the
+// operational machines both execute that event, and the instruction
+// keeps only its ordering annotations.
 func (p *Program) Add(t int, ins Instr) int {
 	var ev mem.Event
 	switch ins.Op {

@@ -7,6 +7,8 @@ import (
 	"tricheck/internal/mem"
 )
 
+// TestOpKindClassification pins IsAMO and the read and write parts of
+// the memory event Program.Add emits for each kind.
 func TestOpKindClassification(t *testing.T) {
 	cases := []struct {
 		op        OpKind
@@ -19,17 +21,20 @@ func TestOpKindClassification(t *testing.T) {
 		{OpAMOStore, true, true, true},
 		{OpAMOSwap, true, true, true},
 		{OpAMOAdd, true, true, true},
+		{OpFence, false, false, false},
 	}
+	p := NewProgram(RISCV, 1, "x")
 	for _, c := range cases {
-		ins := Instr{Op: c.op}
 		if c.op.IsAMO() != c.amo {
 			t.Errorf("%v: IsAMO = %v, want %v", c.op, c.op.IsAMO(), c.amo)
 		}
-		if ins.HasReadPart() != c.read {
-			t.Errorf("%v: HasReadPart = %v, want %v", c.op, ins.HasReadPart(), c.read)
+		p.Add(0, Instr{Op: c.op, Addr: mem.Const(0), Data: mem.Const(1), Dst: mem.NoDst})
+		ev := p.Mem().Threads[0][len(p.Mem().Threads[0])-1]
+		if ev.IsRead() != c.read {
+			t.Errorf("%v: event IsRead = %v, want %v", c.op, ev.IsRead(), c.read)
 		}
-		if ins.HasWritePart() != c.wrt {
-			t.Errorf("%v: HasWritePart = %v, want %v", c.op, ins.HasWritePart(), c.wrt)
+		if ev.IsWrite() != c.wrt {
+			t.Errorf("%v: event IsWrite = %v, want %v", c.op, ev.IsWrite(), c.wrt)
 		}
 	}
 }

@@ -26,9 +26,8 @@ var ErrUnresolvable = errors.New("mem: unresolvable register-carried address")
 // read it freely for the duration of the call (evaluators are expected to
 // borrow it zero-copy, e.g. to layer per-execution µhb overlay edges over
 // a static skeleton) but must Clone anything it retains afterwards.
-// Allocation-averse visitors should use the Append* accessors
-// (AppendFRSuccessors) with their own scratch buffers instead of the
-// slice-returning convenience forms.
+// AppendFRSuccessors takes the visitor's own scratch buffer, so reading
+// from-reads successors allocates nothing per candidate.
 func Enumerate(p *Program, visit func(*Execution) bool) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -270,13 +269,7 @@ func (en *enumerator) writeValue(gid int) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	switch e.RMWOp {
-	case RMWAdd:
-		return old + data, true
-	case RMWSwap:
-		return data, true
-	}
-	return 0, false
+	return e.RMWOp.Apply(old, data), true
 }
 
 // eventLoc resolves the location accessed by event gid, if determined.

@@ -87,6 +87,17 @@ const (
 	RMWSwap
 )
 
+// Apply returns the value a read-modify-write of kind k writes when it
+// reads old and its data operand is data. It is the one definition of
+// an RMW's written value: the enumerator and both operational machines
+// call it.
+func (k RMWKind) Apply(old, data int64) int64 {
+	if k == RMWSwap {
+		return data
+	}
+	return old + data
+}
+
 // OperandKind distinguishes constant operands from register operands.
 type OperandKind uint8
 
@@ -380,16 +391,11 @@ func (x *Execution) MOBefore(a, b int) bool {
 	return x.MOIndex[a] < x.MOIndex[b]
 }
 
-// FRSuccessors returns the writes that read r is from-reads-ordered before:
-// every write to r's location that is mo-after r's source.
-func (x *Execution) FRSuccessors(r int) []int {
-	return x.AppendFRSuccessors(r, nil)
-}
-
-// AppendFRSuccessors appends read r's from-reads successors to dst and
-// returns the extended slice — the copy-avoidance variant of FRSuccessors
-// for evaluators that visit every candidate of an enumeration sweep and
-// keep a reusable scratch buffer (see the Enumerate visitor contract).
+// AppendFRSuccessors appends to dst the writes that read r is
+// from-reads-ordered before — every write to r's location that is
+// mo-after r's source — and returns the extended slice. Evaluators that
+// visit every candidate of an enumeration sweep pass a reusable scratch
+// buffer (see the Enumerate visitor contract).
 func (x *Execution) AppendFRSuccessors(r int, dst []int) []int {
 	loc := x.LocOf[r]
 	if loc == LocNone {
@@ -406,18 +412,6 @@ func (x *Execution) AppendFRSuccessors(r int, dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// FinalMem returns the final value of each location (the mo-maximal write,
-// or 0 if the location is never written).
-func (x *Execution) FinalMem() []int64 {
-	out := make([]int64, x.P.NumLocs)
-	for l, ws := range x.MO {
-		if len(ws) > 0 {
-			out[l] = x.WVal[ws[len(ws)-1]]
-		}
-	}
-	return out
 }
 
 // RegValue returns the final value of thread t's register r (the value read
@@ -442,8 +436,8 @@ func (x *Execution) OutcomeOf() Outcome {
 	return x.P.RenderOutcome(x.RegValue, x.finalValue)
 }
 
-// finalValue returns location l's final value: the mo-maximal write,
-// matching FinalMem without materializing the per-location slice.
+// finalValue returns location l's final value: the value of its
+// mo-maximal write, or 0 if the location is never written.
 func (x *Execution) finalValue(l Loc) int64 {
 	if ws := x.MO[l]; len(ws) > 0 {
 		return x.WVal[ws[len(ws)-1]]
@@ -473,30 +467,6 @@ func appendOutcomePart(b []byte, label string, v int64) []byte {
 	b = append(b, label...)
 	b = append(b, '=')
 	return strconv.AppendInt(b, v, 10)
-}
-
-// ParseOutcome splits an outcome back into label → value form.
-func ParseOutcome(o Outcome) (map[string]int64, error) {
-	out := map[string]int64{}
-	if o == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(string(o), "; ") {
-		var label string
-		var v int64
-		if n, err := fmt.Sscanf(part, "%s", &label); n != 1 || err != nil {
-			return nil, fmt.Errorf("mem: malformed outcome part %q", part)
-		}
-		eq := strings.SplitN(part, "=", 2)
-		if len(eq) != 2 {
-			return nil, fmt.Errorf("mem: malformed outcome part %q", part)
-		}
-		if _, err := fmt.Sscanf(eq[1], "%d", &v); err != nil {
-			return nil, fmt.Errorf("mem: malformed outcome value %q", part)
-		}
-		out[eq[0]] = v
-	}
-	return out, nil
 }
 
 // String renders the execution compactly for debugging.

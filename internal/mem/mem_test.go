@@ -111,6 +111,7 @@ func TestCoWWProgramOrderInMO(t *testing.T) {
 	p := NewProgram(1, "x")
 	a := p.Add(0, Event{Kind: Write, Addr: Const(0), Data: Const(1)})
 	b := p.Add(0, Event{Kind: Write, Addr: Const(0), Data: Const(2)})
+	p.AddMemObserver(0, "x")
 	xs, err := Executions(p)
 	if err != nil {
 		t.Fatalf("Executions: %v", err)
@@ -121,8 +122,8 @@ func TestCoWWProgramOrderInMO(t *testing.T) {
 	if !xs[0].MOBefore(a.GID, b.GID) {
 		t.Fatalf("CoWW violated: mo = %v", xs[0].MO)
 	}
-	if got := xs[0].FinalMem()[0]; got != 2 {
-		t.Fatalf("final memory = %d, want 2", got)
+	if got := xs[0].OutcomeOf(); got != "x=2" {
+		t.Fatalf("outcome %q, want x=2", got)
 	}
 }
 
@@ -155,6 +156,7 @@ func TestRMWSwapValue(t *testing.T) {
 	p := NewProgram(1, "x")
 	p.Add(0, Event{Kind: RMW, Addr: Const(0), Data: Const(7), Dst: 0, RMWOp: RMWSwap})
 	p.AddObserver(0, 0, "r0")
+	p.AddMemObserver(0, "x")
 	xs, err := Executions(p)
 	if err != nil {
 		t.Fatalf("Executions: %v", err)
@@ -162,11 +164,8 @@ func TestRMWSwapValue(t *testing.T) {
 	if len(xs) != 1 {
 		t.Fatalf("got %d executions, want 1", len(xs))
 	}
-	if got := xs[0].FinalMem()[0]; got != 7 {
-		t.Errorf("final mem = %d, want 7", got)
-	}
-	if got := xs[0].RegValue(0, 0); got != 0 {
-		t.Errorf("r0 = %d, want 0", got)
+	if got := xs[0].OutcomeOf(); got != "r0=0; x=7" {
+		t.Errorf("outcome %q, want r0=0; x=7", got)
 	}
 }
 
@@ -306,7 +305,7 @@ func TestExecutionInvariants(t *testing.T) {
 				if src != InitWrite && x.LocOf[src] != x.LocOf[e.GID] {
 					t.Fatalf("rf source location mismatch: %v", x)
 				}
-				for _, w := range x.FRSuccessors(e.GID) {
+				for _, w := range x.AppendFRSuccessors(e.GID, nil) {
 					srcIdx := 0
 					if src != InitWrite {
 						srcIdx = x.MOIndex[src]
@@ -331,18 +330,5 @@ func TestExecutionInvariants(t *testing.T) {
 	}
 	if count == 0 {
 		t.Fatal("no executions enumerated")
-	}
-}
-
-func TestOutcomeParse(t *testing.T) {
-	m, err := ParseOutcome("r0=1; r1=0")
-	if err != nil {
-		t.Fatalf("ParseOutcome: %v", err)
-	}
-	if m["r0"] != 1 || m["r1"] != 0 {
-		t.Fatalf("parsed %v", m)
-	}
-	if _, err := ParseOutcome("garbage"); err == nil {
-		t.Errorf("want error for malformed outcome")
 	}
 }

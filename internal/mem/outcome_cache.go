@@ -144,13 +144,7 @@ func (c *OutcomeCache) Lookup(x *Execution) (Outcome, int) {
 		k++
 	}
 	for _, m := range c.p.MemObservers {
-		// Final memory value: the mo-maximal write, matching FinalMem
-		// without materializing the per-location slice.
-		var v int64
-		if ws := x.MO[m.Loc]; len(ws) > 0 {
-			v = x.WVal[ws[len(ws)-1]]
-		}
-		buf[k] = uint64(v)
+		buf[k] = uint64(x.finalValue(m.Loc))
 		k++
 	}
 	i := uint32(hashWords(buf)) & c.mask
@@ -166,7 +160,7 @@ func (c *OutcomeCache) Lookup(x *Execution) (Outcome, int) {
 	}
 	// Miss: render the canonical string from the packed values. regGID
 	// mirrors RegValue (last matching read, zero default) and the memory
-	// words above mirror FinalMem, so this is byte-for-byte OutcomeOf's
+	// words above are finalValue's, so this is byte-for-byte OutcomeOf's
 	// output without re-walking the execution.
 	b := c.sbuf[:0]
 	k = 0

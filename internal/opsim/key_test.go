@@ -3,6 +3,8 @@ package opsim
 import (
 	"bytes"
 	"testing"
+
+	"tricheck/internal/mem"
 )
 
 // checkKeys requires distinct keys for a pair of states that differ in
@@ -90,6 +92,8 @@ func TestStateKeyDistinguishes(t *testing.T) {
 		{"pending nil vs. {x,0}", nwr(nil), nwr(func(s *nstate) { s.pending[0] = pendingAtomic{set: true} })},
 		{"pending in thread 0 vs. thread 1", nwr(func(s *nstate) { s.pending[0] = pendingAtomic{set: true} }),
 			nwr(func(s *nstate) { s.pending[1] = pendingAtomic{set: true} })},
+		{"pending swap vs. add", nwr(func(s *nstate) { s.pending[0] = pendingAtomic{data: 1, op: mem.RMWSwap, set: true} }),
+			nwr(func(s *nstate) { s.pending[0] = pendingAtomic{data: 1, op: mem.RMWAdd, set: true} })},
 	} {
 		checkKeys(t, p.name, p.a.appendKey(nil), p.b.appendKey(nil),
 			p.a.cloneInto(&nstate{}).appendKey(nil), p.a.cloneInto(p.b).appendKey(nil))

@@ -62,14 +62,14 @@ type drained struct {
 }
 
 // pendingAtomic is an executed-but-uncommitted SC-AMO write: it sits
-// outside the coherence order until its commit instant. add marks a
-// fetch-add, whose write value reads memory at the commit itself so the
-// read-modify-write stays indivisible. set marks a thread's slot as
-// holding one.
+// outside the coherence order until its commit instant. Its value is
+// op applied to data and the memory it reads at the commit itself, so
+// a fetch-add stays indivisible. set marks a thread's slot as holding
+// one.
 type pendingAtomic struct {
 	loc  mem.Loc
 	data int64
-	add  bool
+	op   mem.RMWKind
 	set  bool
 }
 
@@ -107,12 +107,12 @@ type nshape struct {
 // newShape sizes the windows of p's states.
 func newShape(p *isa.Program) *nshape {
 	sh := &nshape{regs: regWidths(p), sb: make([]int, p.NumThreads()), locs: p.Mem().NumLocs}
-	for t, th := range p.Instrs {
-		for i := range th {
-			if th[i].Op == isa.OpStore {
+	for t, th := range p.Mem().Threads {
+		for _, e := range th {
+			if e.Kind == mem.Write {
 				sh.sb[t]++
 			}
-			if th[i].HasWritePart() {
+			if e.IsWrite() {
 				sh.writes++
 			}
 		}
@@ -209,7 +209,7 @@ func (s *nstate) appendKey(buf []byte) []byte {
 		if p.set {
 			buf = binary.AppendVarint(buf, int64(p.loc))
 			buf = binary.AppendVarint(buf, p.data)
-			buf = appendBool(buf, p.add)
+			buf = append(buf, byte(p.op))
 		}
 	}
 	return buf
@@ -306,19 +306,22 @@ func (s *nstate) canCommit(t int) bool {
 }
 
 // commitPending fires thread t's pending SC-AMO write: the value is
-// computed against the now-globally-agreed view (fetch-adds read here,
-// keeping the RMW indivisible), appended to the coherence order, and
+// computed against the now-globally-agreed view (the RMW reads here,
+// keeping it indivisible), appended to the coherence order, and
 // applied at every core in the same instant.
 func (s *NMCASimulator) commitPending(st *nstate, t int) {
 	p := st.pending[t]
 	st.pending[t] = pendingAtomic{}
-	val := p.data
-	if p.add {
-		val = st.view(t, p.loc) + p.data
-	}
-	s.appendWrite(st, t, p.loc, val, true)
+	s.appendWrite(st, t, p.loc, p.op.Apply(st.view(t, p.loc), p.data), true)
+	s.applyEverywhere(st, p.loc)
+}
+
+// applyEverywhere applies every write to loc at every core: the single
+// visibility instant of a store-atomic write that just entered the
+// coherence order.
+func (s *NMCASimulator) applyEverywhere(st *nstate, loc mem.Loc) {
 	for c := range st.applied {
-		st.applied[c][p.loc] = len(st.order[p.loc])
+		st.applied[c][loc] = len(st.order[loc])
 	}
 }
 
@@ -400,15 +403,15 @@ func (s *NMCASimulator) explore(st *nstate) bool {
 			}
 			s.release(next)
 		}
-		// Execute the next instruction.
-		if st.pc[t] < len(s.p.Instrs[t]) {
-			ins := s.p.Instrs[t][st.pc[t]]
-			if s.blocked(st, t, ins) {
+		// Execute the next instruction's memory event.
+		if th := s.p.Mem().Threads[t]; st.pc[t] < len(th) {
+			ev := th[st.pc[t]]
+			if s.blocked(st, t, ev) {
 				continue
 			}
 			progress = true
 			next := s.next(st)
-			s.execute(next, t, ins)
+			s.execute(next, t, ev)
 			next.pc[t]++
 			if s.explore(next) {
 				return s.record("T%d: execute instruction %d", t, st.pc[t])
@@ -436,45 +439,42 @@ func (s *NMCASimulator) appendWrite(st *nstate, t int, loc mem.Loc, val int64, a
 // (aq.rl; this simulator models riscv-curr nWR).
 func scAtomic(ins *isa.Instr) bool { return ins.Aq && ins.Rl }
 
-func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
-	switch {
-	case ins.Op == isa.OpLoad:
-		// Forwarding store buffer, W→R relaxed — except that an
-		// uncommitted same-location SC-AMO write lives at the memory
-		// system, not in the buffer, so the load must wait for its
-		// instant (it may not read an older write than the thread's own).
-		if p := st.pending[t]; p.set && p.loc == addr(st.regs[t], ins) {
-			return true
-		}
-		return false
-	case ins.Op == isa.OpAMOLoad:
-		// Reads at the memory system: no same-location entry may be
-		// buffered or pending; rl additionally waits for the whole
-		// buffer and for global visibility of own writes — a pending
-		// atomic is an own write not yet visible anywhere.
-		l := addr(st.regs[t], ins)
+// blocked implements the nWR stall conditions on ev, reading the
+// annotation bits from the instruction that emitted it.
+func (s *NMCASimulator) blocked(st *nstate, t int, ev *mem.Event) bool {
+	ins := s.p.InstrOf(ev.GID)
+	switch ev.Kind {
+	case mem.Read:
+		// A plain load reads through the forwarding store buffer, W→R
+		// relaxed — except that an uncommitted same-location SC-AMO
+		// write lives at the memory system, not in the buffer, so the
+		// load must wait for its instant (it may not read an older
+		// write than the thread's own).
+		l := addr(st.regs[t], ev)
 		if p := st.pending[t]; p.set && p.loc == l {
 			return true
 		}
-		for _, e := range st.sb[t] {
-			if e.loc == l {
-				return true
-			}
+		if !ins.Op.IsAMO() {
+			return false
 		}
-		if ins.Rl && (len(st.sb[t]) > 0 || st.pending[t].set || !st.ownWritesGloballyApplied(t)) {
+		// An AMO load reads at the memory system: no same-location
+		// entry may be buffered either; rl additionally waits for the
+		// whole buffer and for global visibility of own writes — a
+		// pending atomic is an own write not yet visible anywhere.
+		if _, ok := buffered(st.sb[t], l); ok {
 			return true
 		}
-		return false
-	case ins.Op.IsAMO():
+		return ins.Rl && (len(st.sb[t]) > 0 || st.pending[t].set || !st.ownWritesGloballyApplied(t))
+	case mem.RMW:
 		// Writing AMOs flush the buffer (W→W + not-buffered) and wait
 		// for any in-flight atomic (SC pairs order their visibility
 		// instants; plain writes may not overtake one pointwise).
 		if st.pending[t].set || len(st.sb[t]) > 0 {
 			return true
 		}
-		l := addr(st.regs[t], ins)
+		l := addr(st.regs[t], ev)
 		if scAtomic(ins) {
-			if ins.Dst == mem.NoDst {
+			if ev.Dst == mem.NoDst {
 				// Pure SC write: executes into the pending slot and
 				// commits later — nothing more to wait for here.
 				return false
@@ -493,7 +493,7 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 		// propagating per core under source FIFO — the pointwise-vis
 		// reading of the eager release edges.
 		return !st.caughtUp(t, l)
-	case ins.Op == isa.OpFence:
+	case mem.Fence:
 		// W→R fences flush: own buffer empty and own writes applied
 		// everywhere (a pending atomic included). Other classes are
 		// covered by in-order execution and the source-FIFO application
@@ -505,63 +505,39 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 	return false
 }
 
-func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
-	switch ins.Op {
-	case isa.OpLoad:
-		l := addr(st.regs[t], ins)
-		val := st.view(t, l)
-		for i := len(st.sb[t]) - 1; i >= 0; i-- {
-			if st.sb[t][i].loc == l {
-				val = st.sb[t][i].val
-				break
-			}
+// execute performs ev on thread t. A load reads the newest same-address
+// buffered store, else its core's view (blocked kept an AMO load's
+// location out of the buffer). A read-modify-write writes through to the
+// coherence order; a store-atomic one without a destination instead
+// parks in the pending slot until its commit instant.
+func (s *NMCASimulator) execute(st *nstate, t int, ev *mem.Event) {
+	regs := st.regs[t]
+	switch ev.Kind {
+	case mem.Read:
+		l := addr(regs, ev)
+		val, ok := buffered(st.sb[t], l)
+		if !ok {
+			val = st.view(t, l)
 		}
-		st.regs[t][ins.Dst] = val
-	case isa.OpStore:
-		st.sb[t] = append(st.sb[t], sbEntry{loc: addr(st.regs[t], ins), val: operand(st.regs[t], ins.Data)})
-	case isa.OpAMOLoad:
-		st.regs[t][ins.Dst] = st.view(t, addr(st.regs[t], ins))
-	case isa.OpAMOStore:
-		l := addr(st.regs[t], ins)
-		if scAtomic(ins) {
-			st.pending[t] = pendingAtomic{loc: l, data: operand(st.regs[t], ins.Data), set: true}
-		} else {
-			s.appendWrite(st, t, l, operand(st.regs[t], ins.Data), false)
-		}
-	case isa.OpAMOSwap:
-		l := addr(st.regs[t], ins)
-		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = pendingAtomic{loc: l, data: operand(st.regs[t], ins.Data), set: true}
-			break
-		}
-		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = st.view(t, l)
-		}
-		s.appendWrite(st, t, l, operand(st.regs[t], ins.Data), scAtomic(ins))
-		if scAtomic(ins) {
-			// blocked() held this back until the commit conditions were
-			// met, so the write's instant is now — apply it everywhere.
-			for c := range st.applied {
-				st.applied[c][l] = len(st.order[l])
-			}
-		}
-	case isa.OpAMOAdd:
-		l := addr(st.regs[t], ins)
-		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = pendingAtomic{loc: l, data: operand(st.regs[t], ins.Data), add: true, set: true}
+		regs[ev.Dst] = val
+	case mem.Write:
+		st.sb[t] = append(st.sb[t], sbEntry{loc: addr(regs, ev), val: operand(regs, ev.Data)})
+	case mem.RMW:
+		l, data := addr(regs, ev), operand(regs, ev.Data)
+		sc := scAtomic(s.p.InstrOf(ev.GID))
+		if sc && ev.Dst == mem.NoDst {
+			st.pending[t] = pendingAtomic{loc: l, data: data, op: ev.RMWOp, set: true}
 			break
 		}
 		old := st.view(t, l)
-		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = old
+		if ev.Dst != mem.NoDst {
+			regs[ev.Dst] = old
 		}
-		s.appendWrite(st, t, l, old+operand(st.regs[t], ins.Data), scAtomic(ins))
-		if scAtomic(ins) {
-			for c := range st.applied {
-				st.applied[c][l] = len(st.order[l])
-			}
+		s.appendWrite(st, t, l, ev.RMWOp.Apply(old, data), sc)
+		if sc {
+			// blocked() held this back until the commit conditions were
+			// met, so the write's instant is now.
+			s.applyEverywhere(st, l)
 		}
-	case isa.OpFence:
-		// Ordering handled in blocked().
 	}
 }

@@ -34,9 +34,20 @@ func operand(regs []int64, op mem.Operand) int64 {
 	return regs[op.Reg]
 }
 
-// addr returns the location ins addresses, to a thread whose registers
+// addr returns the location ev accesses, to a thread whose registers
 // are regs.
-func addr(regs []int64, ins *isa.Instr) mem.Loc { return mem.Loc(operand(regs, ins.Addr)) }
+func addr(regs []int64, ev *mem.Event) mem.Loc { return mem.Loc(operand(regs, ev.Addr)) }
+
+// buffered returns the value of the newest entry for l in store buffer
+// q, and whether q holds one.
+func buffered(q []sbEntry, l mem.Loc) (int64, bool) {
+	for i := len(q) - 1; i >= 0; i-- {
+		if q[i].loc == l {
+			return q[i].val, true
+		}
+	}
+	return 0, false
+}
 
 // state is a full machine configuration. States are memoized by their
 // appendKey encoding.
@@ -210,8 +221,9 @@ func drain(st *state, t int) {
 }
 
 // explore enumerates st's transitions: per thread, drain the oldest
-// store-buffer entry, then execute the next instruction if not blocked.
-// It reports whether it reached Trace's target (see search).
+// store-buffer entry, then execute the next instruction's memory event
+// if not blocked. It reports whether it reached Trace's target (see
+// search).
 func (s *Simulator) explore(st *state) bool {
 	if !s.visit(st.appendKey(s.key[:0])) {
 		return false
@@ -228,14 +240,14 @@ func (s *Simulator) explore(st *state) bool {
 			}
 			s.release(next)
 		}
-		if st.pc[t] < len(s.p.Instrs[t]) {
-			ins := s.p.Instrs[t][st.pc[t]]
-			if s.blocked(st, t, ins) {
+		if th := s.p.Mem().Threads[t]; st.pc[t] < len(th) {
+			ev := th[st.pc[t]]
+			if s.blocked(st, t, ev) {
 				continue
 			}
 			progress = true
 			next := s.next(st)
-			s.execute(next, t, ins)
+			s.execute(next, t, ev)
 			next.pc[t]++
 			if s.explore(next) {
 				return s.record("T%d: execute instruction %d", t, st.pc[t])
@@ -246,7 +258,8 @@ func (s *Simulator) explore(st *state) bool {
 	return !progress && s.quiescent(st.reg, st.final)
 }
 
-// blocked implements the WR stall conditions:
+// blocked implements the WR stall conditions on ev, reading the
+// annotation bits from the instruction that emitted it:
 //   - a load stalls while a same-address store sits in the local buffer
 //     (no forwarding: it must read memory, and reading around the buffered
 //     store would violate coherence);
@@ -255,41 +268,24 @@ func (s *Simulator) explore(st *state) bool {
 //     be visible before it);
 //   - a fence ordering W→R stalls until the buffer is empty (that is the
 //     only ordering the in-order core and FIFO buffer do not already give).
-func (s *Simulator) blocked(st *state, t int, ins *isa.Instr) bool {
-	switch {
-	case ins.Op == isa.OpLoad:
-		if s.Forwarding {
+func (s *Simulator) blocked(st *state, t int, ev *mem.Event) bool {
+	ins := s.p.InstrOf(ev.GID)
+	switch ev.Kind {
+	case mem.Read:
+		if s.Forwarding && !ins.Op.IsAMO() {
 			return false // reads the newest SB entry or memory
 		}
-		l := addr(st.regs[t], ins)
-		for _, e := range st.sb[t] {
-			if e.loc == l {
-				return true
-			}
-		}
-		return false
-	case ins.Op.IsAMO():
-		// AMOs execute at memory even under forwarding. A writing AMO
-		// additionally flushes the store buffer first (like an x86 locked
-		// operation): the machine preserves W→W order, so its write must
-		// not become visible before earlier buffered stores.
-		if ins.Op != isa.OpAMOLoad {
-			return len(st.sb[t]) > 0
-		}
-		l := addr(st.regs[t], ins)
-		for _, e := range st.sb[t] {
-			if e.loc == l {
-				return true
-			}
-		}
-		if ins.Rl && len(st.sb[t]) > 0 {
-			return true
-		}
-		return false
-	case ins.Op == isa.OpFence:
-		if ins.Pred.HasW() && ins.Succ.HasR() && ins.Cum != isa.CumLW && len(st.sb[t]) > 0 {
-			return true
-		}
+		// An AMO load reads memory even under forwarding; rl also waits
+		// for the whole buffer.
+		_, ok := buffered(st.sb[t], addr(st.regs[t], ev))
+		return ok || ins.Op.IsAMO() && ins.Rl && len(st.sb[t]) > 0
+	case mem.RMW:
+		// A writing AMO flushes the store buffer first (like an x86
+		// locked operation): the machine preserves W→W order, so its
+		// write must not become visible before earlier buffered stores.
+		return len(st.sb[t]) > 0
+	case mem.Fence:
+		return ins.Pred.HasW() && ins.Succ.HasR() && ins.Cum != isa.CumLW && len(st.sb[t]) > 0
 	}
 	return false
 }
@@ -298,47 +294,34 @@ func (s *Simulator) blocked(st *state, t int, ins *isa.Instr) bool {
 // store-buffer entry under forwarding, else memory.
 func (s *Simulator) loadValue(st *state, t int, l mem.Loc) int64 {
 	if s.Forwarding {
-		for i := len(st.sb[t]) - 1; i >= 0; i-- {
-			if st.sb[t][i].loc == l {
-				return st.sb[t][i].val
-			}
+		if v, ok := buffered(st.sb[t], l); ok {
+			return v
 		}
 	}
 	return st.mem[l]
 }
 
-func (s *Simulator) execute(st *state, t int, ins *isa.Instr) {
-	switch ins.Op {
-	case isa.OpLoad:
-		st.regs[t][ins.Dst] = s.loadValue(st, t, addr(st.regs[t], ins))
-	case isa.OpStore:
+// execute performs ev on thread t. A read-modify-write (an AMO other
+// than the atomic load, whose write-back is silent; see isa.OpAMOLoad)
+// bypasses the store buffer: blocked held it until the buffer drained,
+// so memory is what the thread sees.
+func (s *Simulator) execute(st *state, t int, ev *mem.Event) {
+	regs := st.regs[t]
+	switch ev.Kind {
+	case mem.Read:
+		regs[ev.Dst] = s.loadValue(st, t, addr(regs, ev))
+	case mem.Write:
 		if s.WriteThrough {
-			st.mem[addr(st.regs[t], ins)] = operand(st.regs[t], ins.Data)
+			st.mem[addr(regs, ev)] = operand(regs, ev.Data)
 			break
 		}
-		st.sb[t] = append(st.sb[t], sbEntry{loc: addr(st.regs[t], ins), val: operand(st.regs[t], ins.Data)})
-	case isa.OpAMOLoad:
-		// Atomic load: reads memory; the write-back of the same value is
-		// silent (see isa.OpAMOLoad).
-		st.regs[t][ins.Dst] = st.mem[addr(st.regs[t], ins)]
-	case isa.OpAMOStore:
-		// Atomic store: bypasses the store buffer (MCA anyway) and writes
-		// memory directly.
-		st.mem[addr(st.regs[t], ins)] = operand(st.regs[t], ins.Data)
-	case isa.OpAMOSwap:
-		l := addr(st.regs[t], ins)
-		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = st.mem[l]
-		}
-		st.mem[l] = operand(st.regs[t], ins.Data)
-	case isa.OpAMOAdd:
-		l := addr(st.regs[t], ins)
+		st.sb[t] = append(st.sb[t], sbEntry{loc: addr(regs, ev), val: operand(regs, ev.Data)})
+	case mem.RMW:
+		l := addr(regs, ev)
 		old := st.mem[l]
-		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = old
+		if ev.Dst != mem.NoDst {
+			regs[ev.Dst] = old
 		}
-		st.mem[l] = old + operand(st.regs[t], ins.Data)
-	case isa.OpFence:
-		// Ordering effects are captured by blocked(); nothing to do.
+		st.mem[l] = ev.RMWOp.Apply(old, operand(regs, ev.Data))
 	}
 }

@@ -194,9 +194,6 @@ func (s *Server) SaveSnapshot() error {
 	return nil
 }
 
-// InFlight reports the number of requests currently sweeping.
-func (s *Server) InFlight() int64 { return s.inflight.Load() }
-
 // Handler returns the service's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -319,7 +319,7 @@ func TestClientDisconnectStopsScheduling(t *testing.T) {
 
 	// The handler notices, aborts the farm, and drains.
 	deadline := time.Now().Add(30 * time.Second)
-	for s.InFlight() != 0 {
+	for s.Stats().RequestsInFlight != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request still in flight long after disconnect")
 		}
@@ -403,7 +403,7 @@ func TestConcurrentRequestsSurviveACancelledPeer(t *testing.T) {
 	assertSummaryMatches(t, summary, ref)
 
 	deadline := time.Now().Add(30 * time.Second)
-	for s.InFlight() != 0 {
+	for s.Stats().RequestsInFlight != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("cancelled peer still in flight")
 		}

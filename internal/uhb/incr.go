@@ -1,7 +1,6 @@
 package uhb
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 )
@@ -61,13 +60,6 @@ type Incr struct {
 }
 
 type incrEdge struct{ from, to int32 }
-
-// NewIncr returns an engine attached to skel.
-func NewIncr(skel *Skeleton) *Incr {
-	ic := &Incr{}
-	ic.Attach(skel)
-	return ic
-}
 
 // Attach binds the engine to a frozen skeleton, computes the initial
 // topological order (Kahn over the static CSR), and discards all
@@ -131,54 +123,6 @@ func (ic *Incr) Attach(skel *Skeleton) {
 	for i := range ic.mark {
 		ic.mark[i] = 0
 	}
-}
-
-// Skeleton returns the attached static tier.
-func (ic *Incr) Skeleton() *Skeleton { return ic.skel }
-
-// HasCycle reports whether skeleton + current dynamic edge set is
-// cyclic. O(1): cyclic exactly while an edge is deferred (or the
-// skeleton itself is cyclic).
-func (ic *Incr) HasCycle() bool { return ic.skelCyclic || len(ic.deferred) > 0 }
-
-// AddEdge inserts a dynamic edge (set semantics: duplicates are
-// no-ops) and reports whether the graph is now cyclic.
-func (ic *Incr) AddEdge(from, to int) bool {
-	if from < 0 || from >= ic.n || to < 0 || to >= ic.n {
-		panic(fmt.Sprintf("uhb: incr edge (%d,%d) out of range [0,%d)", from, to, ic.n))
-	}
-	if ic.skelCyclic {
-		return true
-	}
-	w := from*ic.words + to>>6
-	bit := uint64(1) << (uint(to) & 63)
-	if ic.dyn[w]&bit == 0 && ic.defBits[w]&bit == 0 {
-		if !ic.tryInsert(int32(from), int32(to)) {
-			ic.defer_(int32(from), int32(to))
-		}
-	}
-	return ic.HasCycle()
-}
-
-// RetractEdge removes a dynamic edge previously passed to AddEdge (a
-// no-op for unknown edges) and reports whether the graph is still
-// cyclic. Removing a committed edge may unblock deferred ones, so the
-// deferred set is retried.
-func (ic *Incr) RetractEdge(from, to int) bool {
-	if from < 0 || from >= ic.n || to < 0 || to >= ic.n || ic.skelCyclic {
-		return ic.HasCycle()
-	}
-	w := from*ic.words + to>>6
-	bit := uint64(1) << (uint(to) & 63)
-	switch {
-	case ic.defBits[w]&bit != 0:
-		ic.defBits[w] &^= bit
-		ic.dropDeferred(int32(from), int32(to))
-	case ic.dyn[w]&bit != 0:
-		ic.dyn[w] &^= bit
-		ic.retryDeferred()
-	}
-	return ic.HasCycle()
 }
 
 // Sync reconciles the engine with an overlay's dynamic edge set —
@@ -369,17 +313,6 @@ func (ic *Incr) touch(v int32) {
 	if !ic.activeRow[v] {
 		ic.activeRow[v] = true
 		ic.active = append(ic.active, v)
-	}
-}
-
-// dropDeferred removes one (from, to) entry from the deferred list (its
-// defBits bit is already cleared).
-func (ic *Incr) dropDeferred(from, to int32) {
-	for i, e := range ic.deferred {
-		if e.from == from && e.to == to {
-			ic.deferred = append(ic.deferred[:i], ic.deferred[i+1:]...)
-			return
-		}
 	}
 }
 

@@ -7,17 +7,13 @@ import (
 	"testing/quick"
 )
 
-// refOverlay rebuilds a fresh overlay holding exactly the live edge
+// refVerdict builds a fresh overlay holding exactly the live edge
 // multiset in edges and returns its full-DFS verdict — the reference
 // the incremental engine is checked against.
 func refVerdict(s *Skeleton, edges map[[2]int]int) bool {
 	o := AcquireOverlay(s)
 	defer ReleaseOverlay(o)
-	for e, n := range edges {
-		for i := 0; i < n; i++ {
-			o.AddEdge(e[0], e[1], 7)
-		}
-	}
+	fillOverlay(o, s, edges)
 	return o.HasCycle()
 }
 
@@ -31,17 +27,45 @@ func randomSkeleton(rng *rand.Rand, n int) *Skeleton {
 	return s
 }
 
-// TestQuickIncrMatchesFullDFS: the incremental engine's verdict after
-// an arbitrary add/retract delta sequence always equals the retained
-// full-DFS cycle() on an overlay holding the same edge set — the
-// satellite-1 equivalence lock.
+// fillOverlay resets ov to hold exactly the live edge multiset.
+func fillOverlay(ov *Overlay, s *Skeleton, edges map[[2]int]int) {
+	ov.Reset(s)
+	for e, n := range edges {
+		for i := 0; i < n; i++ {
+			ov.AddEdge(e[0], e[1], 7)
+		}
+	}
+}
+
+// acyclicSkeleton builds a random frozen skeleton whose edges all run
+// from a lower to a higher node, so every cycle needs a dynamic edge.
+func acyclicSkeleton(rng *rand.Rand, n int) *Skeleton {
+	s := NewSkeleton(n)
+	for i := 0; i < n; i++ {
+		if from, to := rng.Intn(n), rng.Intn(n); from < to {
+			s.AddEdge(from, to, uint32(i))
+		}
+	}
+	s.Freeze()
+	return s
+}
+
+// TestQuickIncrMatchesFullDFS: after every step of an arbitrary
+// add/retract sequence, syncing the incremental engine to an overlay
+// holding the live edge set gives the full-DFS verdict on that set.
+// One step changes at most one edge, so each Sync exercises a single
+// insertion or retraction against the engine's running order. The
+// skeleton is acyclic, so the verdicts turn on the dynamic edges: a
+// retraction that breaks a cycle must commit the edge it deferred.
 func TestQuickIncrMatchesFullDFS(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(14)
-		s := randomSkeleton(rng, n)
+		s := acyclicSkeleton(rng, n)
 		ic := AcquireIncr(s)
 		defer ReleaseIncr(ic)
+		ov := AcquireOverlay(s)
+		defer ReleaseOverlay(ov)
 		live := map[[2]int]int{}
 		for step := 0; step < 6*n; step++ {
 			from, to := rng.Intn(n), rng.Intn(n)
@@ -59,17 +83,15 @@ func TestQuickIncrMatchesFullDFS(t *testing.T) {
 					return keys[i][1] < keys[j][1]
 				})
 				e := keys[rng.Intn(len(keys))]
-				from, to = e[0], e[1]
-				live[[2]int{from, to}]--
-				if live[[2]int{from, to}] == 0 {
-					delete(live, [2]int{from, to})
-					ic.RetractEdge(from, to)
+				live[e]--
+				if live[e] == 0 {
+					delete(live, e)
 				}
 			} else {
 				live[[2]int{from, to}]++
-				ic.AddEdge(from, to)
 			}
-			if ic.HasCycle() != refVerdict(s, live) {
+			fillOverlay(ov, s, live)
+			if cyclic, _ := ic.Sync(ov); cyclic != refVerdict(s, live) {
 				return false
 			}
 		}
@@ -126,14 +148,19 @@ func TestIncrSelfLoopAndCyclicSkeleton(t *testing.T) {
 	s := NewSkeleton(3)
 	s.AddEdge(0, 1, 0)
 	s.Freeze()
-	ic := NewIncr(s)
-	if ic.HasCycle() {
+	ic := AcquireIncr(s)
+	defer ReleaseIncr(ic)
+	ov := AcquireOverlay(s)
+	defer ReleaseOverlay(ov)
+	if cyclic, _ := ic.Sync(ov); cyclic {
 		t.Fatal("fresh engine on acyclic skeleton reports a cycle")
 	}
-	if !ic.AddEdge(2, 2) {
+	ov.AddEdge(2, 2, 1)
+	if cyclic, _ := ic.Sync(ov); !cyclic {
 		t.Fatal("self-loop not reported cyclic")
 	}
-	if ic.RetractEdge(2, 2) {
+	ov.Reset(s)
+	if cyclic, _ := ic.Sync(ov); cyclic {
 		t.Fatal("retracting the self-loop did not clear the cycle")
 	}
 
@@ -141,14 +168,11 @@ func TestIncrSelfLoopAndCyclicSkeleton(t *testing.T) {
 	cyc.AddEdge(0, 1, 0)
 	cyc.AddEdge(1, 0, 0)
 	cyc.Freeze()
-	ic2 := NewIncr(cyc)
-	if !ic2.HasCycle() {
-		t.Fatal("cyclic skeleton not reported cyclic")
-	}
-	ov := AcquireOverlay(cyc)
-	defer ReleaseOverlay(ov)
-	cyclic, _ := ic2.Sync(ov)
-	if !cyclic {
+	ic2 := AcquireIncr(cyc)
+	defer ReleaseIncr(ic2)
+	ov2 := AcquireOverlay(cyc)
+	defer ReleaseOverlay(ov2)
+	if cyclic, _ := ic2.Sync(ov2); !cyclic {
 		t.Fatal("Sync on cyclic skeleton must stay cyclic with an empty overlay")
 	}
 }
