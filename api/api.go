@@ -1,6 +1,6 @@
 // Package api is the versioned wire schema of the tricheckd verification
 // service: the /v1/verify request body, the NDJSON records it streams,
-// and the /v1/stats and /v1/coverage response shapes. Both the server
+// and the /v1/coverage response shape. Both the server
 // (internal/server) and the Go client (client) import this package, so
 // the two sides can never disagree about the schema — and external
 // consumers can depend on it without importing server internals.
@@ -13,6 +13,8 @@
 // the request's "keys", the verdict record's "worker", and the
 // per-worker dispatch block of the summary and stats records — when
 // that mode was removed. A request that still sends "keys" gets a 400.
+// The stats endpoint's record itself is gone too: every counter it
+// carried is a series of the Prometheus text at GET /metrics.
 package api
 
 // Version is the wire-schema major version, matching the /v1/ URL prefix.
@@ -191,50 +193,6 @@ type FieldError struct {
 type ErrorResponse struct {
 	Error  string       `json:"error"`
 	Fields []FieldError `json:"fields,omitempty"`
-}
-
-// MemoStatsJSON is the engine memo cache's counter snapshot.
-type MemoStatsJSON struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	Len     int     `json:"len"`
-	Cap     int     `json:"cap"`
-	HitRate float64 `json:"hit_rate"`
-}
-
-// IncrementalStatsJSON mirrors the tricheck_uhb_incremental_*_total
-// counters in the stats payload, with the reuse ratio precomputed.
-type IncrementalStatsJSON struct {
-	Reuse      uint64  `json:"reuse"`
-	Rebuild    uint64  `json:"rebuild"`
-	ReuseRatio float64 `json:"reuse_ratio"`
-}
-
-// StatsRecord is the GET /v1/stats response.
-type StatsRecord struct {
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	RequestsTotal    int64   `json:"requests_total"`
-	RequestsInFlight int64   `json:"requests_inflight"`
-	RequestErrors    int64   `json:"request_errors"`
-	// RequestCancels counts requests aborted by client disconnect or
-	// context cancellation — the supported abort flow, kept separate
-	// from RequestErrors so the error counter stays alertable.
-	RequestCancels   int64 `json:"requests_cancelled"`
-	VerdictsStreamed int64 `json:"verdicts_streamed"`
-	// TestsPerSecond is the cumulative streaming rate: verdicts streamed
-	// over the wall-clock seconds requests spent sweeping.
-	TestsPerSecond float64 `json:"tests_per_sec"`
-	// JobsExecuted counts actual verifier executions (neither memoized
-	// nor deduplicated) over the server's lifetime.
-	JobsExecuted uint64 `json:"jobs_executed"`
-	// Divergences counts backend=both cross-check disagreements over the
-	// server's lifetime (absent while zero).
-	Divergences uint64         `json:"divergences,omitempty"`
-	Memo        *MemoStatsJSON `json:"memo,omitempty"`
-	// Incremental reports the µhb incremental-acyclicity engine's
-	// effectiveness: how often the per-candidate verdict reused the
-	// maintained topological order vs. rebuilt it from scratch.
-	Incremental *IncrementalStatsJSON `json:"incremental,omitempty"`
 }
 
 // The /v1/coverage shapes are the coverage ledger's own snapshot types:

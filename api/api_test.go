@@ -74,24 +74,6 @@ func TestGoldenSummaryRecord(t *testing.T) {
 	}
 }
 
-func TestGoldenStatsRecord(t *testing.T) {
-	got := mustMarshal(t, StatsRecord{
-		UptimeSeconds: 10, RequestsTotal: 4, RequestsInFlight: 1,
-		RequestErrors: 0, RequestCancels: 1, VerdictsStreamed: 648,
-		TestsPerSecond: 64.8, JobsExecuted: 324,
-		Memo:        &MemoStatsJSON{Hits: 324, Misses: 324, Len: 324, Cap: 262144, HitRate: 0.5},
-		Incremental: &IncrementalStatsJSON{Reuse: 90, Rebuild: 10, ReuseRatio: 0.9},
-	})
-	want := `{"uptime_seconds":10,"requests_total":4,"requests_inflight":1,` +
-		`"request_errors":0,"requests_cancelled":1,"verdicts_streamed":648,` +
-		`"tests_per_sec":64.8,"jobs_executed":324,` +
-		`"memo":{"hits":324,"misses":324,"len":324,"cap":262144,"hit_rate":0.5},` +
-		`"incremental":{"reuse":90,"rebuild":10,"reuse_ratio":0.9}}`
-	if got != want {
-		t.Errorf("stats record bytes changed:\n got %s\nwant %s", got, want)
-	}
-}
-
 func TestGoldenErrorRecord(t *testing.T) {
 	got := mustMarshal(t, ErrorRecord{Type: "error", Error: "boom"})
 	if want := `{"type":"error","error":"boom"}`; got != want {

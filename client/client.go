@@ -1,7 +1,9 @@
 // Package client is the Go client of tricheckd, the TriCheck streaming
 // verification service. It speaks the NDJSON protocol of POST
 // /v1/verify — per-(test, stack) verdict records in farm completion
-// order, terminated by a summary record — and the /v1/stats counters.
+// order, terminated by a summary record — the /v1/coverage ledger and
+// the /v1/memo transfer endpoints. The service's counters are Prometheus
+// text at /metrics, for a scraper rather than this client.
 //
 // The wire types come from the versioned tricheck/api package, which the
 // server imports too, so the client cannot drift from the service
@@ -41,8 +43,6 @@ type (
 	Divergence = api.Divergence
 	// Summary is the stream's terminal summary record.
 	Summary = api.SummaryRecord
-	// Stats is the /v1/stats response.
-	Stats = api.StatsRecord
 	// Coverage is the /v1/coverage response: the engine's
 	// verification-coverage ledger snapshot.
 	Coverage = api.CoverageSnapshot
@@ -286,27 +286,6 @@ func (c *Client) CoverageSnapshot(ctx context.Context, withVectors bool) (*Cover
 		return nil, fmt.Errorf("client: decoding coverage: %w", err)
 	}
 	return &snap, nil
-}
-
-// Stats fetches the service counters.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: %s", resp.Status)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("client: decoding stats: %w", err)
-	}
-	return &st, nil
 }
 
 // MemoSnapshot fetches the server's whole memo cache (GET

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tricheck"
@@ -142,12 +145,22 @@ func TestStreamedSweepMatchesInProcessSweep(t *testing.T) {
 	}
 
 	// The service's own counters agree.
-	st, err := c2.Stats(context.Background())
+	resp, err := http.Get(c2.BaseURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.JobsExecuted != 0 || st.VerdictsStreamed != int64(total) || st.Memo == nil || st.Memo.Hits == 0 {
-		t.Fatalf("warm server stats %+v", st)
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("\ntricheckd_verdicts_streamed_total %d\n", total),
+		fmt.Sprintf("\ntricheckd_memo_entries %d\n", len(wantKeys)),
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("warm server /metrics lacks %q", strings.TrimSpace(want))
+		}
 	}
 }
 

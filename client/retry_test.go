@@ -34,20 +34,20 @@ func flaky(n int64, status int, next http.Handler) (http.Handler, *atomic.Int64)
 }
 
 func TestRetryRecoversFrom5xx(t *testing.T) {
-	okStats := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(api.StatsRecord{RequestsTotal: 7})
+	okCoverage := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(api.CoverageSnapshot{Totals: api.CoverageTotals{Jobs: 7}})
 	})
-	h, calls := flaky(2, http.StatusServiceUnavailable, okStats)
+	h, calls := flaky(2, http.StatusServiceUnavailable, okCoverage)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	c := fastRetries(New(ts.URL))
-	st, err := c.Stats(context.Background())
+	snap, err := c.CoverageSnapshot(context.Background(), false)
 	if err != nil {
-		t.Fatalf("Stats after transient 503s: %v", err)
+		t.Fatalf("CoverageSnapshot after transient 503s: %v", err)
 	}
-	if st.RequestsTotal != 7 {
-		t.Fatalf("got RequestsTotal=%d, want 7", st.RequestsTotal)
+	if snap.Totals.Jobs != 7 {
+		t.Fatalf("got Totals.Jobs=%d, want 7", snap.Totals.Jobs)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3 (two 503s + success)", got)
@@ -89,9 +89,9 @@ func TestRetryExhaustsBudget(t *testing.T) {
 
 	c := fastRetries(New(ts.URL))
 	c.MaxRetries = 2
-	_, err := c.Stats(context.Background())
+	_, err := c.CoverageSnapshot(context.Background(), false)
 	if err == nil {
-		t.Fatal("Stats against an always-500 server succeeded")
+		t.Fatal("CoverageSnapshot against an always-500 server succeeded")
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d attempts, want 3 (1 + MaxRetries)", got)
@@ -124,8 +124,8 @@ func TestRetryDisabled(t *testing.T) {
 
 	c := fastRetries(New(ts.URL))
 	c.MaxRetries = -1
-	if _, err := c.Stats(context.Background()); err == nil {
-		t.Fatal("Stats succeeded against an always-500 server")
+	if _, err := c.CoverageSnapshot(context.Background(), false); err == nil {
+		t.Fatal("CoverageSnapshot succeeded against an always-500 server")
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("server saw %d attempts, want 1 with retries disabled", got)
@@ -143,7 +143,7 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Stats(ctx)
+		_, err := c.CoverageSnapshot(ctx, false)
 		done <- err
 	}()
 	// Let the first attempt land, then cancel during the backoff sleep.
@@ -154,7 +154,7 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Stats returned nil error after cancel")
+			t.Fatal("CoverageSnapshot returned nil error after cancel")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("retry loop ignored context cancellation")

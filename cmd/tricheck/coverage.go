@@ -35,25 +35,12 @@ func cmdCoverage(args []string) {
 	topK := fs.Int("k", 10, "rows per report table")
 	fs.Parse(args)
 
-	variantSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "variant" {
-			variantSet = true
-		}
-	})
-
-	var tests []*tricheck.Test
-	if *family == "" {
-		tests = tricheck.PaperSuite()
-	} else {
-		shape := tricheck.ShapeByName(*family)
-		if shape == nil {
-			fmt.Fprintf(os.Stderr, "tricheck coverage: unknown family %q\n", *family)
-			os.Exit(2)
-		}
-		tests = shape.Generate()
+	tests, err := familyTests(*family)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tricheck coverage: %v\n", err)
+		os.Exit(2)
 	}
-	stacks, err := selectStacks(*isaFlag, *variant, variantSet, modelFiles, *lattice)
+	stacks, err := selectStacks(*isaFlag, *variant, flagGiven(fs, "variant"), modelFiles, *lattice)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tricheck coverage: %v\n", err)
 		os.Exit(2)

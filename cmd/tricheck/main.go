@@ -71,8 +71,10 @@
 //	-profile prefix       capture cpu+heap pprof profiles of the sweep to
 //	                      PREFIX.{cpu,mem}.pprof (flushed before any
 //	                      -fail-on-bug exit)
-//	-metrics-out f.json   dump the run's metrics registry — farm, memo
-//	                      and per-phase verdict histograms — as JSON
+//	-metrics-out f.prom   write the run's metrics registry — farm, memo
+//	                      and per-phase verdict histograms — in the
+//	                      Prometheus text format tricheckd's /metrics
+//	                      serves
 //
 // The top subcommand runs the selected sweep on a fresh engine and
 // prints a hot-spot cost report: phase totals plus the most expensive
@@ -138,7 +140,7 @@ func main() {
 	export := flag.String("export", "", "export the selected tests to this corpus directory and exit")
 	progress := flag.Bool("progress", false, "stream farm progress to stderr")
 	profile := flag.String("profile", "", "write cpu/heap pprof profiles to PREFIX.{cpu,mem}.pprof")
-	metricsOut := flag.String("metrics-out", "", "write the run's metrics registry (farm, memo, verdict phases) to this file as JSON")
+	metricsOut := flag.String("metrics-out", "", "write the run's metrics registry (farm, memo, verdict phases) to this file as Prometheus text")
 	failOnBug := flag.Bool("fail-on-bug", false, "exit non-zero (3) when any Bug verdict appears — lets CI gate on regressions")
 	backendFlag := flag.String("backend", "uhb", "verdict backend: uhb (axiomatic µhb), opsim (operational simulator) or both (cross-check)")
 	failOnDivergence := flag.Bool("fail-on-divergence", false, "exit non-zero (4) when backend=both finds a cross-check divergence")
@@ -181,15 +183,11 @@ func main() {
 				os.Exit(2)
 			}
 		}
-	case *family == "":
-		tests = tricheck.PaperSuite()
 	default:
-		shape := tricheck.ShapeByName(*family)
-		if shape == nil {
-			fmt.Fprintf(os.Stderr, "tricheck: unknown family %q\n", *family)
+		if tests, err = familyTests(*family); err != nil {
+			fmt.Fprintf(os.Stderr, "tricheck: %v\n", err)
 			os.Exit(2)
 		}
-		tests = shape.Generate()
 	}
 
 	if *export != "" {
@@ -202,13 +200,7 @@ func main() {
 		return
 	}
 
-	variantSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "variant" {
-			variantSet = true
-		}
-	})
-	stacks, err := selectStacks(*isaFlag, *variant, variantSet, modelFiles, *lattice)
+	stacks, err := selectStacks(*isaFlag, *variant, flagGiven(flag.CommandLine, "variant"), modelFiles, *lattice)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tricheck: %v\n", err)
 		os.Exit(2)
@@ -295,7 +287,7 @@ func main() {
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err == nil {
-			err = tricheck.WriteMetricsJSON(f)
+			err = tricheck.WriteMetrics(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -367,6 +359,30 @@ func selectedVariants(variant string) []tricheck.Variant {
 	return nil
 }
 
+// familyTests returns the tests -family selects: the paper suite when
+// it is empty, else every variant of the named shape.
+func familyTests(family string) ([]*tricheck.Test, error) {
+	if family == "" {
+		return tricheck.PaperSuite(), nil
+	}
+	shape := tricheck.ShapeByName(family)
+	if shape == nil {
+		return nil, fmt.Errorf("unknown family %q", family)
+	}
+	return shape.Generate(), nil
+}
+
+// flagGiven reports whether the command line set the named flag.
+func flagGiven(fs *flag.FlagSet, name string) bool {
+	given := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			given = true
+		}
+	})
+	return given
+}
+
 // cmdModels implements the models subcommand: the registry and lattice
 // as a user-facing catalog.
 func cmdModels(args []string) {
@@ -410,11 +426,9 @@ func cmdModels(args []string) {
 		if _, err := os.Stat(arg); err == nil {
 			// A spec file carries its own variant: reject an explicit
 			// -variant like every other -model-file frontend does.
-			fs.Visit(func(f *flag.Flag) {
-				if f.Name == "variant" {
-					fatalModels(fmt.Errorf("-variant selects builtin models; the spec file %s carries its own variant — drop one of the two", arg))
-				}
-			})
+			if flagGiven(fs, "variant") {
+				fatalModels(fmt.Errorf("-variant selects builtin models; the spec file %s carries its own variant — drop one of the two", arg))
+			}
 			models, err := tricheck.LoadModelFiles([]string{arg})
 			if err != nil {
 				fatalModels(err)

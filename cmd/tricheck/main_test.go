@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -104,5 +105,27 @@ func TestCLIBackendOpsimRejectsUnsupported(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "backend") {
 		t.Fatalf("error does not mention the backend:\n%s", out)
+	}
+}
+
+// TestCLIMetricsOutIsPrometheusText: -metrics-out writes the registry in
+// the exposition format tricheckd's /metrics serves, including the
+// executed-verdict counter and the sweep's HLL phase timings.
+func TestCLIMetricsOutIsPrometheusText(t *testing.T) {
+	bin := tricheckBin(t)
+	path := filepath.Join(t.TempDir(), "metrics.prom")
+	out, err := exec.Command(bin, "-family", "mp", "-isa", "base", "-variant", "curr", "-csv", "-metrics-out", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	metrics, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\n# TYPE tricheck_verdicts_total counter\n") {
+		t.Errorf("metrics file lacks the verdict counter's TYPE line:\n%s", metrics)
+	}
+	if !regexp.MustCompile(`(?m)^tricheck_verdict_phase_seconds_count\{phase="hll"\} [1-9]`).Match(metrics) {
+		t.Errorf("metrics file has no nonzero hll phase count:\n%s", metrics)
 	}
 }

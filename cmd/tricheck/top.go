@@ -26,16 +26,10 @@ func cmdTop(args []string) {
 	jsonOut := fs.Bool("json", false, "emit the hot-spot report as JSON instead of tables")
 	fs.Parse(args)
 
-	var tests []*tricheck.Test
-	if *family == "" {
-		tests = tricheck.PaperSuite()
-	} else {
-		shape := tricheck.ShapeByName(*family)
-		if shape == nil {
-			fmt.Fprintf(os.Stderr, "tricheck top: unknown family %q\n", *family)
-			os.Exit(2)
-		}
-		tests = shape.Generate()
+	tests, err := familyTests(*family)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tricheck top: %v\n", err)
+		os.Exit(2)
 	}
 	stacks, err := tricheck.SelectStacks(*isaFlag, *variant)
 	if err != nil {

@@ -17,13 +17,12 @@
 //	POST /v1/verify  {"family":"mp","isa":"both","variant":"both"} →
 //	                 NDJSON verdict records + terminal summary; every
 //	                 record carries the request's trace ID
-//	GET  /v1/stats   service + engine + cache counters
 //	GET  /v1/traces  slowest retained spans (requests + sampled jobs)
 //	GET  /v1/coverage the verification-coverage ledger
 //	GET  /v1/memo/snapshot the whole memo cache as a snapshot
 //	POST /v1/memo/load merge a snapshot (e.g. another node's
 //	                 /v1/memo/snapshot) into the memo cache
-//	GET  /metrics    Prometheus text exposition
+//	GET  /metrics    every counter, as Prometheus text exposition
 //	GET  /debug/pprof/*  runtime profiles (only with -pprof)
 //	GET  /healthz    liveness
 //

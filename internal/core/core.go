@@ -148,7 +148,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		hll:    map[string]*hllEntry{},
 		costs:  map[costKey]*JobCost{},
-		ledger: cover.NewLedger(uspec.AxiomNames(), verdictNames()).WithMetrics(coverMetrics),
+		ledger: cover.NewLedger(uspec.AxiomNames(), verdictNames()),
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"sort"
 	"time"
 
-	"tricheck/internal/cover"
 	"tricheck/internal/farm"
 	"tricheck/internal/obs"
-	"tricheck/internal/uspec"
 )
 
 // Engine-level telemetry: the toolflow phase histograms core owns (µspec
@@ -30,11 +28,6 @@ var (
 		Bug:          obs.Default.Counter("tricheck_verdicts_total", "Executed verdicts by outcome.", obs.L("verdict", "Bug")),
 		Divergence:   obs.Default.Counter("tricheck_verdicts_total", "Executed verdicts by outcome.", obs.L("verdict", "Divergence")),
 	}
-
-	// coverMetrics mirrors every engine's coverage ledger into the shared
-	// registry as per-axiom counters (aggregated over models; the full
-	// per-model matrix is served as JSON by Engine.Coverage).
-	coverMetrics = cover.NewMetrics(obs.Default, uspec.AxiomNames())
 )
 
 // verdictNames is the ledger's verdict catalogue, in ordinal order.

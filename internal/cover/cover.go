@@ -34,7 +34,6 @@ import (
 type Ledger struct {
 	axioms   []string
 	verdicts []string
-	metrics  *Metrics
 
 	mu     sync.Mutex
 	models map[string]*ModelCoverage
@@ -57,23 +56,12 @@ func NewLedger(axioms, verdicts []string) *Ledger {
 	}
 }
 
-// WithMetrics mirrors matrix records into per-axiom obs counters
-// (aggregated over models — the full per-model matrix stays JSON-only to
-// bound the Prometheus series count). Returns l for chaining.
-func (l *Ledger) WithMetrics(m *Metrics) *Ledger {
-	l.metrics = m
-	return l
-}
-
 // Axioms returns the axiom catalogue the ledger is keyed by.
 func (l *Ledger) Axioms() []string { return l.axioms }
 
 // ModelCoverage is one model's row block of the coverage matrix:
 // per-axiom evaluation counts and per-verdict job tallies, all atomic.
 type ModelCoverage struct {
-	name   string
-	ledger *Ledger
-
 	jobs     atomic.Uint64
 	verdicts []atomic.Uint64
 	fired    []atomic.Uint64
@@ -89,8 +77,6 @@ func (l *Ledger) Model(name string) *ModelCoverage {
 	if mc == nil {
 		n := len(l.axioms)
 		mc = &ModelCoverage{
-			name:     name,
-			ledger:   l,
 			verdicts: make([]atomic.Uint64, len(l.verdicts)),
 			fired:    make([]atomic.Uint64, n),
 			edges:    make([]atomic.Uint64, n),
@@ -119,7 +105,6 @@ func (mc *ModelCoverage) Record(verdict int, fired, edges, cycles uint64) {
 	for b := cycles; b != 0; b &= b - 1 {
 		mc.cycles[bits.TrailingZeros64(b)].Add(1)
 	}
-	mc.ledger.metrics.record(fired, edges, cycles)
 }
 
 // RecordVector stores the verdict of one (test, config) pair — executed

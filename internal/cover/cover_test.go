@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tricheck/api"
-	"tricheck/internal/obs"
 )
 
 var testAxioms = []string{"alpha", "beta", "gamma", "delta"}
@@ -84,26 +83,6 @@ func TestLedgerConcurrentRecord(t *testing.T) {
 	rows := s.Models[0].Axioms
 	if len(rows) != 2 || rows[0].Fired != 4000 || rows[0].Edges != 4000 || rows[1].Cycles != 4000 {
 		t.Fatalf("rows = %+v", rows)
-	}
-}
-
-func TestMetricsMirrorsRecords(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg, testAxioms)
-	l := NewLedger(testAxioms, testVerdicts).WithMetrics(m)
-	l.Model("a").Record(0, 0b0011, 0b0001, 0)
-	l.Model("b").Record(2, 0b0001, 0b0001, 0b0001)
-	if got := m.fired[0].Value(); got != 2 {
-		t.Errorf("fired[alpha] = %d, want 2 (aggregated over models)", got)
-	}
-	if got := m.edges[0].Value(); got != 2 {
-		t.Errorf("edges[alpha] = %d, want 2", got)
-	}
-	if got := m.cycles[0].Value(); got != 1 {
-		t.Errorf("cycles[alpha] = %d, want 1", got)
-	}
-	if got := m.fired[1].Value(); got != 1 {
-		t.Errorf("fired[beta] = %d, want 1", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the telemetry substrate of the verification farm: an
 // allocation-conscious metrics registry (atomic counters, gauges and
 // fixed-bucket histograms, rendered in the Prometheus text exposition
-// format or as a JSON dump) plus a lightweight span/trace facility
+// format) plus a lightweight span/trace facility
 // (trace ID + parent span, monotonic-clock durations, bounded retention
 // of the N slowest traces).
 //
@@ -14,7 +14,7 @@
 //     registration and scrape time.
 //   - One process, one default registry. The farm, the evaluation core
 //     and the service all record into Default, so `GET /metrics` and the
-//     CLI's -metrics-out dump agree by construction. Tests that need
+//     CLI's -metrics-out file are the same exposition. Tests that need
 //     isolation construct their own Registry.
 //   - Registration is idempotent: asking for an existing (name, labels)
 //     series returns the existing handle, so independently initialized

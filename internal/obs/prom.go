@@ -1,16 +1,14 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// This file is the registry's export surface: the Prometheus text
-// exposition format (GET /metrics) and a JSON dump (the CLI's
-// -metrics-out). All rendering happens at scrape time; record paths
+// This file is the registry's one export surface: the Prometheus text
+// exposition format, served at GET /metrics and written by the CLI's
+// -metrics-out. All rendering happens at scrape time; record paths
 // never format anything.
 
 // promLabels renders a series' label set for the exposition format,
@@ -70,68 +68,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	})
 	return err
-}
-
-// SeriesJSON is one labeled series in the JSON dump.
-type SeriesJSON struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	// Value is the counter or gauge value.
-	Value *int64 `json:"value,omitempty"`
-	// Histogram payload: cumulative bucket counts per bound (plus +Inf),
-	// total observation count and summed seconds.
-	Bounds     []float64 `json:"bounds,omitempty"`
-	Cumulative []uint64  `json:"cumulative,omitempty"`
-	Count      *uint64   `json:"count,omitempty"`
-	SumSeconds *float64  `json:"sum_seconds,omitempty"`
-}
-
-// FamilyJSON is one metric family in the JSON dump.
-type FamilyJSON struct {
-	Name   string       `json:"name"`
-	Type   string       `json:"type"`
-	Help   string       `json:"help,omitempty"`
-	Series []SeriesJSON `json:"series"`
-}
-
-// Snapshot returns the registry as a JSON-marshalable document, families
-// sorted by name (the dump is for humans and diffs, not for scrapes).
-func (r *Registry) Snapshot() []FamilyJSON {
-	var out []FamilyJSON
-	r.visit(func(fam *family) {
-		fj := FamilyJSON{Name: fam.name, Type: fam.kind.String(), Help: fam.help}
-		for _, s := range fam.series {
-			sj := SeriesJSON{}
-			if len(s.labels) > 0 {
-				sj.Labels = map[string]string{}
-				for _, l := range s.labels {
-					sj.Labels[l.Key] = l.Value
-				}
-			}
-			switch fam.kind {
-			case kindCounter:
-				v := int64(s.c.Value())
-				sj.Value = &v
-			case kindGauge:
-				v := s.g.Value()
-				sj.Value = &v
-			case kindHistogram:
-				sj.Bounds, sj.Cumulative = s.h.Snapshot()
-				cnt := s.h.Count()
-				sum := s.h.Sum().Seconds()
-				sj.Count = &cnt
-				sj.SumSeconds = &sum
-			}
-			fj.Series = append(fj.Series, sj)
-		}
-		out = append(out, fj)
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// WriteJSON writes the indented JSON dump (the -metrics-out format).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

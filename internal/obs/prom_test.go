@@ -77,23 +77,3 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 		t.Errorf("TYPE line for tricheck_jobs_total appears %d times", n)
 	}
 }
-
-func TestSnapshotJSONShape(t *testing.T) {
-	fams := goldenRegistry().Snapshot()
-	if len(fams) != 4 {
-		t.Fatalf("got %d families, want 4", len(fams))
-	}
-	for i := 1; i < len(fams); i++ {
-		if fams[i-1].Name > fams[i].Name {
-			t.Errorf("families not sorted: %s > %s", fams[i-1].Name, fams[i].Name)
-		}
-	}
-	for _, f := range fams {
-		if f.Name == "tricheck_job_seconds" {
-			s := f.Series[0]
-			if s.Count == nil || *s.Count != 4 || len(s.Cumulative) != 4 {
-				t.Errorf("histogram series payload: %+v", s)
-			}
-		}
-	}
-}

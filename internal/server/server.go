@@ -10,7 +10,6 @@
 //	POST /v1/verify  stream per-(test, stack) verdicts as NDJSON in farm
 //	                 completion order, terminated by a summary record;
 //	                 every record carries the request's trace ID
-//	GET  /v1/stats   service + engine + memo-cache counters as JSON
 //	GET  /v1/traces  the N slowest retained spans (requests and sampled
 //	                 verdict jobs), slowest first, as JSON
 //	GET  /v1/coverage the engine's verification-coverage ledger as JSON:
@@ -20,8 +19,9 @@
 //	GET  /v1/memo/snapshot the whole memo cache in the farm snapshot
 //	                 envelope (the format of a -cache file)
 //	POST /v1/memo/load merge a posted snapshot into the memo cache
-//	GET  /metrics    the process obs registry plus the service counters
-//	                 in Prometheus text exposition format
+//	GET  /metrics    the process obs registry plus the service and
+//	                 memo-cache counters in Prometheus text exposition
+//	                 format — the one export of every counter
 //	GET  /debug/pprof/* runtime profiles, only with Config.EnablePprof
 //	GET  /healthz    liveness probe
 //
@@ -44,7 +44,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +52,6 @@ import (
 	"tricheck/internal/mem"
 	"tricheck/internal/obs"
 	"tricheck/internal/report"
-	"tricheck/internal/uspec"
 )
 
 // maxRequestBytes bounds a /v1/verify body (inline litmus sources).
@@ -115,22 +113,12 @@ type Server struct {
 	start      time.Time
 
 	// Counters are per-server (not globally registered), keeping tests
-	// and multiple instances independent; /v1/stats and /metrics read
-	// them.
-	requests  atomic.Int64
-	inflight  atomic.Int64
-	errors    atomic.Int64
-	cancels   atomic.Int64
-	verdicts  atomic.Int64
-	busyNanos atomic.Int64
-
-	// sweepStarts tracks in-flight sweeps' start times so Stats can
-	// include their elapsed time in the throughput denominator —
-	// otherwise tests/sec reads 0 for the whole duration of a long cold
-	// sweep and jumps only on completion.
-	mu          sync.Mutex
-	sweepStarts map[uint64]time.Time
-	nextSweepID uint64
+	// and multiple instances independent; /metrics reads them.
+	requests atomic.Int64
+	inflight atomic.Int64
+	errors   atomic.Int64
+	cancels  atomic.Int64
+	verdicts atomic.Int64
 }
 
 // New builds a Server, warm-starting the memo cache from
@@ -155,14 +143,13 @@ func New(cfg Config) (*Server, error) {
 		logger = log.New(io.Discard, "", 0)
 	}
 	s := &Server{
-		eng:         eng,
-		cachePath:   cfg.CachePath,
-		maxWorkers:  maxWorkers,
-		pprofOn:     cfg.EnablePprof,
-		sem:         make(chan struct{}, maxInFlight),
-		log:         logger,
-		start:       time.Now(),
-		sweepStarts: map[uint64]time.Time{},
+		eng:        eng,
+		cachePath:  cfg.CachePath,
+		maxWorkers: maxWorkers,
+		pprofOn:    cfg.EnablePprof,
+		sem:        make(chan struct{}, maxInFlight),
+		log:        logger,
+		start:      time.Now(),
 	}
 	if s.cachePath != "" {
 		if err := core.LoadMemoSnapshotLenient(eng, s.cachePath, logWriter{logger}); err != nil {
@@ -200,7 +187,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/verify", s.handleVerify)
 	mux.HandleFunc("/v1/memo/snapshot", s.handleMemoSnapshot)
 	mux.HandleFunc("/v1/memo/load", s.handleMemoLoad)
-	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/traces", s.handleTraces)
 	mux.HandleFunc("/v1/coverage", s.handleCoverage)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -219,9 +205,11 @@ func (s *Server) Handler() http.Handler {
 
 // handleMetrics renders the process obs registry (farm, memo,
 // verdict-phase and prof metrics) followed by this server's own
-// counters in Prometheus text exposition format. The per-server
-// counters (see the struct comment) are formatted here rather than
-// double-registered in the global registry.
+// counters and the memo cache's size in Prometheus text exposition
+// format. The per-server counters (see the struct comment) are
+// formatted here rather than double-registered in the global registry.
+// In tricheckd one engine serves the process, so the registry's
+// verdict, memo and incremental-engine counters are this server's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.Default.WritePrometheus(w)
@@ -231,6 +219,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writePromCounter(w, "tricheckd_requests_cancelled_total", "Verify requests aborted by client disconnect/cancel.", s.cancels.Load())
 	writePromCounter(w, "tricheckd_verdicts_streamed_total", "NDJSON verdict records written to clients.", s.verdicts.Load())
 	writePromGauge(w, "tricheckd_uptime_seconds", "Seconds since server construction.", int64(time.Since(s.start).Seconds()))
+	if st, ok := s.eng.MemoStats(); ok {
+		writePromGauge(w, "tricheckd_memo_entries", "Verdicts held in the memo cache.", int64(st.Len))
+		writePromGauge(w, "tricheckd_memo_capacity", "Memo cache LRU capacity in entries.", int64(st.Cap))
+	}
 }
 
 func writePromCounter(w io.Writer, name, help string, v int64) {
@@ -362,17 +354,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	begin := time.Now()
-	s.mu.Lock()
-	s.nextSweepID++
-	sweepID := s.nextSweepID
-	s.sweepStarts[sweepID] = begin
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.sweepStarts, sweepID)
-		s.mu.Unlock()
-		s.busyNanos.Add(time.Since(begin).Nanoseconds())
-	}()
 	s.log.Printf("verify[%s]: %d tests × %d stacks, %d workers", traceHex, len(tests), len(stacks), workers)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -512,70 +493,6 @@ func uhbObservableOf(op *core.OpsimMemo) []string {
 	out = append(out, op.UhbOnly...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return outcomeStrings(out)
-}
-
-// Stats returns the service counter snapshot /v1/stats serves.
-func (s *Server) Stats() api.StatsRecord {
-	st := api.StatsRecord{
-		UptimeSeconds:    time.Since(s.start).Seconds(),
-		RequestsTotal:    s.requests.Load(),
-		RequestsInFlight: s.inflight.Load(),
-		RequestErrors:    s.errors.Load(),
-		RequestCancels:   s.cancels.Load(),
-		VerdictsStreamed: s.verdicts.Load(),
-		JobsExecuted:     s.eng.Executions(),
-		Divergences:      s.eng.Divergences(),
-	}
-	// Busy time includes in-flight sweeps' elapsed time so the rate is
-	// live during a long sweep instead of jumping on completion. Sweep
-	// start times carry Go's monotonic clock reading, but clamp each
-	// contribution anyway: a start time that round-tripped through
-	// serialization (tests, future snapshots) loses the monotonic part,
-	// and a wall-clock step backwards would otherwise subtract from busy
-	// time and inflate — or NaN — the rate.
-	busy := time.Duration(s.busyNanos.Load())
-	s.mu.Lock()
-	for _, begin := range s.sweepStarts {
-		if d := time.Since(begin); d > 0 {
-			busy += d
-		}
-	}
-	s.mu.Unlock()
-	st.TestsPerSecond = streamRate(st.VerdictsStreamed, busy)
-	if ms, ok := s.eng.MemoStats(); ok {
-		m := &api.MemoStatsJSON{Hits: ms.Hits, Misses: ms.Misses, Len: ms.Len, Cap: ms.Cap}
-		if lookups := ms.Hits + ms.Misses; lookups > 0 {
-			m.HitRate = float64(ms.Hits) / float64(lookups)
-		}
-		st.Memo = m
-	}
-	if reuse, rebuild := uspec.IncrementalStats(); reuse+rebuild > 0 {
-		st.Incremental = &api.IncrementalStatsJSON{
-			Reuse:      reuse,
-			Rebuild:    rebuild,
-			ReuseRatio: float64(reuse) / float64(reuse+rebuild),
-		}
-	}
-	return st
-}
-
-// streamRate computes verdicts-per-second over the busy window, with
-// the degenerate cases pinned to 0: zero or negative busy time (no
-// sweep has run, or a clamped clock anomaly) must read as "no rate",
-// never as a division blow-up — /v1/stats is scraped by dashboards that
-// choke on NaN/Inf in JSON.
-func streamRate(verdicts int64, busy time.Duration) float64 {
-	if sec := busy.Seconds(); sec > 0 && verdicts >= 0 {
-		return float64(verdicts) / sec
-	}
-	return 0
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
 }
 
 // logWriter adapts a *log.Logger to io.Writer for the lenient cache

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,55 +227,93 @@ func TestVerifyInlineModelSpec(t *testing.T) {
 	}
 }
 
+// TestStatsAndDebugVars: /metrics is the one counter export. The JSON
+// /v1/stats and the expvar /debug/vars are gone, and after one sweep
+// /metrics carries every number /v1/stats served: the service's request,
+// verdict and uptime series, the executed verdicts (jobs_executed and
+// divergences), the memo lookups, the incremental engine's counters and
+// the memo cache's size.
 func TestStatsAndDebugVars(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	resp := postVerify(t, ts.URL, api.VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"})
 	verdicts, _ := drainStream(t, resp)
 
-	st := s.Stats()
-	if st.RequestsTotal != 1 || st.VerdictsStreamed != int64(len(verdicts)) || st.JobsExecuted == 0 {
-		t.Fatalf("stats %+v after one sweep of %d verdicts", st, len(verdicts))
-	}
-	if st.Memo == nil || st.Memo.Len == 0 {
-		t.Fatalf("stats missing memo counters: %+v", st)
-	}
-	if st.TestsPerSecond <= 0 {
-		t.Fatalf("tests/sec = %v, want > 0", st.TestsPerSecond)
-	}
-	// The sweep evaluated µhb candidates, so the incremental engine's
-	// reuse/rebuild counters (process-wide) must be populated and the
-	// precomputed ratio consistent with them.
-	if st.Incremental == nil || st.Incremental.Reuse+st.Incremental.Rebuild == 0 {
-		t.Fatalf("stats missing incremental engine counters: %+v", st)
-	}
-	inc := st.Incremental
-	if want := float64(inc.Reuse) / float64(inc.Reuse+inc.Rebuild); inc.ReuseRatio != want {
-		t.Fatalf("incremental reuse ratio %v, want %v", inc.ReuseRatio, want)
+	for _, path := range []string{"/v1/stats", "/debug/vars"} {
+		gone, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone.Body.Close()
+		if gone.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s → %d, want 404", path, gone.StatusCode)
+		}
 	}
 
-	httpStats, err := http.Get(ts.URL + "/v1/stats")
+	series := scrapeMetrics(t, ts.URL)
+	for name, want := range map[string]int64{
+		"tricheckd_requests_total":           1,
+		"tricheckd_requests_inflight":        0,
+		"tricheckd_request_errors_total":     0,
+		"tricheckd_requests_cancelled_total": 0,
+		"tricheckd_verdicts_streamed_total":  int64(len(verdicts)),
+	} {
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	// The registry is process-wide, so earlier tests' sweeps may add to
+	// these; this sweep alone makes each one nonzero.
+	for _, name := range []string{
+		`tricheck_farm_memo_total{outcome="miss"}`,
+		"tricheckd_memo_entries",
+		"tricheckd_memo_capacity",
+	} {
+		if series[name] <= 0 {
+			t.Errorf("%s = %d, want > 0", name, series[name])
+		}
+	}
+	var executed, incremental int64
+	for _, v := range []string{"Equivalent", "OverlyStrict", "Bug", "Divergence"} {
+		executed += series[`tricheck_verdicts_total{verdict="`+v+`"}`]
+	}
+	for _, kind := range []string{"reuse", "rebuild"} {
+		incremental += series["tricheck_uhb_incremental_"+kind+"_total"]
+	}
+	if executed == 0 || incremental == 0 {
+		t.Errorf("executed verdicts %d, incremental verdicts %d after a cold sweep, want both > 0", executed, incremental)
+	}
+	for _, name := range []string{`tricheck_farm_memo_total{outcome="hit"}`, "tricheckd_uptime_seconds"} {
+		if _, ok := series[name]; !ok {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+}
+
+// scrapeMetrics reads /metrics into a series → value map (histogram
+// sums, the only non-integer samples, are skipped).
+func scrapeMetrics(t *testing.T, url string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire api.StatsRecord
-	if err := json.NewDecoder(httpStats.Body).Decode(&wire); err != nil {
+	defer resp.Body.Close()
+	series := map[string]int64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if v, err := strconv.ParseInt(line[i+1:], 10, 64); err == nil {
+			series[line[:i]] = v
+		}
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	httpStats.Body.Close()
-	if wire.RequestsTotal != 1 || wire.VerdictsStreamed != int64(len(verdicts)) {
-		t.Fatalf("/v1/stats %+v disagrees with Stats()", wire)
-	}
-
-	// /v1/stats and /metrics are the two counter exports; the expvar
-	// one is gone.
-	dv, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv.Body.Close()
-	if dv.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/vars → %d, want 404", dv.StatusCode)
-	}
+	return series
 }
 
 // TestClientDisconnectStopsScheduling is the cancellation acceptance
@@ -319,7 +358,7 @@ func TestClientDisconnectStopsScheduling(t *testing.T) {
 
 	// The handler notices, aborts the farm, and drains.
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().RequestsInFlight != 0 {
+	for s.inflight.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request still in flight long after disconnect")
 		}
@@ -334,8 +373,8 @@ func TestClientDisconnectStopsScheduling(t *testing.T) {
 	}
 	// The abort is the supported client flow: counted as a cancel, not
 	// as a service error.
-	if st := s.Stats(); st.RequestCancels != 1 || st.RequestErrors != 0 {
-		t.Fatalf("disconnect accounted as cancels=%d errors=%d, want 1/0", st.RequestCancels, st.RequestErrors)
+	if cancels, errs := s.cancels.Load(), s.errors.Load(); cancels != 1 || errs != 0 {
+		t.Fatalf("disconnect accounted as cancels=%d errors=%d, want 1/0", cancels, errs)
 	}
 
 	// A follow-up full request completes, reuses the aborted run's
@@ -403,7 +442,7 @@ func TestConcurrentRequestsSurviveACancelledPeer(t *testing.T) {
 	assertSummaryMatches(t, summary, ref)
 
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().RequestsInFlight != 0 {
+	for s.inflight.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("cancelled peer still in flight")
 		}

@@ -205,12 +205,6 @@ func shippedFingerprints() map[string]bool {
 	return out
 }
 
-// ShippedShapeKey returns the structural dedup key of a shipped shape —
-// what Enumerate compares synthesized shapes against.
-func ShippedShapeKey(s *litmus.Shape) string {
-	return FirstChoiceInstance(s).StructuralFingerprint()
-}
-
 // NovelOnly filters an enumeration down to the shapes not shipped.
 func NovelOnly(in []*Synthesized) []*Synthesized {
 	var out []*Synthesized
@@ -229,16 +223,6 @@ func Shapes(in []*Synthesized) []*litmus.Shape {
 		out[i] = s.Shape
 	}
 	return out
-}
-
-// ByName finds an enumerated shape by cycle word or shape name.
-func ByName(in []*Synthesized, name string) *Synthesized {
-	for _, s := range in {
-		if s.Shape.Name == name || s.Cycle.Word() == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // Stats summarizes an enumeration for reports.

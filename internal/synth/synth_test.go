@@ -10,6 +10,16 @@ import (
 	"tricheck/internal/litmus"
 )
 
+// byName finds an enumerated shape by cycle word or shape name.
+func byName(in []*Synthesized, name string) *Synthesized {
+	for _, s := range in {
+		if s.Shape.Name == name || s.Cycle.Word() == name {
+			return s
+		}
+	}
+	return nil
+}
+
 // TestRediscoversPaperShapes is the regression gate demanded by the
 // synthesizer's design: the enumerator must rediscover the paper's own
 // shapes as specific critical cycles. For the shapes whose lowering is
@@ -36,7 +46,7 @@ func TestRediscoversPaperShapes(t *testing.T) {
 		{"po.coe.po.coe", "2+2w"},
 	}
 	for _, want := range exact {
-		s := ByName(res, want.word)
+		s := byName(res, want.word)
 		if s == nil {
 			t.Errorf("cycle %s (%s) not enumerated", want.word, want.shipped)
 			continue
@@ -55,7 +65,7 @@ func TestRediscoversPaperShapes(t *testing.T) {
 			// authoring convention, not coherence position: identical
 			// modulo value numbering (structural), not value-for-value.
 			synthFP = FirstChoiceInstance(s.Shape).StructuralFingerprint()
-			shippedFP = ShippedShapeKey(shipped)
+			shippedFP = FirstChoiceInstance(shipped).StructuralFingerprint()
 		}
 		if synthFP != shippedFP {
 			t.Errorf("%s: fingerprint differs from shipped %s\n synth: %s\n shipped: %s",
@@ -77,7 +87,7 @@ func TestRediscoversPaperShapes(t *testing.T) {
 	// W-pos->R lowering (CoWR): a read po-after its own thread's
 	// same-location write observes that write, so cycles with such
 	// edges lower to satisfiable outcomes instead of being pruned...
-	cowr := ByName(res, "pos.fre.pos.fre.rfe")
+	cowr := byName(res, "pos.fre.pos.fre.rfe")
 	if cowr == nil {
 		t.Error("cycle pos.fre.pos.fre.rfe (W-pos->R class) not enumerated")
 	} else if cowr.Shape.Specified != "r0=2; r1=0; r2=1; x=2" {
@@ -85,12 +95,12 @@ func TestRediscoversPaperShapes(t *testing.T) {
 	}
 	// ...while genuinely contradictory ones (both reads observing their
 	// own write and from-reading the other's) stay rejected.
-	if ByName(res, "pos.fre.pos.fre") != nil {
+	if byName(res, "pos.fre.pos.fre") != nil {
 		t.Error("pos.fre.pos.fre has a coherence cycle and must be rejected")
 	}
 
 	// CoRR: the classic one-write read-read coherence cycle.
-	corr := ByName(res, "pos.fre.rfe")
+	corr := byName(res, "pos.fre.rfe")
 	if corr == nil {
 		t.Fatal("cycle pos.fre.rfe (corr) not enumerated")
 	}
@@ -145,10 +155,10 @@ func TestBounds(t *testing.T) {
 				s.Cycle.Word(), s.Cycle.NThreads, s.Cycle.NLocs, s.Cycle.Len())
 		}
 	}
-	if ByName(res, "po.fre.rfe.po.fre.rfe") != nil {
+	if byName(res, "po.fre.rfe.po.fre.rfe") != nil {
 		t.Error("iriw (4 threads) survived MaxThreads=2")
 	}
-	if ByName(res, "po.fre.po.fre") == nil {
+	if byName(res, "po.fre.po.fre") == nil {
 		t.Error("sb (2 threads, 2 locs) filtered out")
 	}
 }
@@ -242,7 +252,7 @@ func TestDuplicateCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp := ByName(res, "po.rfe.po.fre")
+	mp := byName(res, "po.rfe.po.fre")
 	if mp == nil {
 		t.Fatal("mp cycle missing")
 	}

@@ -36,7 +36,7 @@ var (
 
 // IncrementalStats returns the process-wide incremental-engine counters
 // (verdicts that reused the maintained order vs. rebuilt it), for the
-// /v1/stats endpoint and the `tricheck top` report.
+// `tricheck top` report; /metrics exports the same two counters.
 func IncrementalStats() (reuse, rebuild uint64) {
 	return incrReuse.Value(), incrRebuild.Value()
 }

@@ -146,9 +146,10 @@ func DiffCoverage(old, cur *CoverageSnapshot) *CoverageDiff { return cover.Diff(
 // topological order vs. rebuilt it from scratch.
 func IncrementalStats() (reuse, rebuild uint64) { return uspec.IncrementalStats() }
 
-// WriteMetricsJSON dumps the process metrics registry as indented JSON
-// (the -metrics-out format).
-func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
+// WriteMetrics writes the process metrics registry in the Prometheus
+// text exposition format — what tricheckd's GET /metrics serves, and the
+// -metrics-out format.
+func WriteMetrics(w io.Writer) error { return obs.Default.WritePrometheus(w) }
 
 // ErrSnapshotVersion reports a memo-cache snapshot written by an
 // incompatible build (errors.Is against Engine.LoadMemoSnapshot's
