@@ -26,6 +26,7 @@ import (
 	"testing"
 
 	"tricheck"
+	"tricheck/internal/opsim"
 	"tricheck/internal/sieve"
 	"tricheck/internal/timing"
 )
@@ -392,7 +393,7 @@ func benchOpsimEnumerate(b *testing.B, shape *tricheck.Shape, m *tricheck.Model)
 	}
 	var states, outcomes int
 	for i := 0; i < b.N; i++ {
-		sim, err := tricheck.OperationalForConfig(m.Config, prog)
+		sim, err := opsim.ForConfig(m.Config, prog)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -108,8 +108,10 @@ type OpsimMemo struct {
 	// Witness is an operational interleaving reaching WitnessOutcome —
 	// concrete evidence for one side of the divergence.
 	Witness []string `json:"witness,omitempty"`
-	// States counts distinct machine configurations the simulator
-	// explored (diagnostics).
+	// States counts distinct machine configurations the simulator's
+	// Outcomes explored (diagnostics). Outcomes runs a partial-order
+	// reduction, so a snapshot written before it holds larger counts for
+	// the same verdicts and outcome sets.
 	States int `json:"states,omitempty"`
 	// Skipped carries the capability reason when BackendBoth could not
 	// run the operational side for this stack's config.

@@ -44,15 +44,18 @@ func (e *CapabilityError) Error() string {
 }
 
 // Enumerator is one operational machine bound to a compiled program:
-// exhaustive outcome enumeration plus interleaving-witness extraction.
+// outcome enumeration plus interleaving-witness extraction.
 type Enumerator interface {
-	// Outcomes explores every interleaving and returns the reachable
-	// final-state set, in the same canonical form as the axiomatic side.
+	// Outcomes returns every reachable final state, in the same
+	// canonical form as the axiomatic side. It explores one order of
+	// each set of independent steps, so its StateCount is that of the
+	// reduced search (see search).
 	Outcomes() map[mem.Outcome]bool
 	// Trace searches for an interleaving reaching the target outcome and
 	// returns it as human-readable actions, or nil if unreachable.
 	Trace(target mem.Outcome) []string
-	// StateCount reports distinct machine configurations explored so far.
+	// StateCount reports distinct machine configurations Outcomes
+	// explored.
 	StateCount() int
 }
 

@@ -96,24 +96,47 @@ type nstate struct {
 // nshape sizes the windows of one program's states. A thread buffers
 // at most its own stores, and each writing instruction adds at most one
 // write to the coherence order of the one location it writes, so no
-// window ever grows.
+// window ever grows. It also indexes the program for the reduction's
+// rules (see explore).
 type nshape struct {
 	regs   []int // per thread: registers
 	sb     []int // per thread: store-buffer window (its stores)
 	locs   int   // locations
 	writes int   // per location: coherence-order window (the program's writing instructions)
+	// lastRead[t][l] and lastWrite[t][l] are the index of thread t's
+	// last event that reads (a load, AMO load or RMW) or writes (a store
+	// or RMW) location l, or -1. An event with a register address counts
+	// at every location.
+	lastRead, lastWrite [][]int
 }
 
 // newShape sizes the windows of p's states.
 func newShape(p *isa.Program) *nshape {
-	sh := &nshape{regs: regWidths(p), sb: make([]int, p.NumThreads()), locs: p.Mem().NumLocs}
+	n := p.NumThreads()
+	sh := &nshape{regs: regWidths(p), sb: make([]int, n), locs: p.Mem().NumLocs,
+		lastRead: make([][]int, n), lastWrite: make([][]int, n)}
 	for t, th := range p.Mem().Threads {
-		for _, e := range th {
+		sh.lastRead[t], sh.lastWrite[t] = make([]int, sh.locs), make([]int, sh.locs)
+		for l := range sh.locs {
+			sh.lastRead[t][l], sh.lastWrite[t][l] = -1, -1
+		}
+		for i, e := range th {
 			if e.Kind == mem.Write {
 				sh.sb[t]++
 			}
 			if e.IsWrite() {
 				sh.writes++
+			}
+			for l := range sh.locs {
+				if e.Kind == mem.Fence || e.Addr.Kind == mem.OpConst && e.Addr.Const != int64(l) {
+					continue
+				}
+				if e.IsRead() {
+					sh.lastRead[t][l] = i
+				}
+				if e.IsWrite() {
+					sh.lastWrite[t][l] = i
+				}
 			}
 		}
 	}
@@ -352,26 +375,44 @@ func (s *NMCASimulator) drainHead(st *nstate, t int) {
 // explore enumerates st's transitions: per-core applies, then per thread
 // a commit, a drain and the next instruction. The machine quiesces with
 // buffers empty and every write applied everywhere (eventual
-// visibility). It reports whether it reached Trace's target (see
-// search).
+// visibility). Outcomes first takes one independent transition alone:
+// a thread's own step (ownStep), then a drain no other thread can see
+// (soleWriterDrain), then an apply its core will not read
+// (unreadApply), each by ascending thread or core and location. It
+// reports whether it reached Trace's target (see search).
 func (s *NMCASimulator) explore(st *nstate) bool {
 	if !s.visit(st.appendKey(s.key[:0])) {
 		return false
 	}
-	progress := false
 	n := s.p.NumThreads()
+	if !s.full {
+		for t := 0; t < n; t++ {
+			if ev := s.ownStep(st, t); ev != nil {
+				return s.exploreExecute(st, t, ev)
+			}
+		}
+		for t := 0; t < n; t++ {
+			if s.soleWriterDrain(st, t) {
+				return s.exploreDrain(st, t)
+			}
+		}
+		for c := 0; c < n; c++ {
+			for l := range st.order {
+				if s.unreadApply(st, c, mem.Loc(l)) {
+					return s.exploreApply(st, c, mem.Loc(l))
+				}
+			}
+		}
+	}
+	progress := false
 	// Apply actions: any core advances any location's visibility.
 	for c := 0; c < n; c++ {
 		for l := range st.order {
 			if st.canApply(c, mem.Loc(l)) {
 				progress = true
-				next := s.next(st)
-				next.applied[c][l]++
-				if s.explore(next) {
-					w := st.writes[st.order[l][st.applied[c][l]]]
-					return s.record("T%d: apply %s=%d (written by T%d)", c, s.p.Mem().LocName(mem.Loc(l)), w.val, w.src)
+				if s.exploreApply(st, c, mem.Loc(l)) {
+					return true
 				}
-				s.release(next)
 			}
 		}
 	}
@@ -387,21 +428,12 @@ func (s *NMCASimulator) explore(st *nstate) bool {
 			}
 			s.release(next)
 		}
-		// Drain: move the SB head into the coherence order. The draining
-		// core must be caught up on the location (it acquires the line)
-		// and applies its own write immediately. A pending SC-AMO write
-		// holds drains back: anything buffered behind it is later in
-		// program order, and pointwise W→W says it may not become
-		// visible anywhere before the atomic's instant.
-		if len(st.sb[t]) > 0 && !st.pending[t].set && st.caughtUp(t, st.sb[t][0].loc) {
+		// Drain: move the SB head into the coherence order.
+		if st.canDrain(t) {
 			progress = true
-			next := s.next(st)
-			s.drainHead(next, t)
-			if s.explore(next) {
-				e := st.sb[t][0]
-				return s.record("T%d: drain %s=%d into the coherence order", t, s.p.Mem().LocName(e.loc), e.val)
+			if s.exploreDrain(st, t) {
+				return true
 			}
-			s.release(next)
 		}
 		// Execute the next instruction's memory event.
 		if th := s.p.Mem().Threads[t]; st.pc[t] < len(th) {
@@ -410,16 +442,137 @@ func (s *NMCASimulator) explore(st *nstate) bool {
 				continue
 			}
 			progress = true
-			next := s.next(st)
-			s.execute(next, t, ev)
-			next.pc[t]++
-			if s.explore(next) {
-				return s.record("T%d: execute instruction %d", t, st.pc[t])
+			if s.exploreExecute(st, t, ev) {
+				return true
 			}
-			s.release(next)
 		}
 	}
 	return !progress && s.quiescent(st.reg, st.final)
+}
+
+// ownStep returns thread t's next event when executing it is
+// independent of every other transition, or nil. That holds for a plain
+// store and for a fence blocked lets through:
+//   - the store only appends to t's own buffer, which only t's drain
+//     and t's own events read, and it commutes with t's drain, which
+//     takes the head;
+//   - the fence only advances t's pc, and once unblocked it stays
+//     unblocked. A W→R fence waits for t's buffer, t's pending atomic
+//     and t's own writes: only t's next event fills the buffer or the
+//     pending slot, and with both empty only t's drain or commit would
+//     add a write of t's to the coherence order, while applies only
+//     ever complete t's writes.
+func (s *NMCASimulator) ownStep(st *nstate, t int) *mem.Event {
+	th := s.p.Mem().Threads[t]
+	if st.pc[t] >= len(th) {
+		return nil
+	}
+	ev := th[st.pc[t]]
+	if ev.Kind == mem.Write || ev.Kind == mem.Fence && !s.blocked(st, t, ev) {
+		return ev
+	}
+	return nil
+}
+
+// soleWriterDrain reports whether thread t may drain its buffer head,
+// at location l, and no other thread still writes l: none has a write
+// or RMW to l at or after its pc, an l entry in its buffer or a pending
+// atomic at l. The drain is then independent of every other transition:
+//   - nothing disables it. Only another writer's write to l could leave
+//     t behind on l, and t's own RMWs and atomics wait for its buffer.
+//   - the coherence order of l is fixed, since t's write is the last
+//     one l will get before t's own later ones. Other cores see it only
+//     through their own applies of it, and it changes neither their
+//     views nor, being t's newest write, their source-FIFO waits.
+//   - t's loads of l read the same value before and after it: the
+//     newest l entry in t's buffer before, which after is either still
+//     buffered or this write, now t's view of l. What else reads t's
+//     buffer or t's own writes (t's AMO loads, writing AMOs, W→R fences
+//     and commit) waits for the buffer to empty.
+func (s *NMCASimulator) soleWriterDrain(st *nstate, t int) bool {
+	if !st.canDrain(t) {
+		return false
+	}
+	l := st.sb[t][0].loc
+	for u := range st.sb {
+		if u == t {
+			continue
+		}
+		if s.shape.lastWrite[u][l] >= st.pc[u] || st.pending[u].set && st.pending[u].loc == l {
+			return false
+		}
+		if _, ok := buffered(st.sb[u], l); ok {
+			return false
+		}
+	}
+	return true
+}
+
+// unreadApply reports whether core c may apply its next write to l and
+// no event of thread c at or after its pc reads l. The apply is then
+// independent of every other transition: it only advances c's view of
+// l, and every transition that reads that view has to wait for it.
+//   - c's loads and RMWs at l: there are none left;
+//   - c's drain of an l entry, and every commit and SC RMW at l: they
+//     wait for c to catch up on l;
+//   - the W→R fence, rl AMO load, SC RMW and commit of the write's
+//     source: they wait for its writes to apply at every core;
+//   - applies at c of the source's later writes: source FIFO holds
+//     them back.
+//
+// Everything else that applies at c, or appends to l's coherence order,
+// commutes with it, and an apply disables nothing.
+func (s *NMCASimulator) unreadApply(st *nstate, c int, l mem.Loc) bool {
+	return s.shape.lastRead[c][l] < st.pc[c] && st.canApply(c, l)
+}
+
+// exploreApply explores st's successor in which core c applies its next
+// write to l.
+func (s *NMCASimulator) exploreApply(st *nstate, c int, l mem.Loc) bool {
+	next := s.next(st)
+	next.applied[c][l]++
+	if s.explore(next) {
+		w := st.writes[st.order[l][st.applied[c][l]]]
+		return s.record("T%d: apply %s=%d (written by T%d)", c, s.p.Mem().LocName(l), w.val, w.src)
+	}
+	s.release(next)
+	return false
+}
+
+// canDrain reports whether thread t may move its store-buffer head into
+// the coherence order. The draining core must be caught up on the
+// location (it acquires the line) and applies its own write
+// immediately. A pending SC-AMO write holds drains back: anything
+// buffered behind it is later in program order, and pointwise W→W says
+// it may not become visible anywhere before the atomic's instant.
+func (s *nstate) canDrain(t int) bool {
+	return len(s.sb[t]) > 0 && !s.pending[t].set && s.caughtUp(t, s.sb[t][0].loc)
+}
+
+// exploreDrain explores st's successor in which thread t drains its
+// store-buffer head.
+func (s *NMCASimulator) exploreDrain(st *nstate, t int) bool {
+	next := s.next(st)
+	s.drainHead(next, t)
+	if s.explore(next) {
+		e := st.sb[t][0]
+		return s.record("T%d: drain %s=%d into the coherence order", t, s.p.Mem().LocName(e.loc), e.val)
+	}
+	s.release(next)
+	return false
+}
+
+// exploreExecute explores st's successor in which thread t executes ev,
+// its next event.
+func (s *NMCASimulator) exploreExecute(st *nstate, t int, ev *mem.Event) bool {
+	next := s.next(st)
+	s.execute(next, t, ev)
+	next.pc[t]++
+	if s.explore(next) {
+		return s.record("T%d: execute instruction %d", t, st.pc[t])
+	}
+	s.release(next)
+	return false
 }
 
 // appendWrite adds a drained/executed write to the coherence order and

@@ -1,9 +1,12 @@
 // Package opsim provides an operational (interleaving-based) simulator for
 // the WR microarchitecture — the strongest Table 7 model: in-order cores,
 // a FIFO store buffer per core without forwarding, and multi-copy-atomic
-// memory. It exhaustively explores every interleaving of instruction
-// execution and store-buffer drain events and collects the reachable final
-// states.
+// memory — and its SC, TSO and nWR relatives. It searches the
+// interleavings of instruction execution and store-buffer drain events
+// and collects every reachable final state. Outcomes skips interleavings
+// that differ only in the order of independent steps, a partial-order
+// reduction whose rules each machine argues next to its explore; Trace
+// searches every interleaving (see search).
 //
 // Its purpose is cross-validation: internal/uspec decides observability
 // axiomatically (µhb graph acyclicity), opsim decides it operationally.
@@ -222,23 +225,27 @@ func drain(st *state, t int) {
 
 // explore enumerates st's transitions: per thread, drain the oldest
 // store-buffer entry, then execute the next instruction's memory event
-// if not blocked. It reports whether it reached Trace's target (see
-// search).
+// if not blocked. Outcomes first takes a thread's own step alone (see
+// ownStep). It reports whether it reached Trace's target (see search).
 func (s *Simulator) explore(st *state) bool {
 	if !s.visit(st.appendKey(s.key[:0])) {
 		return false
 	}
+	n := s.p.NumThreads()
+	if !s.full {
+		for t := 0; t < n; t++ {
+			if ev := s.ownStep(st, t); ev != nil {
+				return s.exploreExecute(st, t, ev)
+			}
+		}
+	}
 	progress := false
-	for t := 0; t < s.p.NumThreads(); t++ {
+	for t := 0; t < n; t++ {
 		if len(st.sb[t]) > 0 {
 			progress = true
-			next := s.next(st)
-			drain(next, t)
-			if s.explore(next) {
-				e := st.sb[t][0]
-				return s.record("T%d: drain %s=%d to memory", t, s.p.Mem().LocName(e.loc), e.val)
+			if s.exploreDrain(st, t) {
+				return true
 			}
-			s.release(next)
 		}
 		if th := s.p.Mem().Threads[t]; st.pc[t] < len(th) {
 			ev := th[st.pc[t]]
@@ -246,16 +253,61 @@ func (s *Simulator) explore(st *state) bool {
 				continue
 			}
 			progress = true
-			next := s.next(st)
-			s.execute(next, t, ev)
-			next.pc[t]++
-			if s.explore(next) {
-				return s.record("T%d: execute instruction %d", t, st.pc[t])
+			if s.exploreExecute(st, t, ev) {
+				return true
 			}
-			s.release(next)
 		}
 	}
 	return !progress && s.quiescent(st.reg, st.final)
+}
+
+// ownStep returns thread t's next event when executing it is
+// independent of every other transition, or nil. That holds for a plain
+// store on a buffering machine and for a fence blocked lets through:
+//   - the store only appends to t's own buffer, which no other thread
+//     reads, and it commutes with t's drain, which takes the head;
+//   - the fence only advances t's pc, and once unblocked it stays
+//     unblocked: a W→R fence waits for t's buffer to empty, and only t
+//     adds to it.
+//
+// A write-through store writes memory, which every thread reads, so the
+// SC machine takes only its fences alone.
+func (s *Simulator) ownStep(st *state, t int) *mem.Event {
+	th := s.p.Mem().Threads[t]
+	if st.pc[t] >= len(th) {
+		return nil
+	}
+	ev := th[st.pc[t]]
+	if ev.Kind == mem.Write && !s.WriteThrough || ev.Kind == mem.Fence && !s.blocked(st, t, ev) {
+		return ev
+	}
+	return nil
+}
+
+// exploreDrain explores st's successor in which thread t drains its
+// oldest store-buffer entry.
+func (s *Simulator) exploreDrain(st *state, t int) bool {
+	next := s.next(st)
+	drain(next, t)
+	if s.explore(next) {
+		e := st.sb[t][0]
+		return s.record("T%d: drain %s=%d to memory", t, s.p.Mem().LocName(e.loc), e.val)
+	}
+	s.release(next)
+	return false
+}
+
+// exploreExecute explores st's successor in which thread t executes ev,
+// its next event.
+func (s *Simulator) exploreExecute(st *state, t int, ev *mem.Event) bool {
+	next := s.next(st)
+	s.execute(next, t, ev)
+	next.pc[t]++
+	if s.explore(next) {
+		return s.record("T%d: execute instruction %d", t, st.pc[t])
+	}
+	s.release(next)
+	return false
 }
 
 // blocked implements the WR stall conditions on ev, reading the

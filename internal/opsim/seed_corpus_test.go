@@ -82,9 +82,12 @@ func TestNMCAVisibilityOrderEdge(t *testing.T) {
 	if !sawApply {
 		t.Errorf("trace witness has no per-core apply step — not an nMCA schedule:\n%v", wit)
 	}
-	// The same outcome must be unreachable on the MCA machine, so the
+	// The same outcome must be unreachable on the MCA machines, so the
 	// witness is specifically about non-multi-copy-atomicity.
 	if New(prog).Trace(tst.Specified) != nil {
 		t.Error("MCA machine also reaches the outcome — the edge is not visibility-order specific")
+	}
+	if NewTSO(prog).Outcomes()[tst.Specified] {
+		t.Error("TSO machine also reaches the outcome — the edge is not visibility-order specific")
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"tricheck/internal/c11"
 	"tricheck/internal/compile"
-	"tricheck/internal/isa"
 	"tricheck/internal/litmus"
 )
 
@@ -158,15 +157,7 @@ func TestOutcomesIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []struct {
-			name string
-			new  func(*isa.Program) Enumerator
-		}{
-			{"SC", func(p *isa.Program) Enumerator { return NewSC(p) }},
-			{"WR", func(p *isa.Program) Enumerator { return New(p) }},
-			{"TSO", func(p *isa.Program) Enumerator { return NewTSO(p) }},
-			{"nWR", func(p *isa.Program) Enumerator { return NewNMCA(p) }},
-		} {
+		for _, m := range machines {
 			name := tst.Name + "/" + m.name
 			sim := m.new(prog)
 			first := maps.Clone(sim.Outcomes())

@@ -39,7 +39,6 @@ import (
 	"tricheck/internal/litmus"
 	"tricheck/internal/mem"
 	"tricheck/internal/obs"
-	"tricheck/internal/opsim"
 	"tricheck/internal/report"
 	"tricheck/internal/synth"
 	"tricheck/internal/uspec"
@@ -432,27 +431,3 @@ func WriteMappingTable(w io.Writer, m *Mapping) { report.MappingTable(w, m) }
 func StreamProgress(w io.Writer, events <-chan Progress, every int) {
 	report.StreamProgress(w, events, every)
 }
-
-// Operational cross-validation simulators (internal/opsim): independent
-// interleaving-based semantics for the WR, TSO and nWR machines, used to
-// validate the axiomatic µhb models and to extract concrete witness
-// interleavings.
-
-// OperationalWR returns an exhaustive interleaving simulator of the WR
-// machine for a compiled program.
-func OperationalWR(p *ISAProgram) *opsim.Simulator { return opsim.New(p) }
-
-// OperationalForConfig maps a µspec model configuration to its
-// operational machine for a compiled program (the backend=opsim/both
-// enumeration driver), or a capability error when the config's
-// relaxation profile has no simulator.
-func OperationalForConfig(c ModelConfig, p *ISAProgram) (opsim.Enumerator, error) {
-	return opsim.ForConfig(c, p)
-}
-
-// OperationalTSO returns the WR simulator with store-buffer forwarding
-// (the x86-TSO machine).
-func OperationalTSO(p *ISAProgram) *opsim.Simulator { return opsim.NewTSO(p) }
-
-// OperationalNWR returns the operational nMCA (nWR) simulator.
-func OperationalNWR(p *ISAProgram) *opsim.NMCASimulator { return opsim.NewNMCA(p) }

@@ -119,26 +119,6 @@ func TestFacadeStacks(t *testing.T) {
 	}
 }
 
-// TestFacadeOperationalSimulators: the exposed operational simulators run
-// and agree with the engine's verdicts on a known case.
-func TestFacadeOperationalSimulators(t *testing.T) {
-	tst := tricheck.WRC.Instantiate([]tricheck.Order{
-		tricheck.Rlx, tricheck.Rlx, tricheck.Rel, tricheck.Acq, tricheck.Rlx})
-	prog, err := tricheck.CompileTest(tricheck.RISCVBaseIntuitive, tst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tricheck.OperationalWR(prog).Outcomes()[tst.Specified] {
-		t.Error("WRC bug reachable on the MCA machine")
-	}
-	if tricheck.OperationalTSO(prog).Outcomes()[tst.Specified] {
-		t.Error("WRC bug reachable on TSO")
-	}
-	if !tricheck.OperationalNWR(prog).Outcomes()[tst.Specified] {
-		t.Error("WRC bug unreachable on the operational nMCA machine")
-	}
-}
-
 // TestFacadeSynthesis: the synthesis surface — enumerate, filter,
 // summarize, run one novel shape end to end through the engine.
 func TestFacadeSynthesis(t *testing.T) {
