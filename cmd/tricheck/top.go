@@ -10,10 +10,10 @@ import (
 	"tricheck"
 )
 
-// cmdTop implements `tricheck top`: run a sweep on a fresh engine (no
-// memo cache — every job executes, so every job is costed) and print a
-// hot-spot report from the engine's per-(test, stack) cost matrix:
-// where the verification time went, by phase, stack and test. Cells,
+// cmdTop implements `tricheck top`: run a sweep on a fresh engine with
+// its cost matrix on and no memo cache (every job executes, so every job
+// is costed) and print a hot-spot report from the cost matrix: where
+// the verification time went, by phase, stack and test. Cells,
 // stacks and tests rank by attributed phase time (JobCost.Work), so a
 // job that waited on another worker does not rank as one that worked.
 func cmdTop(args []string) {
@@ -38,6 +38,7 @@ func cmdTop(args []string) {
 	}
 
 	eng := tricheck.NewEngine()
+	eng.EnableCostMatrix()
 	start := time.Now()
 	if _, err := eng.SweepStream(tests, stacks, *workers, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "tricheck top: %v\n", err)

@@ -23,8 +23,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,7 +88,10 @@ func (v Verdict) String() string {
 	}
 }
 
-// TestResult is the full-stack verdict for one litmus test.
+// TestResult is the full-stack verdict for one litmus test. Its maps and
+// slices are shared with the memo cache, and Observable also with the
+// other stacks of its (test, mapping) group that observe the same
+// outcomes, so all of them are read-only.
 type TestResult struct {
 	Test  *litmus.Test
 	Stack Stack
@@ -131,23 +136,24 @@ type Engine struct {
 	divergences atomic.Uint64
 	// lastFarm records the statistics of the most recent farm run.
 	lastFarm farm.Stats
-	// costs is the per-(test, stack) cost matrix, fed by every executed
-	// job (see obs.go); costMu guards it.
-	costMu sync.Mutex
-	costs  map[costKey]*JobCost
+	// costs is the per-(test, stack) cost matrix (see obs.go), fed by
+	// every job executed after EnableCostMatrix; costMu guards it.
+	costsOn atomic.Bool
+	costMu  sync.Mutex
+	costs   map[costKey]*JobCost
 	// ledger is the verification-coverage ledger (internal/cover): the
 	// per-(model, axiom) fired/edge/cycle matrix fed by every executed
 	// job, and the (test, config) verdict vectors fed by every result —
-	// executed or memoized. It sits next to the cost matrix: costs say
-	// where time went, the ledger says what the verification exercised.
+	// executed or memoized. The ledger says what the verification
+	// exercised; the cost matrix, when on, says where the time went.
 	ledger *cover.Ledger
 }
 
-// NewEngine returns an Engine with an empty HLL cache and no memo cache.
+// NewEngine returns an Engine with an empty HLL cache, no memo cache and
+// no cost matrix.
 func NewEngine() *Engine {
 	return &Engine{
 		hll:    map[string]*hllEntry{},
-		costs:  map[costKey]*JobCost{},
 		ledger: cover.NewLedger(uspec.AxiomNames(), verdictNames()),
 	}
 }
@@ -264,8 +270,8 @@ type group struct {
 // a group and returns one portable verdict per member, in member order.
 // It is the farm's job thunk and the single exit point of every
 // executed (test, stack) pair, whatever the backend: steps 1–2 run once
-// per group, and each member's execution count, cost-matrix cell,
-// ledger record and verdict counter are recorded once.
+// per group, and each member's execution count, ledger record, verdict
+// counter and (when on) cost-matrix cell are recorded once.
 //
 // Step 3 runs on the backend's engine(s), over the one compiled program:
 //
@@ -273,7 +279,10 @@ type group struct {
 //     skeleton exactly once, and one candidate enumeration streams every
 //     execution through all the members' pooled overlays
 //     (uspec.EvaluateAll), so a sweep's per-execution cost is dynamic
-//     edges plus an allocation-free cycle check per model.
+//     edges plus an allocation-free cycle check per model. Step 4 then
+//     runs once for the group, on the enumeration's outcome ids
+//     (compare), and the returned memos share the Observable maps that
+//     EvaluateAll shares: read-only, like every memo.
 //   - operational (opsim, both): the config-matched simulator explores
 //     every interleaving, per member. Under opsim its reachable set
 //     stands in for the µhb observable set in step 4; under both it is a
@@ -284,9 +293,10 @@ type group struct {
 //
 // Telemetry: each phase is wall-timed into the verdict-phase histograms
 // (hll once per C11 evaluation; compile and enumerate once per group;
-// skeleton once per model; opsim once per member). Each member's
-// cost-matrix cell keeps its own skeleton, simulator, candidate and
-// graph figures, and takes an even share of the group's shared time
+// skeleton once per model; opsim once per member). When the engine
+// records costs (EnableCostMatrix), each member's cost-matrix cell
+// keeps its own skeleton, simulator, candidate and graph figures, and
+// takes an even share of the group's shared time
 // (HLL, compile, the enumeration with its interleaved cycle checks, and
 // the rest), so the cells' Totals add up to the group's wall time. HLL
 // is the C11 evaluation only in the group that ran it: a group that
@@ -332,16 +342,25 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 	defer compile.ReleaseProgram(prog)
 
 	k := len(g.members)
-	memos := make([]*Memo, k)
-	costs := make([]JobCost, k)
+	var memos []*Memo
 	covs := make([]uspec.Coverage, k)
-	var enumTime time.Duration
+	// Per-member cells only when the engine records costs: a sweep
+	// otherwise keeps nothing per pair beyond its verdict.
+	var costs []JobCost
+	if e.costsOn.Load() {
+		costs = make([]JobCost, k)
+	}
+	var skelTime, enumTime, opsimTime time.Duration
 	if b != BackendOpsim { // step 3 on the µhb models
 		prs := make([]*uspec.Prepared, k)
 		for i, mb := range g.members {
 			t2 := time.Now()
 			prs[i] = mb.stack.Model.Prepare(prog) // skeleton once per model
-			costs[i].Skeleton = time.Since(t2)
+			d := time.Since(t2)
+			skelTime += d
+			if costs != nil {
+				costs[i].Skeleton = d
+			}
 		}
 		t3 := time.Now()
 		isaRes, err := uspec.EvaluateAll(prs) // one enumeration for all
@@ -353,10 +372,12 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 		if err != nil {
 			return nil, fmt.Errorf("core: µspec evaluation of %s on %s: %w", t.Name, g.members[0].model, err)
 		}
-		for i, r := range isaRes {
-			costs[i].Candidates, costs[i].Graphs = r.Candidates, r.Graphs
-			memos[i] = compare(hll, r)
+		for i := range costs {
+			costs[i].Candidates, costs[i].Graphs = isaRes[i].Candidates, isaRes[i].Graphs
 		}
+		memos = compare(hll, isaRes)
+	} else {
+		memos = make([]*Memo, k)
 	}
 	if b != BackendUHB { // step 3 on the operational machines
 		for i, mb := range g.members {
@@ -372,37 +393,41 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 				out := sim.Outcomes()
 				op := &OpsimMemo{Observable: sortedOutcomeSet(out), States: sim.StateCount()}
 				if memos[i] == nil {
-					memos[i] = compareSets(hll, out, out)
+					memos[i] = compare(hll, []*uspec.Result{reached(op.Observable, out)})[0]
 				} else if crossCheck(op, memos[i].Observable, out, sim) {
 					memos[i].Verdict = Divergence
 				}
 				memos[i].Opsim = op
-				costs[i].Opsim = time.Since(t4)
-				phaseOpsim.Observe(costs[i].Opsim)
+				d := time.Since(t4)
+				opsimTime += d
+				phaseOpsim.Observe(d)
+				if costs != nil {
+					costs[i].Opsim = d
+				}
 			}
 		}
 	}
 
 	phaseCompile.Observe(compileTime)
-	var skelTime, opsimTime time.Duration // the per-member phases
-	for i := range costs {
-		skelTime += costs[i].Skeleton
-		opsimTime += costs[i].Opsim
-	}
-	n := time.Duration(k)
-	shared := (time.Since(jobStart) - skelTime - opsimTime) / n
 	for i, mb := range g.members {
-		m, c := memos[i], &costs[i]
+		m := memos[i]
 		e.execs.Add(1)
 		if m.Verdict == Divergence {
 			e.divergences.Add(1)
 		}
 		verdictCounters[m.Verdict].Inc()
 		e.ledger.Model(mb.model).Record(int(m.Verdict), covs[i].Fired, covs[i].Edges, covs[i].Cycle)
-		c.Test, c.Family, c.Stack, c.Count = t.Name, t.Shape.Name, mb.name, 1
-		c.HLL, c.Compile, c.Enumerate = hllTime/n, compileTime/n, enumTime/n
-		c.Total = shared + c.Skeleton + c.Opsim
-		e.recordCost(*c)
+	}
+	if costs != nil {
+		n := time.Duration(k)
+		shared := (time.Since(jobStart) - skelTime - opsimTime) / n
+		for i, mb := range g.members {
+			c := &costs[i]
+			c.Test, c.Family, c.Stack, c.Count = t.Name, t.Shape.Name, mb.name, 1
+			c.HLL, c.Compile, c.Enumerate = hllTime/n, compileTime/n, enumTime/n
+			c.Total = shared + c.Skeleton + c.Opsim
+			e.recordCost(*c)
+		}
 	}
 	if sp != nil {
 		sp.Phase("hll", hllTime)
@@ -431,52 +456,90 @@ func (e *Engine) Executions() uint64 { return e.execs.Load() }
 // axiomatic and operational observable sets disagreed.
 func (e *Engine) Divergences() uint64 { return e.divergences.Load() }
 
-// compare implements step 4, the equivalence check, in portable form.
-func compare(hll *c11.Result, isaRes *uspec.Result) *Memo {
-	return compareSets(hll, isaRes.Observable, isaRes.All)
+// compare is step 4, the equivalence check, for the members of one
+// group, in portable form. rs are the members' ISA-side evaluations over
+// one outcome numbering: rs[0].Outcomes lists the candidate outcomes by
+// id and rs[0].All holds the same set, and each rs[i].Observed lists the
+// ids member i observes. C11's verdict on each outcome is looked up once
+// per group, not once per member: the step-4 universe is every candidate
+// outcome plus the C11-only remainder, the outcomes C11 allows that no
+// candidate reaches, which every member misses and so finds strict. The
+// universe is sorted once, so each member's classification is one walk
+// over its id row and comes out sorted. Members with equal ids get equal
+// verdicts, computed once.
+func compare(hll *c11.Result, rs []*uspec.Result) []*Memo {
+	outs, all := rs[0].Outcomes, rs[0].All
+	type cell struct {
+		o       mem.Outcome
+		id      int // -1 for the C11-only remainder
+		allowed bool
+	}
+	universe := make([]cell, len(outs))
+	allowedCandidates := 0
+	for id, o := range outs {
+		universe[id] = cell{o, id, hll.Allowed[o]}
+		if universe[id].allowed {
+			allowedCandidates++
+		}
+	}
+	// Allowed holds only true entries, so there is a remainder exactly
+	// when some of them are not candidates.
+	if allowedCandidates < len(hll.Allowed) {
+		for o := range hll.Allowed {
+			if !all[o] {
+				universe = append(universe, cell{o, -1, true})
+			}
+		}
+	}
+	slices.SortFunc(universe, func(a, b cell) int { return cmp.Compare(a.o, b.o) })
+
+	memos := make([]*Memo, len(rs))
+	seen := make([]bool, len(outs))
+	for i, r := range rs {
+		if j := slices.IndexFunc(rs[:i], func(q *uspec.Result) bool { return slices.Equal(q.Observed, r.Observed) }); j >= 0 {
+			m := *memos[j]
+			memos[i] = &m
+			continue
+		}
+		m := &Memo{Allowed: hll.Allowed, Observable: r.Observable, Racy: hll.Racy}
+		for _, id := range r.Observed {
+			seen[id] = true
+		}
+		for _, c := range universe {
+			observed := c.id >= 0 && seen[c.id]
+			switch {
+			case observed && !c.allowed:
+				m.BugOutcomes = append(m.BugOutcomes, c.o)
+			case c.allowed && !observed:
+				m.StrictOutcomes = append(m.StrictOutcomes, c.o)
+			}
+		}
+		for _, id := range r.Observed {
+			seen[id] = false
+		}
+		switch {
+		case len(m.BugOutcomes) > 0:
+			m.Verdict = Bug
+		case len(m.StrictOutcomes) > 0:
+			m.Verdict = OverlyStrict
+		default:
+			m.Verdict = Equivalent
+		}
+		memos[i] = m
+	}
+	return memos
 }
 
-// compareSets is step 4 against any ISA-side evaluation: observable is
-// the outcomes the backend deems reachable, all the full candidate set
-// it considered (for the axiomatic engine a superset of observable; for
-// the operational one the two coincide — the simulators enumerate only
-// reachable states, and the HLL remainder below covers the rest).
-func compareSets(hll *c11.Result, observable, all map[mem.Outcome]bool) *Memo {
-	m := &Memo{
-		Allowed:    hll.Allowed,
-		Observable: observable,
-		Racy:       hll.Racy,
+// reached puts an operational machine's reachable set, sorted and as a
+// map, into step 4's id view. The machine enumerates only reachable
+// states, so its candidates are the outcomes it reaches, every one of
+// them observed; compare's C11-only remainder covers the rest.
+func reached(outs []mem.Outcome, set map[mem.Outcome]bool) *uspec.Result {
+	ids := make([]int, len(outs))
+	for i := range ids {
+		ids[i] = i
 	}
-	// Classify the union of both outcome sets without materializing it:
-	// every ISA-side outcome, then the HLL-only remainder. compare runs
-	// per job, and the union map dominated its cost in cold sweeps.
-	classify := func(o mem.Outcome) {
-		switch {
-		case observable[o] && !hll.Allowed[o]:
-			m.BugOutcomes = append(m.BugOutcomes, o)
-		case hll.Allowed[o] && !observable[o]:
-			m.StrictOutcomes = append(m.StrictOutcomes, o)
-		}
-	}
-	for o := range all {
-		classify(o)
-	}
-	for o := range hll.All {
-		if !all[o] {
-			classify(o)
-		}
-	}
-	sortOutcomes(m.BugOutcomes)
-	sortOutcomes(m.StrictOutcomes)
-	switch {
-	case len(m.BugOutcomes) > 0:
-		m.Verdict = Bug
-	case len(m.StrictOutcomes) > 0:
-		m.Verdict = OverlyStrict
-	default:
-		m.Verdict = Equivalent
-	}
-	return m
+	return &uspec.Result{Observable: set, All: set, Outcomes: outs, Observed: ids}
 }
 
 func sortOutcomes(os []mem.Outcome) {

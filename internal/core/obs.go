@@ -10,7 +10,8 @@ import (
 
 // Engine-level telemetry: the toolflow phase histograms core owns (µspec
 // owns skeleton/enumerate/cycle_check), the shared farm scheduler
-// metrics, and the per-(test, stack) cost matrix behind `tricheck top`.
+// metrics, and the opt-in per-(test, stack) cost matrix behind
+// `tricheck top`.
 
 var (
 	// farmMetrics is the scheduler telemetry every engine's sweeps record
@@ -42,8 +43,9 @@ type costKey struct {
 
 // JobCost is one cell of the engine's per-(test, stack) cost matrix:
 // cumulative wall time of every executed verification of that pair,
-// split by toolflow phase. Memo hits and deduplicated pairs cost nothing
-// and are not recorded. A pair executes inside a (test, mapping) group
+// split by toolflow phase. Only an engine asked to (EnableCostMatrix)
+// records cells. Memo hits and deduplicated pairs cost nothing and are
+// not recorded. A pair executes inside a (test, mapping) group
 // job: the group's shared time — HLL, Compile, the Enumerate pass with
 // its interleaved cycle checks, and the rest of Total — is split evenly
 // over the group's executed stacks, while Skeleton, Opsim, Candidates
@@ -79,10 +81,19 @@ func (c JobCost) Work() time.Duration {
 	return c.HLL + c.Compile + c.Skeleton + c.Enumerate + c.Opsim
 }
 
+// EnableCostMatrix makes the engine keep a cost-matrix cell for every
+// pair it executes from now on. It is off by default: only a hot-spot
+// report reads the matrix, and it grows by one cell per executed pair
+// for the engine's lifetime.
+func (e *Engine) EnableCostMatrix() { e.costsOn.Store(true) }
+
 // recordCost folds one executed job into the cost matrix.
 func (e *Engine) recordCost(c JobCost) {
 	k := costKey{c.Test, c.Stack}
 	e.costMu.Lock()
+	if e.costs == nil {
+		e.costs = map[costKey]*JobCost{}
+	}
 	cell := e.costs[k]
 	if cell == nil {
 		cell = &JobCost{Test: c.Test, Family: c.Family, Stack: c.Stack}
@@ -102,7 +113,8 @@ func (e *Engine) recordCost(c JobCost) {
 
 // CostMatrix returns a copy of the per-(test, stack) cost matrix,
 // sorted by Work, most first (ties broken by stack then test for
-// deterministic reports), so waits do not rank as work.
+// deterministic reports), so waits do not rank as work. It is empty
+// unless EnableCostMatrix was called before the sweeps it should cost.
 func (e *Engine) CostMatrix() []JobCost {
 	e.costMu.Lock()
 	out := make([]JobCost, 0, len(e.costs))

@@ -21,6 +21,7 @@ func TestCostMatrixAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine()
+	eng.EnableCostMatrix()
 	eng.EnableMemoIfAbsent(0) // memoize so the warm rerun below executes nothing
 	if _, err := eng.SweepStream(tests, stacks, 0, nil); err != nil {
 		t.Fatal(err)
@@ -65,8 +66,29 @@ func TestCostMatrixAccumulates(t *testing.T) {
 
 // TestCostMatrixEmptyEngine pins the no-work shape (nil, not a panic).
 func TestCostMatrixEmptyEngine(t *testing.T) {
-	if costs := NewEngine().CostMatrix(); len(costs) != 0 {
+	eng := NewEngine()
+	eng.EnableCostMatrix()
+	if costs := eng.CostMatrix(); len(costs) != 0 {
 		t.Errorf("fresh engine has %d cost cells", len(costs))
+	}
+}
+
+// TestCostMatrixOffByDefault: an engine keeps no cost cells unless its
+// caller asks, so a sweep grows nothing per executed pair.
+func TestCostMatrixOffByDefault(t *testing.T) {
+	stacks, err := SelectStacks("base", "curr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	if _, err := eng.Sweep(litmus.MP.Generate(), stacks, 2); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Executions() == 0 {
+		t.Fatal("the sweep executed nothing")
+	}
+	if costs := eng.CostMatrix(); len(costs) != 0 {
+		t.Errorf("engine without EnableCostMatrix has %d cost cells", len(costs))
 	}
 }
 
@@ -81,6 +103,7 @@ func TestCostMatrixOpsimPhase(t *testing.T) {
 	}
 	for _, b := range []Backend{BackendOpsim, BackendBoth} {
 		eng := NewEngine()
+		eng.EnableCostMatrix()
 		if _, err := eng.SweepStreamBackend(context.Background(), tests, stacks, 0, b, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -114,6 +137,7 @@ func TestCostMatrixSharesGroupTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine()
+	eng.EnableCostMatrix()
 	start := time.Now()
 	if _, err := eng.Sweep(tests, stacks, 1); err != nil {
 		t.Fatal(err)
@@ -151,6 +175,7 @@ func TestCostMatrixChargesHLLOnce(t *testing.T) {
 		mapping[s.Name()] = s.Mapping.Name
 	}
 	eng := NewEngine()
+	eng.EnableCostMatrix()
 	if _, err := eng.Sweep(tests, stacks, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,13 @@ import (
 // Memo is the portable (pointer-free) verdict of one (test, stack) job:
 // everything step 4 derives except the per-test "specified outcome"
 // classification, which Bind recomputes. Memos are what the farm's memo
-// cache stores and what cache snapshots serialize; the maps and slices
-// are shared between the cache and every bound TestResult, so treat
-// them as read-only.
+// cache stores and what cache snapshots serialize. The maps and slices
+// are shared between the cache and every bound TestResult, and an
+// executed group's members share them too: members that observe the
+// same outcomes hold one Observable map and one verdict's slices, and a
+// member that observes every candidate holds the enumeration's All map.
+// So all of them are read-only; JSON encodes a shared map to the same
+// bytes as a copy.
 type Memo struct {
 	Allowed        map[mem.Outcome]bool `json:"allowed"`
 	Observable     map[mem.Outcome]bool `json:"observable"`
@@ -269,10 +273,6 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	if err := ValidateBackendStacks(backend, stacks); err != nil {
 		return nil, err
 	}
-	testFPs := make([]string, len(tests))
-	for i, t := range tests {
-		testFPs[i] = t.Fingerprint()
-	}
 	// The sweep inherits the caller's trace (e.g. a /v1/verify request
 	// span) so sampled verdict spans correlate with it.
 	trace, parentSpan := obs.TraceFromContext(ctx)
@@ -280,42 +280,57 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	// (stack i/len(tests), test i%len(tests)).
 	n := len(tests)
 	total := n * len(stacks)
-	keys := make([]string, 0, total)
+	testFPs := make([]string, n)
+	for i, t := range tests {
+		testFPs[i] = t.Fingerprint()
+	}
+	stackFPs := make([]string, len(stacks))
 	members := make([]member, len(stacks))
 	for si, s := range stacks {
-		sfp := StackFingerprint(s)
+		stackFPs[si] = StackFingerprint(s)
 		members[si] = newMember(s)
-		for ti := range tests {
-			keys = append(keys, jobKeyFromFPs(testFPs[ti], sfp)+backend.keySuffix())
+	}
+	// Memo keys are strings; only the memo cache and the event stream
+	// read them.
+	var keys []string
+	if e.memo != nil || events != nil {
+		keys = make([]string, 0, total)
+		for _, sfp := range stackFPs {
+			for _, tfp := range testFPs {
+				keys = append(keys, jobKeyFromFPs(tfp, sfp)+backend.keySuffix())
+			}
 		}
 	}
 
-	// Deduplicate by key: the first pair with a key is canonical, later
-	// ones are aliases that receive a copy of its result.
+	// Deduplicate by key without building one per pair: two pairs share a
+	// key exactly when their tests share a fingerprint and their stacks
+	// do. So the first pair with a key is the one whose test and stack are
+	// each the first with their fingerprint, and later ones are aliases
+	// that receive a copy of its result.
+	canonT, aliasT := canonicalIndexes(testFPs)
+	canonS, aliasS := canonicalIndexes(stackFPs)
 	stats := farm.Stats{Jobs: total}
-	canon := make(map[string]int, total)
-	aliases := make(map[int][]int)
 	pending := make([]int, 0, total)
-	for i, k := range keys {
-		if ci, ok := canon[k]; ok {
-			aliases[ci] = append(aliases[ci], i)
-			continue
+	for i := 0; i < total; i++ {
+		if si, ti := i/n, i%n; canonS[si] == si && canonT[ti] == ti {
+			pending = append(pending, i)
 		}
-		canon[k] = i
-		pending = append(pending, i)
 	}
 	stats.Unique = len(pending)
 	if stats.Jobs > stats.Unique {
 		farmMetrics.Deduped.Add(uint64(stats.Jobs - stats.Unique))
 	}
 
-	memos := make([]*Memo, total)
+	results := make([]*TestResult, total)
 	done := 0
-	// emit lands one pair's result. Calls are serialized: the warm pass
-	// runs before the farm starts, and the farm serializes OnResult.
+	// emit lands one pair's result, bound to its test and stack as it
+	// arrives. Calls are serialized: the warm pass runs before the farm
+	// starts, and the farm serializes OnResult.
 	emit := func(i int, m *Memo, cached bool) {
-		memos[i] = m
-		t, sname := tests[i%n], members[i/n].name
+		t, s := tests[i%n], stacks[i/n]
+		r := m.Bind(t, s)
+		results[i] = r
+		sname := members[i/n].name
 		// Discrimination vectors record here — the one point that sees
 		// every result, memoized or executed, so warm all-cached reruns
 		// still populate the ledger's verdict-vector matrix.
@@ -332,15 +347,25 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 			Verdict:      m.Verdict,
 			Key:          keys[i],
 			Cached:       cached,
-			SpecifiedBug: m.Observable[t.Specified] && !m.Allowed[t.Specified],
+			SpecifiedBug: r.SpecifiedBug,
 			Opsim:        m.Opsim,
 		}
 	}
-	// deliver lands a canonical pair's result and its aliases'.
+	// deliver lands a canonical pair's result and its aliases', in pair
+	// order: every stack sharing the pair's stack fingerprint, crossed
+	// with every test sharing its test fingerprint.
 	deliver := func(i int, m *Memo, cached bool) {
 		emit(i, m, cached)
-		for _, a := range aliases[i] {
-			emit(a, m, true)
+		si, ti := i/n, i%n
+		if len(aliasS[si]) == 0 && len(aliasT[ti]) == 0 {
+			return
+		}
+		for _, s := range append([]int{si}, aliasS[si]...) {
+			for _, t := range append([]int{ti}, aliasT[ti]...) {
+				if a := s*n + t; a != i {
+					emit(a, m, true)
+				}
+			}
 		}
 	}
 
@@ -425,21 +450,39 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		return out, nil
 	}
 	for si, s := range stacks {
-		sr := &SuiteResult{Stack: s, ByFamily: map[string]*Tally{}}
-		for ti, t := range tests {
-			r := memos[si*n+ti].Bind(t, s)
-			sr.Results = append(sr.Results, r)
+		sr := &SuiteResult{Stack: s, Results: results[si*n : (si+1)*n : (si+1)*n], ByFamily: map[string]*Tally{}}
+		for ti, r := range sr.Results {
 			sr.Tally.Add(r)
-			fam := sr.ByFamily[t.Shape.Name]
+			name := tests[ti].Shape.Name
+			fam := sr.ByFamily[name]
 			if fam == nil {
 				fam = &Tally{}
-				sr.ByFamily[t.Shape.Name] = fam
+				sr.ByFamily[name] = fam
 			}
 			fam.Add(r)
 		}
 		out = append(out, sr)
 	}
 	return out, nil
+}
+
+// canonicalIndexes maps each fingerprint to the index of the first equal
+// one, and lists each such first index's later duplicates, ascending.
+func canonicalIndexes(fps []string) (canon []int, aliases map[int][]int) {
+	canon = make([]int, len(fps))
+	first := make(map[string]int, len(fps))
+	aliases = map[int][]int{}
+	for i, fp := range fps {
+		c, ok := first[fp]
+		if !ok {
+			c = i
+			first[fp] = i
+		} else {
+			aliases[c] = append(aliases[c], i)
+		}
+		canon[i] = c
+	}
+	return canon, aliases
 }
 
 // isaFlavours expands an ISA flavour selector into the (base, base+a)

@@ -393,6 +393,7 @@ func TestSweepGroupsKeepPerPairAccounting(t *testing.T) {
 	warm := []Stack{all[0], all[2], all[4], all[6]}
 	eng := NewEngine()
 	eng.EnableMemo(0)
+	eng.EnableCostMatrix()
 	if _, err := eng.Sweep(tests, warm, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,10 @@ const writeTimeout = 30 * time.Second
 // Config configures a Server.
 type Config struct {
 	// Engine, when non-nil, is used (and kept warm) instead of a fresh
-	// one — embedders can share it with in-process sweeps.
+	// one — embedders can share it with in-process sweeps. The
+	// tricheck_* series on /metrics are process-wide, not per engine: a
+	// server whose process also holds another engine reports the sum of
+	// both engines' counters.
 	Engine *core.Engine
 	// CachePath, when non-empty, warm-starts the engine's memo cache
 	// from this JSON snapshot at construction and is where SaveSnapshot

@@ -165,6 +165,25 @@ func TestVerifyInlineLitmusSources(t *testing.T) {
 	}
 }
 
+// TestVerifyKeepsNoCostCells: a cold inline /v1/verify executes every
+// pair, and the server's engine keeps no cost-matrix cell for any of
+// them. Only `tricheck top` turns the matrix on; a long-lived service
+// fed distinct inline tests must not grow one cell per pair.
+func TestVerifyKeepsNoCostCells(t *testing.T) {
+	src, err := corpus.EmitString(litmus.SB.Generate()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{})
+	verdicts, summary := drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Litmus: []string{src}, ISA: "base", Variant: "curr"}))
+	if len(verdicts) != 7 || summary == nil || summary.Cached != 0 || srv.Engine().Executions() != 7 {
+		t.Fatalf("got %d verdicts, summary %+v, %d executions; want 7 executed", len(verdicts), summary, srv.Engine().Executions())
+	}
+	if cells := srv.Engine().CostMatrix(); len(cells) != 0 {
+		t.Errorf("engine holds %d cost cells after a cold verify, want none", len(cells))
+	}
+}
+
 // TestVerifyInlineModelSpec: a request may carry its own µspec model as
 // data. The custom model sweeps independently of a same-named builtin —
 // different verdicts, disjoint memo fingerprints — and illegal or

@@ -52,6 +52,15 @@ type builder struct {
 	frBuf                      []int
 }
 
+// scratch returns a builder that keeps only b's scratch buffers, emptied,
+// for a pooled Prepared to reuse. acumAppend leaves cumMark all false.
+func (b *builder) scratch() builder {
+	return builder{
+		predR: b.predR[:0], predW: b.predW[:0], succR: b.succR[:0], succW: b.succW[:0],
+		cumMark: b.cumMark, cumFront: b.cumFront[:0], cumBuf: b.cumBuf[:0], frBuf: b.frBuf[:0],
+	}
+}
+
 // layout computes the node layout shared by all tiers of a (model,
 // program) pair.
 func (m *Model) layout(p *isa.Program) (C, K int) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tricheck/internal/c11"
 	"tricheck/internal/compile"
 	"tricheck/internal/isa"
 	"tricheck/internal/litmus"
@@ -96,6 +97,48 @@ func sampledTests(tests []*litmus.Test, stride int) []*litmus.Test {
 		out = append(out, tests[i])
 	}
 	return out
+}
+
+// TestPreparedPoolReuseIsClean: Close returns a Prepared, with its
+// builder scratch, to a pool that the next Prepare draws from. A large
+// nMCA evaluation (iriw on nMM) and a small MCA one (mp on WR), run one
+// after the other in both orders, must each get the result and coverage
+// of the pair's first evaluation: nothing a pooled Prepared keeps may
+// carry over from one program or model to the next.
+func TestPreparedPoolReuseIsClean(t *testing.T) {
+	type pair struct {
+		name  string
+		model *Model
+		prog  *isa.Program
+	}
+	compiled := func(tst *litmus.Test) *isa.Program {
+		prog, err := compile.Compile(compile.RISCVBaseIntuitive, tst.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	iriw := litmus.IRIW.Instantiate([]c11.Order{c11.SC, c11.SC, c11.SC, c11.SC, c11.SC, c11.SC})
+	big := pair{"iriw on nMM", NMM(Curr), compiled(iriw)}
+	small := pair{"mp on WR", WR(Curr), compiled(litmus.MP.Generate()[0])}
+	first := map[string]evaluation{}
+	for _, order := range [][]pair{{big, small, big, small}, {small, big, small, big}} {
+		for _, p := range order {
+			got := evaluateGroup(t, p.prog, []*Model{p.model})[0]
+			want, ok := first[p.name]
+			if !ok {
+				first[p.name] = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s after reuse: %+v, first evaluation %+v", p.name, got, want)
+			}
+		}
+	}
+	if len(first[big.name].res.All) <= len(first[small.name].res.All) {
+		t.Errorf("%s has %d outcomes and %s %d: the first pair should be the larger",
+			big.name, len(first[big.name].res.All), small.name, len(first[small.name].res.All))
+	}
 }
 
 // TestEvaluateAllRejectsMixedPrograms: models prepared on different

@@ -212,13 +212,23 @@ func Table7(v Variant) []TableRow {
 }
 
 // Result is a model evaluation over a program: which candidate outcomes are
-// observable.
+// observable. Its maps and slices may be shared, across the results of one
+// EvaluateAll and between Observable and All, so all of them are
+// read-only.
 type Result struct {
 	// Observable is the set of outcomes with at least one acyclic µhb graph.
+	// Results of one EvaluateAll that observe the same outcomes share one
+	// map, and a result that observes every candidate holds All itself.
 	Observable map[mem.Outcome]bool
 	// All is the full candidate outcome universe. It depends only on the
-	// program, so the results of one EvaluateAll share it: read-only.
+	// program, so the results of one EvaluateAll share it.
 	All map[mem.Outcome]bool
+	// Outcomes and Observed are the id view of All and Observable:
+	// Outcomes lists the candidate outcomes by interned id, in the order
+	// the enumeration first reached them, and is shared like All;
+	// Observed lists the ids of Observable, ascending.
+	Outcomes []mem.Outcome
+	Observed []int
 	// Candidates counts enumerated executions; Graphs counts µhb
 	// acyclicity checks actually run — overlay evaluations on the
 	// two-tier core (early-exit per outcome keeps this below Candidates).

@@ -115,11 +115,13 @@ type Progress = core.Progress
 
 // JobCost is one cell of an engine's per-(test, stack) cost matrix:
 // cumulative executed wall time split by toolflow phase
-// (Engine.CostMatrix, the data behind `tricheck top`).
+// (Engine.CostMatrix, the data behind `tricheck top`). An engine records
+// cells only after Engine.EnableCostMatrix; `tricheck top` is the one
+// frontend that calls it.
 type JobCost = core.JobCost
 
 // Verification-coverage ledger (internal/cover wiring). Every engine
-// carries one next to its cost matrix (Engine.Coverage): costs say where
+// carries one (Engine.Coverage): the cost matrix, when on, says where
 // the time went, the ledger says what the verification exercised — which
 // axioms fired edges, owned stored edges, and witnessed forbidding
 // cycles, per model, plus the per-(test, config) verdict vectors behind
