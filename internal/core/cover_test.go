@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"tricheck/internal/litmus"
@@ -148,5 +150,41 @@ func TestCoverageWarmRerunAndDeterminism(t *testing.T) {
 	}
 	if covered != s.SeparablePairs {
 		t.Fatalf("suite separates %d of %d pairs", covered, s.SeparablePairs)
+	}
+}
+
+// coveragePin is the SHA-256 of the coverage snapshot that
+// TestCoverageSnapshotPinned's sweep produces. It moves only when cycle
+// attribution, a verdict or the ledger schema changes.
+const coveragePin = "79de29db9690c31cc10228b9fbaea6217e4f8f1008d9ab722c3dceee46cecfb5"
+
+// TestCoverageSnapshotPinned pins every byte of the coverage ledger over
+// a sample of the Figure 15 sweep: every 8th paper-suite test on all 28
+// stacks, on a fresh engine. The per-(model, axiom) cycle counts come
+// from each forbidden candidate's witnessing cycle, so the digest moves
+// when a cycle is charged to different axioms, even though no verdict
+// does. The sweep runs through the farm, so a Prepared that carries
+// state from one pooled use into the next moves it too.
+func TestCoverageSnapshotPinned(t *testing.T) {
+	suite := litmus.PaperSuite()
+	var tests []*litmus.Test
+	for i := 0; i < len(suite); i += 8 {
+		tests = append(tests, suite[i])
+	}
+	stacks, err := SelectStacks("both", "both")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	if _, err := e.Sweep(tests, stacks, 0); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(e.Coverage().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != coveragePin {
+		t.Errorf("coverage snapshot of %d tests x %d stacks (%d bytes) has digest %s, want %s",
+			len(tests), len(stacks), len(b), got, coveragePin)
 	}
 }
