@@ -1,6 +1,6 @@
 // Command tricheckd serves the TriCheck toolflow as a long-running HTTP
 // verification service: one shared engine (warm memo cache, pooled µhb
-// overlays, singleflighted C11 evaluation) behind a streaming NDJSON
+// evaluators, singleflighted C11 evaluation) behind a streaming NDJSON
 // API.
 //
 // Usage:

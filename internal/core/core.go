@@ -276,8 +276,8 @@ type group struct {
 // Step 3 runs on the backend's engine(s), over the one compiled program:
 //
 //   - µhb (uhb, both): each member's model prepares the program's static
-//     skeleton exactly once, and one candidate enumeration streams every
-//     execution through all the members' pooled overlays
+//     skeleton and port closure exactly once, and one candidate
+//     enumeration streams every execution through all the members
 //     (uspec.EvaluateAll), so a sweep's per-execution cost is dynamic
 //     edges plus an allocation-free cycle check per model. Step 4 then
 //     runs once for the group, on the enumeration's outcome ids

@@ -70,7 +70,7 @@ type JobCost struct {
 	Enumerate time.Duration
 	Opsim     time.Duration
 	// Candidates / Graphs are the µhb evaluation's enumeration counters
-	// (executions visited, overlay cycle checks run).
+	// (executions visited, candidate cycle checks run).
 	Candidates int
 	Graphs     int
 }

@@ -212,7 +212,7 @@ func (s *Server) Handler() http.Handler {
 // format. The per-server counters (see the struct comment) are
 // formatted here rather than double-registered in the global registry.
 // In tricheckd one engine serves the process, so the registry's
-// verdict, memo and incremental-engine counters are this server's.
+// verdict and memo counters are this server's.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.Default.WritePrometheus(w)

@@ -12,9 +12,11 @@ import (
 //
 // Overlays are resettable and allocation-free in steady state: all edge
 // and traversal storage lives in reusable buffers that survive Reset, so
-// one overlay can evaluate an entire enumeration sweep — acquire one per
-// worker via AcquireOverlay, Reset it per execution, and release it when
-// the sweep ends.
+// one overlay can serve an entire enumeration sweep. A sweep decides each
+// candidate with a Closure and fills an overlay, from the closure's edge
+// log, only for a cyclic candidate whose witnessing cycle it wants:
+// acquire one via AcquireOverlay, Reset it per such candidate, and
+// release it when the sweep ends.
 //
 // Unlike a Skeleton, an Overlay does not deduplicate edges: duplicates
 // cannot change acyclicity, the number of AddEdge calls is already
@@ -29,23 +31,12 @@ type Overlay struct {
 
 	// Dynamic adjacency as per-node singly linked lists threaded through
 	// shared buffers: head[v] is the first edge index of node v or -1,
-	// next[e] chains, from[e]/to[e]/reason[e] describe edge e. Lists are
-	// built head-first; the cycle check does not depend on traversal order.
+	// next[e] chains, to[e]/reason[e] describe edge e. Lists are built
+	// head-first, so the DFS meets a node's dynamic edges newest first.
 	head   []int32
 	next   []int32
-	from   []int32
 	to     []int32
 	reason []uint32
-
-	// Dynamic adjacency as a bitset: row v is
-	// bits[v*words : (v+1)*words], bit y set iff at least one (v, y)
-	// record exists. Backs O(1) HasEdge and the word-parallel
-	// delta diff in Incr.Sync; dirty lists the rows with any bit ever
-	// set since Reset so Reset clears only what was touched.
-	words      int
-	bits       []uint64
-	dirty      []int32
-	rowTouched []bool
 
 	// Cycle-check scratch, sized to the node count.
 	color []byte
@@ -68,10 +59,8 @@ func (o *Overlay) Reset(skel *Skeleton) {
 	if !skel.frozen {
 		panic("uhb: Overlay.Reset on unfrozen Skeleton")
 	}
-	sameShape := o.skel == skel
 	o.skel = skel
 	n := skel.n
-	words := (n + 63) / 64
 	if cap(o.head) < n {
 		o.head = make([]int32, n)
 		o.color = make([]byte, n)
@@ -79,7 +68,6 @@ func (o *Overlay) Reset(skel *Skeleton) {
 		o.fsidx = make([]int32, n)
 		o.fdyn = make([]int32, n)
 		o.fvia = make([]uint32, n)
-		o.rowTouched = make([]bool, n)
 	}
 	o.head = o.head[:n]
 	o.color = o.color[:n]
@@ -87,48 +75,13 @@ func (o *Overlay) Reset(skel *Skeleton) {
 	o.fsidx = o.fsidx[:n]
 	o.fdyn = o.fdyn[:n]
 	o.fvia = o.fvia[:n]
-	o.rowTouched = o.rowTouched[:n]
 	for i := range o.head {
 		o.head[i] = -1
 	}
-	if cap(o.bits) < n*words {
-		o.bits = make([]uint64, n*words)
-		sameShape = false // fresh buffer is already zero
-	}
-	o.bits = o.bits[:n*words]
-	if sameShape && o.words == words {
-		// Steady state within one sweep: clear only the rows the previous
-		// candidate touched.
-		for _, v := range o.dirty {
-			row := o.bits[int(v)*words : (int(v)+1)*words]
-			for j := range row {
-				row[j] = 0
-			}
-			o.rowTouched[v] = false
-		}
-	} else {
-		// Rebinding to a different skeleton (or a pooled overlay with a
-		// stale buffer): start from a clean slate.
-		for i := range o.bits {
-			o.bits[i] = 0
-		}
-		for i := range o.rowTouched {
-			o.rowTouched[i] = false
-		}
-	}
-	o.words = words
-	o.dirty = o.dirty[:0]
 	o.next = o.next[:0]
-	o.from = o.from[:0]
 	o.to = o.to[:0]
 	o.reason = o.reason[:0]
 }
-
-// NumNodes returns the node count of the bound skeleton.
-func (o *Overlay) NumNodes() int { return o.skel.n }
-
-// Skeleton returns the bound static tier.
-func (o *Overlay) Skeleton() *Skeleton { return o.skel }
 
 // AddEdge records a dynamic edge with an opaque reason code.
 func (o *Overlay) AddEdge(from, to int, reason uint32) {
@@ -137,34 +90,9 @@ func (o *Overlay) AddEdge(from, to int, reason uint32) {
 	}
 	e := int32(len(o.to))
 	o.next = append(o.next, o.head[from])
-	o.from = append(o.from, int32(from))
 	o.to = append(o.to, int32(to))
 	o.reason = append(o.reason, reason)
 	o.head[from] = e
-	o.bits[from*o.words+to>>6] |= 1 << (uint(to) & 63)
-	if !o.rowTouched[from] {
-		o.rowTouched[from] = true
-		o.dirty = append(o.dirty, int32(from))
-	}
-}
-
-// HasEdge reports whether the edge exists in either tier. The dynamic
-// tier is answered from the bitset rows in O(1) instead of scanning the
-// node's edge list.
-func (o *Overlay) HasEdge(from, to int) bool {
-	if from >= 0 && from < o.skel.n && to >= 0 && to < o.skel.n &&
-		o.bits[from*o.words+to>>6]&(1<<(uint(to)&63)) != 0 {
-		return true
-	}
-	return o.skel.HasEdge(from, to)
-}
-
-// ForEachDynamicEdge visits every dynamic edge record in insertion
-// order with its reason code.
-func (o *Overlay) ForEachDynamicEdge(fn func(from, to int, reason uint32)) {
-	for e := range o.to {
-		fn(int(o.from[e]), int(o.to[e]), o.reason[e])
-	}
 }
 
 // HasCycle reports whether skeleton+overlay contains a directed cycle.

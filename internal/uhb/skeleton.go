@@ -14,7 +14,8 @@ import (
 //
 // A Skeleton is built once per (program, model) and then shared, read-only,
 // by every execution candidate: per-execution edges (coherence, reads-from,
-// from-reads, cumulative fence closures) layer on top via an Overlay.
+// from-reads, cumulative fence closures) layer on top, decided by a
+// Closure and, for a cyclic candidate, searched via an Overlay.
 // Edges carry opaque uint32 reason codes supplied by the builder; the
 // Skeleton never formats or stores a string, keeping diagnostics entirely
 // lazy. Diagnostics build a one-tier skeleton holding every edge of one
@@ -218,26 +219,17 @@ func (s *Skeleton) ForEachEdge(fn func(from, to int, reason uint32)) {
 }
 
 // TopoOrder returns the nodes in a topological order of the static
-// edges, or nil if they are cyclic (valid after Freeze). It is the same
-// Kahn pass Incr.Attach seeds its order with: a FIFO queue started from
-// the sources in node order, successors released in target order.
+// edges, or nil if they are cyclic (valid after Freeze). It is Kahn's
+// pass: a FIFO queue started from the sources in node order, successors
+// released in target order. Diagnostics lay a witness timeline out along
+// it, and a Closure sorts a skeleton whose edges do not all run forward
+// with it.
 func (s *Skeleton) TopoOrder() []int32 {
-	ord := make([]int32, s.n)
-	if placed, _ := s.kahn(ord, make([]int32, s.n), nil); placed < s.n {
-		return nil
-	}
-	return ord
-}
-
-// kahn writes a topological order of the static edges into ord and
-// returns how many nodes it placed (n exactly when they are acyclic).
-// indeg must be n zeros; queue is scratch whose capacity is reused and
-// which is returned truncated to length zero.
-func (s *Skeleton) kahn(ord, indeg, queue []int32) (int, []int32) {
+	indeg := make([]int32, s.n)
 	for _, w := range s.dst {
 		indeg[w]++
 	}
-	queue = queue[:0]
+	queue := make([]int32, 0, s.n)
 	for v := 0; v < s.n; v++ {
 		if indeg[v] == 0 {
 			queue = append(queue, int32(v))
@@ -245,7 +237,6 @@ func (s *Skeleton) kahn(ord, indeg, queue []int32) (int, []int32) {
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
-		ord[qi] = v
 		for i := s.off[v]; i < s.off[v+1]; i++ {
 			w := s.dst[i]
 			indeg[w]--
@@ -254,5 +245,8 @@ func (s *Skeleton) kahn(ord, indeg, queue []int32) (int, []int32) {
 			}
 		}
 	}
-	return len(queue), queue[:0]
+	if len(queue) < s.n {
+		return nil
+	}
+	return queue
 }

@@ -64,30 +64,6 @@ func TestOverlayCycleAcrossTiers(t *testing.T) {
 	}
 }
 
-func TestOverlayHasEdgeBothTiers(t *testing.T) {
-	s := NewSkeleton(3)
-	s.AddEdge(0, 1, 0)
-	s.Freeze()
-	o := NewOverlay(s)
-	o.AddEdge(1, 2, 3)
-	if !o.HasEdge(0, 1) {
-		t.Error("static edge must be visible through the overlay")
-	}
-	if !o.HasEdge(1, 2) {
-		t.Error("dynamic edge missing")
-	}
-	if o.HasEdge(2, 0) {
-		t.Error("phantom edge")
-	}
-	var dyn [][2]int
-	o.ForEachDynamicEdge(func(from, to int, reason uint32) {
-		dyn = append(dyn, [2]int{from, to})
-	})
-	if len(dyn) != 1 || dyn[0] != [2]int{1, 2} {
-		t.Errorf("dynamic edges = %v, want [[1 2]]", dyn)
-	}
-}
-
 // TestOverlayCycleReasons: the provenance variant returns the reason
 // codes of the witnessing cycle — both tiers contribute, duplicates are
 // preserved, and repeated calls with a reused buffer neither allocate
@@ -375,8 +351,8 @@ func TestTopoOrder(t *testing.T) {
 
 // randomSplit builds a random graph over 2..2+span nodes with density
 // edges per node, split at random between a frozen skeleton and an
-// overlay on it.
-func randomSplit(rng *rand.Rand, span, density int) (*Skeleton, *Overlay) {
+// overlay on it. It also returns the overlay's edges.
+func randomSplit(rng *rand.Rand, span, density int) (*Skeleton, *Overlay, map[[2]int]bool) {
 	n := 2 + rng.Intn(span)
 	s := NewSkeleton(n)
 	var dyn [][2]int
@@ -390,10 +366,12 @@ func randomSplit(rng *rand.Rand, span, density int) (*Skeleton, *Overlay) {
 	}
 	s.Freeze()
 	o := NewOverlay(s)
+	set := map[[2]int]bool{}
 	for _, e := range dyn {
 		o.AddEdge(e[0], e[1], 1)
+		set[e] = true
 	}
-	return s, o
+	return s, o, set
 }
 
 // TestQuickAcyclicityMatchesTopo cross-checks the DFS against Kahn on
@@ -419,7 +397,7 @@ func TestQuickAcyclicityMatchesTopo(t *testing.T) {
 func TestQuickEdgeMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s, o := randomSplit(rng, 10, 1)
+		s, o, _ := randomSplit(rng, 10, 1)
 		n := s.NumNodes()
 		for i := 0; i < 4*n && !o.HasCycle(); i++ {
 			o.AddEdge(rng.Intn(n), rng.Intn(n), 2)
@@ -445,14 +423,15 @@ func TestQuickEdgeMonotonicity(t *testing.T) {
 func TestQuickCycleWitnessValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		_, o := randomSplit(rng, 14, 3)
+		s, o, dyn := randomSplit(rng, 14, 3)
 		cycle := o.FindCycle()
 		reasons, cyclic := o.HasCycleReasons(nil)
 		if cycle == nil {
 			return !cyclic
 		}
 		for i, v := range cycle {
-			if !o.HasEdge(v, cycle[(i+1)%len(cycle)]) {
+			w := cycle[(i+1)%len(cycle)]
+			if !s.HasEdge(v, w) && !dyn[[2]int{v, w}] {
 				return false
 			}
 		}
@@ -530,4 +509,21 @@ func BenchmarkFindCycleDense(b *testing.B) {
 			b.Fatal("unexpected cycle")
 		}
 	}
+}
+
+// TestOverlayUseAfterReleasePanics: the pool invalidates a released
+// overlay by dropping its skeleton binding; any further use must panic
+// rather than corrupt a pooled buffer another worker may now own.
+func TestOverlayUseAfterReleasePanics(t *testing.T) {
+	s := NewSkeleton(2)
+	s.AddEdge(0, 1, 0)
+	s.Freeze()
+	o := AcquireOverlay(s)
+	ReleaseOverlay(o)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddEdge after ReleaseOverlay did not panic")
+		}
+	}()
+	o.AddEdge(0, 1, 1)
 }

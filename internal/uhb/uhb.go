@@ -6,8 +6,11 @@
 // candidate is observable on a microarchitecture exactly when its µhb graph
 // is acyclic; a cycle is a proof that the candidate cannot happen.
 //
-// A graph has two tiers: a frozen Skeleton holds the static edges and an
-// Overlay layers one execution's dynamic edges on top of it; Incr keeps a
-// topological order of the two across a sweep. Edges carry opaque reason
-// codes, which callers resolve to strings only for diagnostics.
+// A graph has two tiers: a frozen Skeleton holds the static edges, and
+// one execution's dynamic edges layer on top of it. A Closure decides each
+// candidate from the ports its dynamic edges touch and what each port
+// reaches along static edges; an Overlay holds the dynamic edges of a
+// cyclic candidate, and its DFS names the witnessing cycle. Edges carry
+// opaque reason codes, which callers resolve to strings only for
+// diagnostics.
 package uhb

@@ -64,8 +64,8 @@ type Coverage struct {
 	// whose every edge collapsed onto an earlier axiom's still counts.
 	Fired uint64
 	// Edges: axioms owning at least one stored edge after dedup: the
-	// reason on a frozen skeleton CSR entry or an overlay record (the
-	// overlay keeps duplicates, so dynamic axioms own what they fire).
+	// reason on a frozen skeleton CSR entry or a dynamic edge record
+	// (those keep duplicates, so dynamic axioms own what they fire).
 	Edges uint64
 	// Cycle: axioms with an edge on at least one witnessing cycle — a
 	// cycle that forbade a candidate execution during this evaluation.

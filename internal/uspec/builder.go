@@ -26,17 +26,17 @@ const (
 // resolved locations) or only the compiled program and model
 // configuration. A run has up to two sinks. Prepare's run has a skeleton
 // and no execution, and emits the static edges (once per program ×
-// model); ExecutionObservable's run has an overlay and no skeleton, and
-// emits the dynamic edges (once per execution); BuildGraph's run has a
-// skeleton and an execution, and emits every edge, in pass order, into
+// model); ExecutionObservable's run has a port closure and no skeleton,
+// and emits the dynamic edges (once per execution); BuildGraph's run has
+// a skeleton and an execution, and emits every edge, in pass order, into
 // that one skeleton for diagnostics.
 type builder struct {
 	m *Model
 	p *isa.Program
 	x *mem.Execution // nil on static runs
 
-	skel *uhb.Skeleton // static sink (and dynamic, when ov is nil)
-	ov   *uhb.Overlay  // dynamic sink
+	skel *uhb.Skeleton // static sink (and dynamic, when cl is nil)
+	cl   *uhb.Closure  // dynamic sink
 	cov  *Coverage     // optional axiom attribution (verdict runs only)
 
 	ev []*mem.Event
@@ -121,11 +121,11 @@ func (b *builder) addS(from, to int, r Reason) {
 	b.skel.AddEdge(from, to, uint32(r))
 }
 
-// addD emits an execution-dependent edge into the overlay, or into the
-// skeleton on a run without one. The overlay never dedups, so a fired
+// addD emits an execution-dependent edge into the port closure, or into
+// the skeleton on a run without one. The closure never dedups, so a fired
 // dynamic axiom always owns a stored edge record too.
 func (b *builder) addD(from, to int, r Reason) {
-	if b.ov == nil {
+	if b.cl == nil {
 		b.skel.AddEdge(from, to, uint32(r))
 		return
 	}
@@ -134,7 +134,7 @@ func (b *builder) addD(from, to int, r Reason) {
 		b.cov.Fired |= bit
 		b.cov.Edges |= bit
 	}
-	b.ov.AddEdge(from, to, uint32(r))
+	b.cl.AddEdge(from, to, uint32(r))
 }
 
 // add dispatches on the static flag — for shared loops whose elements mix
@@ -155,6 +155,26 @@ func (b *builder) perform(gid int) int    { return b.node(gid, slotPerform) }
 func (b *builder) sbEnter(gid int) int    { return b.node(gid, slotSBEnter) }
 func (b *builder) getM(gid int) int       { return b.node(gid, slotGetM) }
 func (b *builder) complete(gid int) int   { return b.node(gid, b.K-1) }
+
+// ports appends to dst the nodes a dynamic edge can touch: the Perform
+// node of each read part, and the SBEnter node and every visibility node
+// of each write part. Every addD endpoint in the passes below is one of
+// them.
+func (b *builder) ports(dst []int32) []int32 {
+	for _, e := range b.ev {
+		g := e.GID
+		if e.IsRead() {
+			dst = append(dst, int32(b.perform(g)))
+		}
+		if e.IsWrite() {
+			dst = append(dst, int32(b.sbEnter(g)))
+			for i := 0; i < b.numVis(g); i++ {
+				dst = append(dst, int32(b.visN(g, i)))
+			}
+		}
+	}
+	return dst
+}
 
 // atomicWrite reports whether write w's visibility is a single multi-copy-
 // atomic event: always for MCA/rMCA substrates, and for AMOs carrying the

@@ -1,13 +1,16 @@
 package uspec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"tricheck/internal/c11"
 	"tricheck/internal/compile"
 	"tricheck/internal/isa"
+	"tricheck/internal/isa/riscv"
 	"tricheck/internal/litmus"
+	"tricheck/internal/mem"
 )
 
 // TestEvaluateAllMatchesAlone pins group ≡ alone: several models
@@ -100,11 +103,13 @@ func sampledTests(tests []*litmus.Test, stride int) []*litmus.Test {
 }
 
 // TestPreparedPoolReuseIsClean: Close returns a Prepared, with its
-// builder scratch, to a pool that the next Prepare draws from. A large
-// nMCA evaluation (iriw on nMM) and a small MCA one (mp on WR), run one
+// closure and builder scratch, to a pool that the next Prepare draws
+// from. A large nMCA evaluation and a small MCA one (mp on WR), run one
 // after the other in both orders, must each get the result and coverage
 // of the pair's first evaluation: nothing a pooled Prepared keeps may
-// carry over from one program or model to the next.
+// carry over from one program or model to the next. The large ones are
+// iriw on nMM and an 8-thread fenced store-buffering ring on nMM, whose
+// 80 ports need a two-word closure.
 func TestPreparedPoolReuseIsClean(t *testing.T) {
 	type pair struct {
 		name  string
@@ -120,25 +125,55 @@ func TestPreparedPoolReuseIsClean(t *testing.T) {
 	}
 	iriw := litmus.IRIW.Instantiate([]c11.Order{c11.SC, c11.SC, c11.SC, c11.SC, c11.SC, c11.SC})
 	big := pair{"iriw on nMM", NMM(Curr), compiled(iriw)}
+	wide := pair{"sb ring on nMM", NMM(Curr), sbRing(8)}
 	small := pair{"mp on WR", WR(Curr), compiled(litmus.MP.Generate()[0])}
+	pr := wide.model.Prepare(wide.prog)
+	if ports := len(pr.ports); ports <= 64 {
+		t.Fatalf("%s has %d ports, want more than 64", wide.name, ports)
+	}
+	pr.Close()
 	first := map[string]evaluation{}
-	for _, order := range [][]pair{{big, small, big, small}, {small, big, small, big}} {
-		for _, p := range order {
-			got := evaluateGroup(t, p.prog, []*Model{p.model})[0]
-			want, ok := first[p.name]
-			if !ok {
-				first[p.name] = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s after reuse: %+v, first evaluation %+v", p.name, got, want)
+	for _, large := range []pair{big, wide} {
+		for _, order := range [][]pair{{large, small, large, small}, {small, large, small, large}} {
+			for _, p := range order {
+				got := evaluateGroup(t, p.prog, []*Model{p.model})[0]
+				want, ok := first[p.name]
+				if !ok {
+					first[p.name] = got
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s after reuse: %+v, first evaluation %+v", p.name, got, want)
+				}
 			}
 		}
 	}
-	if len(first[big.name].res.All) <= len(first[small.name].res.All) {
-		t.Errorf("%s has %d outcomes and %s %d: the first pair should be the larger",
-			big.name, len(first[big.name].res.All), small.name, len(first[small.name].res.All))
+	for _, large := range []pair{big, wide} {
+		if len(first[large.name].res.All) <= len(first[small.name].res.All) {
+			t.Errorf("%s has %d outcomes and %s %d: the first pair should be the larger",
+				large.name, len(first[large.name].res.All), small.name, len(first[small.name].res.All))
+		}
 	}
+	if first[wide.name].cov.Cycle == 0 {
+		t.Errorf("%s witnessed no cycle: the two-word search must meet cyclic candidates too", wide.name)
+	}
+}
+
+// sbRing returns an n-thread store-buffering ring: thread t stores 1 to
+// its own location, fences, and loads the next thread's location.
+func sbRing(n int) *isa.Program {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%d", i)
+	}
+	p := isa.NewProgram(isa.RISCV, n, names...)
+	for t := 0; t < n; t++ {
+		p.Add(t, riscv.SW(mem.Const(1), mem.Const(int64(t))))
+		p.Add(t, riscv.Fence(isa.ClassRW, isa.ClassRW))
+		p.Add(t, riscv.LW(0, mem.Const(int64((t+1)%n))))
+		p.Observe(t, 0, fmt.Sprintf("r%d", t))
+	}
+	return p
 }
 
 // TestEvaluateAllRejectsMixedPrograms: models prepared on different

@@ -16,76 +16,62 @@ import (
 // per Prepare (per model) and candidate enumeration once per EvaluateAll
 // (per group of models sharing a program) — atomic-add observations
 // against work that costs tens of microseconds to milliseconds. The
-// overlay cycle check is the innermost loop: it is observed only under
-// 1-in-N sampling (obs.SetCycleSampling), default off, so the PR-3
-// zero-allocation/zero-format verdict-path invariants hold with
-// telemetry enabled.
+// cycle check is the innermost loop: it is observed only under 1-in-N
+// sampling (obs.SetCycleSampling), default off, so the verdict path's
+// zero-allocation/zero-format invariants hold with telemetry enabled.
 const phaseHelp = "Per-verdict toolflow phase durations."
 
 var (
 	phaseSkeleton  = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "skeleton"))
 	phaseEnumerate = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "enumerate"))
 	phaseCycle     = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "cycle_check"))
-
-	// Incremental-engine effectiveness: how many candidate verdicts
-	// reused the maintained topological order versus paid a from-scratch
-	// rebuild (first candidate of each prepared evaluation). Accumulated
-	// per Prepared and flushed on Close to keep the innermost loop free
-	// of atomics.
-	incrReuse   = obs.Default.Counter("tricheck_uhb_incremental_reuse_total", "Candidate acyclicity verdicts that reused the incremental topological order.")
-	incrRebuild = obs.Default.Counter("tricheck_uhb_incremental_rebuild_total", "Candidate acyclicity verdicts that rebuilt the topological order from scratch.")
 )
-
-// IncrementalStats returns the process-wide incremental-engine counters
-// (verdicts that reused the maintained order vs. rebuilt it), for the
-// `tricheck top` report; /metrics exports the same two counters.
-func IncrementalStats() (reuse, rebuild uint64) {
-	return incrReuse.Value(), incrRebuild.Value()
-}
 
 // Prepared is a model × program pair compiled for repeated evaluation: the
 // static µhb skeleton (node layout, pipeline/path order, execution-
 // independent preserved program order, dependency and non-cumulative fence
-// and AMO-annotation edges) is built exactly once, and every execution
-// candidate is then checked by layering its dynamic edges (coherence,
-// reads-from/from-reads, same-address refinements, cumulative closures)
-// onto the skeleton through a pooled, resettable overlay.
+// and AMO-annotation edges) is built exactly once, together with its port
+// closure: what each node a dynamic edge can touch reaches along static
+// edges. Every execution candidate is then decided from its dynamic edges
+// (coherence, reads-from/from-reads, same-address refinements, cumulative
+// closures) and the closure alone.
 //
 // This is the verdict path: no whole-execution graph is materialized, no
 // reason or label string is ever formatted, and steady-state evaluation
 // performs no per-execution graph allocation. Diagnostics (Explain,
 // witness graphs, DOT) materialize a Graph via Model.BuildGraph.
 //
-// A Prepared is NOT safe for concurrent use: the overlay and the
-// builder's scratch buffers are shared across calls. Each worker of a
+// A Prepared is NOT safe for concurrent use: the closure, the overlay and
+// the builder's scratch buffers are shared across calls. Each worker of a
 // sweep prepares its own. Prepared values are pooled: Close returns one,
-// scratch buffers included, for a later Prepare to reuse.
+// closure and scratch buffers included, for a later Prepare to reuse.
 type Prepared struct {
-	m    *Model
-	p    *isa.Program
-	skel *uhb.Skeleton
-	ov   *uhb.Overlay
-	incr *uhb.Incr // incremental acyclicity tier, shared across candidates
+	m     *Model
+	p     *isa.Program
+	skel  *uhb.Skeleton
+	ports []int32     // the nodes a dynamic edge can touch (builder.ports)
+	cl    uhb.Closure // skel's port closure and the current candidate's edges
+	// ov holds a cyclic candidate's dynamic edges for the DFS that names
+	// its witnessing cycle. It is acquired at the first cyclic candidate.
+	ov *uhb.Overlay
 	// b runs the axiom passes of both tiers over one set of scratch
 	// buffers: Prepare's static run has the skeleton as its sink, and each
-	// ExecutionObservable run binds an execution and the overlay.
+	// ExecutionObservable run binds an execution and the closure.
 	b builder
 
 	cov    Coverage // axiom attribution, accumulated across the evaluation
 	cycBuf []uint32 // reused cycle-provenance buffer
-
-	// Local reuse/rebuild tallies, flushed to the obs counters on Close.
-	reuse, rebuild uint64
 }
 
-// preparedPool recycles Close'd evaluators with their builder scratch, so
-// a sweep, which prepares one per (test, stack) pair, does not regrow the
-// same buffers for every pair.
+// preparedPool recycles Close'd evaluators with their closure and builder
+// scratch, so a sweep, which prepares one per (test, stack) pair, does not
+// regrow the same buffers for every pair.
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 
 // Prepare builds the static skeleton of p under the model's axioms and
-// returns an evaluator that streams executions through it. Release the
-// result with Close when the sweep is done so it returns to the pool.
+// its port closure, and returns an evaluator that streams executions
+// through them. Release the result with Close when the sweep is done so it
+// returns to the pool.
 func (m *Model) Prepare(p *isa.Program) *Prepared {
 	start := time.Now()
 	C, K := m.layout(p)
@@ -103,9 +89,9 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	pr.skel.ForEachEdge(func(_, _ int, reason uint32) {
 		pr.cov.Edges |= axiomBit(Reason(reason))
 	})
+	pr.ports = b.ports(pr.ports[:0])
+	pr.cl.Attach(pr.skel, pr.ports)
 	phaseSkeleton.Observe(time.Since(start))
-	pr.ov = uhb.AcquireOverlay(pr.skel)
-	pr.incr = uhb.AcquireIncr(pr.skel)
 	return pr
 }
 
@@ -118,63 +104,56 @@ func (pr *Prepared) Coverage() Coverage { return pr.cov }
 func (pr *Prepared) Skeleton() *uhb.Skeleton { return pr.skel }
 
 // ExecutionObservable reports whether execution x is observable on the
-// model: whether skeleton + x's overlay is acyclic. The verdict comes
-// from the incremental tier: the overlay is rebuilt per candidate as
-// before (coverage attribution happens at emission), but instead of a
-// full DFS the engine diffs the overlay's bitset rows against the edge
-// set it already holds and repairs its maintained topological order
-// edge by edge. A forbidding cycle still records provenance through the
-// retained full DFS — the witnessing cycle, and therefore the axiom
-// multiset OR-ed into the coverage Cycle bitset, is bit-identical to
-// the pre-incremental path.
+// model: whether skeleton + x's dynamic edges is acyclic. The dynamic
+// passes emit x's edges into the port closure, which decides the verdict
+// by a DFS over the ports those edges touch (coverage attribution happens
+// at emission). An acyclic candidate is done there. A cyclic one replays
+// the closure's edge log, in emission order, into the overlay, and the
+// overlay's DFS names the witnessing cycle whose axioms are OR-ed into
+// the coverage Cycle bitset: the same edge lists as an overlay filled at
+// emission, so the same cycle.
 func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
-	pr.ov.Reset(pr.skel)
+	pr.cl.Reset()
 	b := &pr.b
-	b.x = x
-	b.ov = pr.ov
+	b.x, b.cl = x, &pr.cl
 	b.run()
-	b.x, b.ov = nil, nil
-	cyclic, fresh := pr.incr.Sync(pr.ov)
-	if fresh {
-		pr.rebuild++
+	b.x, b.cl = nil, nil
+	if !pr.cl.HasCycle() {
+		return true
+	}
+	if pr.ov == nil {
+		pr.ov = uhb.AcquireOverlay(pr.skel)
 	} else {
-		pr.reuse++
+		pr.ov.Reset(pr.skel)
 	}
-	if cyclic {
-		reasons, _ := pr.ov.HasCycleReasons(pr.cycBuf[:0])
-		for _, r := range reasons {
-			pr.cov.Cycle |= axiomBit(Reason(r))
-		}
-		pr.cycBuf = reasons
-		return false
+	pr.cl.ForEachEdge(pr.ov.AddEdge)
+	reasons, _ := pr.ov.HasCycleReasons(pr.cycBuf[:0])
+	for _, r := range reasons {
+		pr.cov.Cycle |= axiomBit(Reason(r))
 	}
-	return true
+	pr.cycBuf = reasons
+	return false
 }
 
-// Close flushes the reuse tallies, returns the skeleton, overlay and
-// incremental engine to their pools, and the Prepared itself to its own.
-// The Prepared must not be used after; a second Close is a no-op.
+// Close returns the skeleton and the overlay to their pools, and the
+// Prepared itself, closure included, to its own. The Prepared must not be
+// used after; a second Close is a no-op.
 func (pr *Prepared) Close() {
 	if pr.m == nil {
 		return
 	}
-	uhb.ReleaseOverlay(pr.ov)
-	uhb.ReleaseIncr(pr.incr)
+	if pr.ov != nil {
+		uhb.ReleaseOverlay(pr.ov)
+	}
 	uhb.ReleaseSkeleton(pr.skel)
-	if pr.reuse > 0 {
-		incrReuse.Add(pr.reuse)
-	}
-	if pr.rebuild > 0 {
-		incrRebuild.Add(pr.rebuild)
-	}
-	// Keep only the scratch buffers: a pooled Prepared holds no model,
-	// program or graph.
-	*pr = Prepared{b: pr.b.scratch(), cycBuf: pr.cycBuf[:0]}
+	// Keep only the buffers: a pooled Prepared holds no model, program or
+	// graph, and Attach rebuilds the closure from scratch.
+	*pr = Prepared{b: pr.b.scratch(), ports: pr.ports[:0], cl: pr.cl, cycBuf: pr.cycBuf[:0]}
 	preparedPool.Put(pr)
 }
 
 // Evaluate computes the observable outcome set of the prepared program —
-// the Figure 6 step 3 body, sharing one skeleton and one overlay across
+// the Figure 6 step 3 body, sharing one skeleton and one closure across
 // the whole candidate enumeration. It is EvaluateAll's one-model case.
 func (pr *Prepared) Evaluate() (*Result, error) {
 	rs, err := EvaluateAll([]*Prepared{pr})
@@ -189,8 +168,8 @@ func (pr *Prepared) Evaluate() (*Result, error) {
 // on the same program. Each candidate execution is enumerated and its
 // outcome interned once, then offered to every model under that model's
 // own skip-if-known-observable rule, so each model sees exactly the
-// candidate sequence — and keeps exactly the skeleton, overlay,
-// incremental order, coverage and Graphs count — it would alone. The
+// candidate sequence — and keeps exactly the skeleton, closure, witnessing
+// cycles, coverage and Graphs count — it would alone. The
 // scratch execution and the outcome ids are shared, which is why
 // ExecutionObservable must never mutate its argument.
 //

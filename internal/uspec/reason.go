@@ -9,7 +9,7 @@ import (
 
 // Reason is a compact, lazily rendered edge reason: the axiom that demanded
 // a µhb edge, encoded as a code instead of a string so that the verdict
-// path (skeleton and overlay construction, cycle checking) never formats
+// path (skeleton and closure construction, cycle checking) never formats
 // or allocates diagnostics. Reasons resolve to the exact strings the
 // original eager builder produced, but only on the Explain/DOT paths.
 //

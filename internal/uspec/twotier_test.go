@@ -30,12 +30,12 @@ func oracleModels() []*Model {
 	}
 }
 
-// TestTwoTierMatchesMaterializedGraph is the skeleton/overlay equivalence
+// TestTwoTierMatchesMaterializedGraph is the two-tier equivalence
 // property: for every candidate execution of a sampled paper-suite slice,
-// on every model, the two-tier verdict (static skeleton + pooled dynamic
-// overlay, decided by the incremental order) must equal the single-graph
-// oracle — BuildGraph's one skeleton holding every edge of the execution,
-// searched by a plain DFS.
+// on every model, the two-tier verdict (static skeleton + the candidate's
+// dynamic edges, decided on the skeleton's port closure) must equal the
+// single-graph oracle — BuildGraph's one skeleton holding every edge of
+// the execution, searched by a plain DFS.
 func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive execution sweep is not short")
@@ -76,8 +76,9 @@ func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 
 // TestTwoTierEdgeUnionMatchesGraph checks the stronger structural
 // property on a dependency-carrying test under cumulative-fence
-// semantics: the skeleton's edges plus an execution's overlay edges are
-// exactly the materialized graph's edges.
+// semantics: the skeleton's edges plus the dynamic edges an execution's
+// run recorded in the closure are exactly the materialized graph's edges,
+// and every dynamic edge runs between two of the Prepared's ports.
 func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
 	tst := litmus.MPAddrDep.Instantiate([]c11.Order{c11.Rel, c11.Rel, c11.Rlx, c11.Acq})
 	prog, err := compile.Compile(compile.RISCVAtomicsRefined, tst.Prog)
@@ -86,10 +87,14 @@ func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
 	}
 	for _, m := range []*Model{NMM(Ours), A9like(Curr), WR(Curr)} {
 		pr := m.Prepare(prog)
+		port := map[int]bool{}
+		for _, v := range pr.ports {
+			port[int(v)] = true
+		}
 		checked := 0
 		err := mem.Enumerate(prog.Mem(), func(x *mem.Execution) bool {
 			checked++
-			_ = pr.ExecutionObservable(x) // leaves the overlay populated for x
+			_ = pr.ExecutionObservable(x) // leaves x's dynamic edges in the closure
 			g := m.BuildGraph(prog, x)
 			type edge struct{ from, to int }
 			union := map[edge]string{}
@@ -99,8 +104,11 @@ func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
 				}
 			})
 			dynEdges := 0
-			pr.ov.ForEachDynamicEdge(func(from, to int, reason uint32) {
+			pr.cl.ForEachEdge(func(from, to int, reason uint32) {
 				dynEdges++
+				if !port[from] || !port[to] {
+					t.Errorf("%s: dynamic %s edge (%d,%d) leaves the port set", m.FullName(), Reason(reason), from, to)
+				}
 				if _, dup := union[edge{from, to}]; !dup {
 					union[edge{from, to}] = Reason(reason).String()
 				}

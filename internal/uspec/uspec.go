@@ -29,9 +29,10 @@
 // of a model's obligations (pipeline/path order, unconditional preserved
 // program order, dependencies, non-cumulative fence and AMO-annotation
 // edges) is compiled once per (program, model) into a uhb.Skeleton, and
-// each candidate execution only layers its dynamic edges (coherence,
-// reads-from/from-reads, same-address refinements, cumulative closures)
-// onto it through a pooled uhb.Overlay — see Prepared. Diagnostics
+// each candidate execution only adds its dynamic edges (coherence,
+// reads-from/from-reads, same-address refinements, cumulative closures),
+// decided on the skeleton's port closure, a uhb.Closure — see Prepared.
+// Diagnostics
 // (Explain, witness graphs, DOT) materialize one execution's whole graph
 // into a single skeleton via BuildGraph and render labels and reasons
 // from it; the verdict path never formats any.
@@ -230,15 +231,15 @@ type Result struct {
 	Outcomes []mem.Outcome
 	Observed []int
 	// Candidates counts enumerated executions; Graphs counts µhb
-	// acyclicity checks actually run — overlay evaluations on the
+	// acyclicity checks actually run — candidate verdicts on the
 	// two-tier core (early-exit per outcome keeps this below Candidates).
 	Candidates, Graphs int
 }
 
 // Evaluate computes the observable outcome set of program p on the model.
-// It runs on the two-tier verdict path: the static skeleton is built once
-// and every candidate execution streams through a pooled overlay (see
-// Prepared).
+// It runs on the two-tier verdict path: the static skeleton and its port
+// closure are built once and every candidate execution is decided on them
+// (see Prepared).
 func (m *Model) Evaluate(p *isa.Program) (*Result, error) {
 	pr := m.Prepare(p)
 	defer pr.Close()

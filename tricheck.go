@@ -142,11 +142,6 @@ type (
 // axiom-coverage regressions on shared models.
 func DiffCoverage(old, cur *CoverageSnapshot) *CoverageDiff { return cover.Diff(old, cur) }
 
-// IncrementalStats returns the process-wide µhb incremental-engine
-// counters: candidate acyclicity verdicts that reused the maintained
-// topological order vs. rebuilt it from scratch.
-func IncrementalStats() (reuse, rebuild uint64) { return uspec.IncrementalStats() }
-
 // WriteMetrics writes the process metrics registry in the Prometheus
 // text exposition format — what tricheckd's GET /metrics serves, and the
 // -metrics-out format.
