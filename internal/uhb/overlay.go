@@ -61,20 +61,12 @@ func (o *Overlay) Reset(skel *Skeleton) {
 	}
 	o.skel = skel
 	n := skel.n
-	if cap(o.head) < n {
-		o.head = make([]int32, n)
-		o.color = make([]byte, n)
-		o.fnode = make([]int32, n)
-		o.fsidx = make([]int32, n)
-		o.fdyn = make([]int32, n)
-		o.fvia = make([]uint32, n)
-	}
-	o.head = o.head[:n]
-	o.color = o.color[:n]
-	o.fnode = o.fnode[:n]
-	o.fsidx = o.fsidx[:n]
-	o.fdyn = o.fdyn[:n]
-	o.fvia = o.fvia[:n]
+	o.head = grow(o.head, n)
+	o.color = grow(o.color, n)
+	o.fnode = grow(o.fnode, n)
+	o.fsidx = grow(o.fsidx, n)
+	o.fdyn = grow(o.fdyn, n)
+	o.fvia = grow(o.fvia, n)
 	for i := range o.head {
 		o.head[i] = -1
 	}
