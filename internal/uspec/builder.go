@@ -30,6 +30,17 @@ const (
 // and emits the dynamic edges (once per execution); BuildGraph's run has
 // a skeleton and an execution, and emits every edge, in pass order, into
 // that one skeleton for diagnostics.
+//
+// Prepare's static run also records the program's dynamic sites: the
+// same-thread pairs whose same-address refinements can fire (sameAddr),
+// the cumulative fences and the lazy releases. ExecutionObservable's
+// dynamic-only run visits only those sites, through the same pair, fence
+// and release bodies, and not the rest of the program's static
+// structure. The sites are recorded in the order a full walk reaches
+// them (thread, then pair; fences and AMOs in program order) and visited
+// in that order, because the closure's edge order decides which
+// witnessing cycle a cyclic candidate's overlay DFS names, and so the
+// coverage that cycle is charged to.
 type builder struct {
 	m *Model
 	p *isa.Program
@@ -39,9 +50,16 @@ type builder struct {
 	cl   *uhb.Closure  // dynamic sink
 	cov  *Coverage     // optional axiom attribution (verdict runs only)
 
-	ev []*mem.Event
-	C  int // cores (threads)
-	K  int // node slots per instruction
+	ev     []*mem.Event
+	C      int    // cores (threads)
+	K      int    // node slots per instruction
+	atomic []bool // by event: atomicWrite
+
+	// The dynamic sites, recorded by the static run in walk order: pairs
+	// holds same-thread (earlier, later) event pairs that can alias,
+	// cumFences and lazyRels event ids.
+	pairs               [][2]int
+	cumFences, lazyRels []int
 
 	// Reusable scratch for the dynamic passes, so a Prepared evaluation
 	// streams every execution of a sweep through one buffer set.
@@ -52,28 +70,32 @@ type builder struct {
 	frBuf                      []int
 }
 
-// scratch returns a builder that keeps only b's scratch buffers, emptied,
-// for a pooled Prepared to reuse. acumAppend leaves cumMark all false.
+// scratch returns a builder that keeps only b's buffers, emptied, for a
+// pooled Prepared to reuse. acumAppend leaves cumMark all false.
 func (b *builder) scratch() builder {
 	return builder{
+		atomic: b.atomic[:0], pairs: b.pairs[:0], cumFences: b.cumFences[:0], lazyRels: b.lazyRels[:0],
 		predR: b.predR[:0], predW: b.predW[:0], succR: b.succR[:0], succW: b.succW[:0],
 		cumMark: b.cumMark, cumFront: b.cumFront[:0], cumBuf: b.cumBuf[:0], frBuf: b.frBuf[:0],
 	}
 }
 
-// layout computes the node layout shared by all tiers of a (model,
-// program) pair.
-func (m *Model) layout(p *isa.Program) (C, K int) {
-	C = p.NumThreads()
-	if C < 1 {
-		C = 1
-	}
+// bind sets b up for program p under model m: the node layout and the
+// atomicWrite table, shared by all tiers of the pair, and empty site
+// lists for the static run to record into.
+func (b *builder) bind(m *Model, p *isa.Program) {
+	b.m, b.p, b.ev = m, p, p.Mem().Events()
+	b.C = max(p.NumThreads(), 1)
 	maxV := 1
 	if m.NMCA {
-		maxV = C
+		maxV = b.C
 	}
-	K = slotVis0 + maxV + 1 // + Complete
-	return C, K
+	b.K = slotVis0 + maxV + 1 // + Complete
+	b.atomic = b.atomic[:0]
+	for _, e := range b.ev {
+		b.atomic = append(b.atomic, !m.NMCA || b.scAMO(p.InstrOf(e.GID)))
+	}
+	b.pairs, b.cumFences, b.lazyRels = b.pairs[:0], b.cumFences[:0], b.lazyRels[:0]
 }
 
 // BuildGraph constructs the fully materialized µhb graph of execution x of
@@ -81,9 +103,9 @@ func (m *Model) layout(p *isa.Program) (C, K int) {
 // acyclic iff the execution is observable. The verdict path does not use
 // it; see Model.Prepare.
 func (m *Model) BuildGraph(p *isa.Program, x *mem.Execution) *Graph {
-	C, K := m.layout(p)
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: C, K: K}
-	b.skel = uhb.NewSkeleton(len(b.ev) * K)
+	b := &builder{x: x}
+	b.bind(m, p)
+	b.skel = uhb.NewSkeleton(len(b.ev) * b.K)
 	b.run()
 	b.skel.Freeze()
 	b.x = nil // the enumerator reuses x; the graph keeps only the layout
@@ -178,20 +200,9 @@ func (b *builder) ports(dst []int32) []int32 {
 
 // atomicWrite reports whether write w's visibility is a single multi-copy-
 // atomic event: always for MCA/rMCA substrates, and for AMOs carrying the
-// store-atomicity annotation (aq+rl under Curr, the .sc bit under Ours).
-func (b *builder) atomicWrite(w int) bool {
-	if !b.m.NMCA {
-		return true
-	}
-	ins := b.p.InstrOf(w)
-	if !ins.Op.IsAMO() {
-		return false
-	}
-	if b.m.Variant == Curr {
-		return ins.Aq && ins.Rl
-	}
-	return ins.SCBit
-}
+// store-atomicity annotation (aq+rl under Curr, the .sc bit under Ours,
+// i.e. scAMO). bind fills the table once per layout.
+func (b *builder) atomicWrite(w int) bool { return b.atomic[w] }
 
 // visTo returns the node at which write w becomes visible to core c.
 func (b *builder) visTo(w, c int) int {
@@ -281,80 +292,103 @@ func (b *builder) pipeline() {
 
 // sameAddr reports whether two events resolved to the same location
 // (dynamic: resolved locations can depend on register-carried addresses).
-func (b *builder) sameAddr(a, bb int) bool { return b.x.SameLoc(a, bb) }
+// It is ppo's only execution-dependent test. A static run answers false,
+// and records the pair, once, as a dynamic site when the two can alias: a
+// register-carried address can alias anything, two constant addresses
+// only when they are equal.
+func (b *builder) sameAddr(a, c int) bool {
+	if b.dyn() {
+		return b.x.SameLoc(a, c)
+	}
+	ea, ec := b.ev[a], b.ev[c]
+	alias := ea.Addr.Kind == mem.OpReg || ec.Addr.Kind == mem.OpReg || ea.Addr.Const == ec.Addr.Const
+	if n := len(b.pairs); alias && (n == 0 || b.pairs[n-1] != [2]int{a, c}) {
+		b.pairs = append(b.pairs, [2]int{a, c})
+	}
+	return false
+}
 
 // ppo adds preserved-program-order edges according to the relaxation
 // profile. Mixed tier: unconditional orders are static, same-address
-// refinements consult the execution's resolved locations.
+// refinements consult the execution's resolved locations. A dynamic-only
+// run visits just the recorded pairs.
 func (b *builder) ppo() {
+	if b.skel == nil {
+		for _, s := range b.pairs {
+			b.ppoPair(b.ev[s[0]], b.ev[s[1]])
+		}
+		return
+	}
 	for _, th := range b.p.Mem().Threads {
-		for i := 0; i < len(th); i++ {
-			for j := i + 1; j < len(th); j++ {
-				a, c := th[i], th[j]
-				ag, cg := a.GID, c.GID
-				// R → R
-				if a.IsRead() && c.IsRead() {
-					if !b.m.RelaxRR {
-						b.addS(b.perform(ag), b.perform(cg), rPpoRR)
-					} else if b.m.OrderSameAddrRR && b.dyn() && b.sameAddr(ag, cg) {
-						b.addD(b.perform(ag), b.perform(cg), rPpoRRSameAddr)
-					}
-				}
-				// R → W: maintained unless RelaxRR, always for same address.
-				if a.IsRead() && c.IsWrite() {
-					if !b.m.RelaxRR {
-						for v := 0; v < b.numVis(cg); v++ {
-							b.addS(b.perform(ag), b.visN(cg, v), rPpoRW)
-						}
-					} else if b.dyn() && b.sameAddr(ag, cg) {
-						for v := 0; v < b.numVis(cg); v++ {
-							b.addD(b.perform(ag), b.visN(cg, v), rPpoRW)
-						}
-					}
-				}
-				// W → R: relaxed on every Table 7 model (store buffer);
-				// enforced only on the SC ablation. Same-address W→R with
-				// no forwarding: the load stalls until the store drains.
-				switch {
-				case !a.IsWrite() || !c.IsRead():
-				case !b.m.RelaxWR:
-					for v := 0; v < b.numVis(ag); v++ {
-						b.addS(b.visN(ag, v), b.perform(cg), rPpoWR)
-					}
-				case b.p.InstrOf(ag).Op.IsAMO() && !b.m.NMCA:
-					// AMO writes execute at the memory system (they
-					// need the old value), so they are never buffered:
-					// on MCA/rMCA substrates — where at-memory means
-					// visible — later loads perform after the AMO's
-					// write. On nMCA substrates per-core visibility
-					// may still lag (non-stalling directory), so no
-					// such edge exists there.
-					for v := 0; v < b.numVis(ag); v++ {
-						b.addS(b.visN(ag, v), b.perform(cg), rAmoNotBuffered)
-					}
-				case b.dyn() && b.sameAddr(ag, cg) && b.x.RF[cg] != ag:
-					// The load reads something other than the newest
-					// same-address SB entry, so that entry must have
-					// drained first.
-					for v := 0; v < b.numVis(ag); v++ {
-						b.addD(b.visN(ag, v), b.perform(cg), rSbSameAddrDrain)
-					}
-					// Reading the own store without forwarding means
-					// waiting for it to reach memory (rf adds the
-					// visibility edge; nothing extra needed there).
-				}
-				// W → W: FIFO drain unless RelaxWW; same address always.
-				if a.IsWrite() && c.IsWrite() {
-					if !b.m.RelaxWW {
-						b.pointwiseVis(ag, cg, rPpoWW, true)
-					} else if b.dyn() && b.sameAddr(ag, cg) {
-						b.pointwiseVis(ag, cg, rPpoWW, false)
-					}
-					if b.dyn() && b.sameAddr(ag, cg) {
-						b.addD(b.sbEnter(ag), b.sbEnter(cg), rSbFifoSameAddr)
-					}
-				}
+		for i, a := range th {
+			for _, c := range th[i+1:] {
+				b.ppoPair(a, c)
 			}
+		}
+	}
+}
+
+// ppoPair adds the preserved-program-order edges of same-thread events a
+// and c, a first in program order.
+func (b *builder) ppoPair(a, c *mem.Event) {
+	ag, cg := a.GID, c.GID
+	// R → R
+	if a.IsRead() && c.IsRead() {
+		if !b.m.RelaxRR {
+			b.addS(b.perform(ag), b.perform(cg), rPpoRR)
+		} else if b.m.OrderSameAddrRR && b.sameAddr(ag, cg) {
+			b.addD(b.perform(ag), b.perform(cg), rPpoRRSameAddr)
+		}
+	}
+	// R → W: maintained unless RelaxRR, always for same address.
+	if a.IsRead() && c.IsWrite() {
+		if !b.m.RelaxRR {
+			for v := 0; v < b.numVis(cg); v++ {
+				b.addS(b.perform(ag), b.visN(cg, v), rPpoRW)
+			}
+		} else if b.sameAddr(ag, cg) {
+			for v := 0; v < b.numVis(cg); v++ {
+				b.addD(b.perform(ag), b.visN(cg, v), rPpoRW)
+			}
+		}
+	}
+	// W → R: relaxed on every Table 7 model (store buffer); enforced only
+	// on the SC ablation. Same-address W→R with no forwarding: the load
+	// stalls until the store drains.
+	switch {
+	case !a.IsWrite() || !c.IsRead():
+	case !b.m.RelaxWR:
+		for v := 0; v < b.numVis(ag); v++ {
+			b.addS(b.visN(ag, v), b.perform(cg), rPpoWR)
+		}
+	case b.p.InstrOf(ag).Op.IsAMO() && !b.m.NMCA:
+		// AMO writes execute at the memory system (they need the old
+		// value), so they are never buffered: on MCA/rMCA substrates —
+		// where at-memory means visible — later loads perform after the
+		// AMO's write. On nMCA substrates per-core visibility may still
+		// lag (non-stalling directory), so no such edge exists there.
+		for v := 0; v < b.numVis(ag); v++ {
+			b.addS(b.visN(ag, v), b.perform(cg), rAmoNotBuffered)
+		}
+	case b.sameAddr(ag, cg) && b.x.RF[cg] != ag:
+		// The load reads something other than the newest same-address
+		// SB entry, so that entry must have drained first.
+		for v := 0; v < b.numVis(ag); v++ {
+			b.addD(b.visN(ag, v), b.perform(cg), rSbSameAddrDrain)
+		}
+		// Reading the own store without forwarding means waiting for it
+		// to reach memory (rf adds the visibility edge; nothing extra
+		// needed there).
+	}
+	// W → W: FIFO drain unless RelaxWW; same address always.
+	if a.IsWrite() && c.IsWrite() {
+		if !b.m.RelaxWW {
+			b.pointwiseVis(ag, cg, rPpoWW, true)
+		} else if b.sameAddr(ag, cg) {
+			b.pointwiseVis(ag, cg, rPpoWW, false)
+		}
+		if b.sameAddr(ag, cg) {
+			b.addD(b.sbEnter(ag), b.sbEnter(cg), rSbFifoSameAddr)
 		}
 	}
 }
@@ -465,8 +499,16 @@ func accessParts(e *mem.Event) (rd, wr bool) {
 // fences adds fence-ordering edges for every fence instruction, including
 // cumulativity for the lwf/hwf proposals (and Power lwsync/sync). Mixed
 // tier: same-thread predecessor/successor sets are static, the
-// A-cumulative closure consults rf.
+// A-cumulative closure consults rf, so only cumulative fences are dynamic
+// sites.
 func (b *builder) fences() {
+	if b.skel == nil {
+		for _, g := range b.cumFences {
+			f := b.ev[g]
+			b.fenceEdges(b.p.Mem().Threads[f.Thread], f, b.p.InstrOf(g))
+		}
+		return
+	}
 	for _, th := range b.p.Mem().Threads {
 		for _, f := range th {
 			if f.Kind != mem.Fence {
@@ -476,15 +518,15 @@ func (b *builder) fences() {
 			if ins.Op != isa.OpFence {
 				continue
 			}
+			if ins.Cum != isa.CumNone && !b.dyn() { // the static run records the site
+				b.cumFences = append(b.cumFences, f.GID)
+			}
 			b.fenceEdges(th, f, ins)
 		}
 	}
 }
 
 func (b *builder) fenceEdges(th []*mem.Event, f *mem.Event, ins *isa.Instr) {
-	if b.skel == nil && ins.Cum == isa.CumNone {
-		return // a non-cumulative fence contributes no dynamic edges
-	}
 	// Same-thread predecessor/successor event GIDs by access part (static).
 	b.predR, b.predW = b.predR[:0], b.predW[:0]
 	b.succR, b.succW = b.succR[:0], b.succW[:0]
@@ -494,6 +536,9 @@ func (b *builder) fenceEdges(th []*mem.Event, f *mem.Event, ins *isa.Instr) {
 		}
 		rd, wr := accessParts(e)
 		if e.Index < f.Index {
+			if b.skel == nil {
+				continue // own predecessors are ordered by static edges only
+			}
 			if rd && ins.Pred.HasR() {
 				b.predR = append(b.predR, e.GID)
 			}
@@ -605,27 +650,11 @@ func (b *builder) acumAppend(th []*mem.Event, idx int, dst []int) []int {
 	return dst
 }
 
-// releaseChain walks an ISA-level release sequence backwards: starting from
-// a write w, follow AMO write-backs to their read sources until a
-// non-AMO write (or init) is reached; returns the chain of writes visited.
-// An acquire reading any element of the chain synchronizes with releases
+// releaseChainContains reports whether target is on the ISA-level release
+// sequence ending at write w: starting from w, it follows AMO write-backs
+// to their read sources until a non-AMO write (or init) is reached. An
+// acquire reading any element of the chain synchronizes with releases
 // earlier in the chain, mirroring C11 release sequences through RMWs.
-func (b *builder) releaseChain(w int) []int {
-	var chain []int
-	for w != mem.InitWrite {
-		chain = append(chain, w)
-		e := b.ev[w]
-		if e.Kind != mem.RMW {
-			break
-		}
-		w = b.x.RF[w]
-	}
-	return chain
-}
-
-// releaseChainContains reports whether target is on the release chain
-// ending at write w — the allocation-free membership test the lazy-release
-// pass uses instead of materializing releaseChain.
 func (b *builder) releaseChainContains(w, target int) bool {
 	for w != mem.InitWrite {
 		if w == target {
@@ -642,27 +671,35 @@ func (b *builder) releaseChainContains(w, target int) bool {
 
 // amoBits adds the acquire/release/SC-annotation semantics of AMOs.
 // Mixed tier: acquire, eager-release and SC-pair edges are static; lazy
-// (cumulative) release synchronization consults rf.
+// (cumulative) release synchronization consults rf, so only lazy releases
+// are dynamic sites.
 func (b *builder) amoBits() {
+	if b.skel == nil {
+		for _, g := range b.lazyRels {
+			a := b.ev[g]
+			b.lazyReleaseEdges(b.p.Mem().Threads[a.Thread], a)
+		}
+		return
+	}
 	for _, th := range b.p.Mem().Threads {
 		for _, e := range th {
 			ins := b.p.InstrOf(e.GID)
 			if !ins.Op.IsAMO() {
 				continue
 			}
-			if ins.Aq && b.skel != nil {
+			if ins.Aq {
 				b.acquireEdges(th, e)
 			}
-			if ins.Rl {
-				if b.m.Variant == Curr {
-					if b.skel != nil {
-						b.eagerReleaseEdges(th, e)
-					}
-				} else if b.dyn() {
-					b.lazyReleaseEdges(th, e)
-				}
+			switch {
+			case !ins.Rl:
+			case b.m.Variant == Curr:
+				b.eagerReleaseEdges(th, e)
+			case b.dyn():
+				b.lazyReleaseEdges(th, e)
+			default: // the static run records the site
+				b.lazyRels = append(b.lazyRels, e.GID)
 			}
-			if b.scAMO(ins) && b.skel != nil {
+			if b.scAMO(ins) {
 				b.scPairEdges(th, e)
 			}
 		}

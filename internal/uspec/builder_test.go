@@ -201,18 +201,23 @@ func TestAcumWritesComputation(t *testing.T) {
 }
 
 // TestReleaseChainWalk: the ISA-level release sequence follows AMO
-// write-backs to their sources.
+// write-backs to their sources, and stops at a non-AMO write.
 func TestReleaseChainWalk(t *testing.T) {
 	p := isa.NewProgram(isa.RISCV, 1, "x")
 	p.Add(0, riscv.AMOStore(mem.Const(1), mem.Const(0), false, true, false)) // gid 0: release
 	p.Add(1, riscv.AMOSwap(0, mem.Const(2), mem.Const(0), false, false, false))
-	// gid 1 swaps, reading gid 0's write.
-	x := executionWhere(t, p, func(x *mem.Execution) bool { return x.RF[1] == 0 })
+	// gid 1 swaps, reading gid 0's write, which reads the initial value.
+	p.Add(2, riscv.SW(mem.Const(3), mem.Const(0))) // gid 2: off the chain
+	x := executionWhere(t, p, func(x *mem.Execution) bool { return x.RF[1] == 0 && x.RF[0] == mem.InitWrite })
 	m := NMM(Ours)
 	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events()}
-	chain := b.releaseChain(1)
-	if len(chain) != 2 || chain[0] != 1 || chain[1] != 0 {
-		t.Errorf("release chain = %v, want [1 0]", chain)
+	for _, c := range []struct {
+		target int
+		want   bool
+	}{{1, true}, {0, true}, {2, false}} {
+		if got := b.releaseChainContains(1, c.target); got != c.want {
+			t.Errorf("release chain from the swap contains gid %d = %v, want %v", c.target, got, c.want)
+		}
 	}
 }
 

@@ -32,9 +32,12 @@ var (
 // independent preserved program order, dependency and non-cumulative fence
 // and AMO-annotation edges) is built exactly once, together with its port
 // closure: what each node a dynamic edge can touch reaches along static
-// edges. Every execution candidate is then decided from its dynamic edges
-// (coherence, reads-from/from-reads, same-address refinements, cumulative
-// closures) and the closure alone.
+// edges. The same static run records the program's dynamic sites: the
+// same-thread pairs that can alias, the cumulative fences and the lazy
+// releases. Every execution candidate is then decided from its dynamic
+// edges (coherence, reads-from/from-reads, and the sites' same-address
+// refinements and cumulative closures) and the closure alone; its run
+// visits no other pair, fence or AMO.
 //
 // This is the verdict path: no whole-execution graph is materialized, no
 // reason or label string is ever formatted, and steady-state evaluation
@@ -42,9 +45,10 @@ var (
 // witness graphs, DOT) materialize a Graph via Model.BuildGraph.
 //
 // A Prepared is NOT safe for concurrent use: the closure, the overlay and
-// the builder's scratch buffers are shared across calls. Each worker of a
-// sweep prepares its own. Prepared values are pooled: Close returns one,
-// closure and scratch buffers included, for a later Prepare to reuse.
+// the builder's site lists and scratch buffers are shared across calls.
+// Each worker of a sweep prepares its own. Prepared values are pooled:
+// Close returns one, closure, site lists and scratch buffers included, for
+// a later Prepare to reuse; Prepare records its program's sites afresh.
 type Prepared struct {
 	m     *Model
 	p     *isa.Program
@@ -74,13 +78,12 @@ var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 // returns to the pool.
 func (m *Model) Prepare(p *isa.Program) *Prepared {
 	start := time.Now()
-	C, K := m.layout(p)
-	ev := p.Mem().Events()
 	pr := preparedPool.Get().(*Prepared)
 	pr.m, pr.p = m, p
 	b := &pr.b
-	b.m, b.p, b.ev, b.C, b.K, b.cov = m, p, ev, C, K, &pr.cov
-	b.skel = uhb.AcquireSkeleton(len(ev) * K)
+	b.bind(m, p)
+	b.cov = &pr.cov
+	b.skel = uhb.AcquireSkeleton(len(b.ev) * b.K)
 	b.run()
 	b.skel.Freeze()
 	pr.skel, b.skel = b.skel, nil

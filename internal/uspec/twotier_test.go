@@ -5,6 +5,8 @@ import (
 
 	"tricheck/internal/c11"
 	"tricheck/internal/compile"
+	"tricheck/internal/isa"
+	"tricheck/internal/isa/riscv"
 	"tricheck/internal/litmus"
 	"tricheck/internal/mem"
 )
@@ -71,6 +73,77 @@ func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pointerPrograms returns two programs whose same-thread pairs alias only
+// through a register-carried address. Location p starts at 0, which is
+// location x, so a load of p yields a pointer to x. The first is CoRR
+// through the pointer. In the second, T2 stores to x through the pointer
+// and then loads x from T1's store: on nMCA the store must drain to every
+// core before that load performs, which closes the cycle through T0's
+// fence (the sb-same-addr-drain shape of the nWR differential).
+func pointerPrograms() map[string]*isa.Program {
+	corr := isa.NewProgram(isa.RISCV, 2, "x", "p")
+	corr.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
+	corr.Add(1, riscv.LW(1, mem.Const(0)))
+	corr.Add(1, riscv.LW(0, mem.Const(1)))
+	corr.Add(1, riscv.LW(2, mem.FromReg(0)))
+	corr.Observe(1, 1, "r1")
+	corr.Observe(1, 2, "r2")
+	drain := isa.NewProgram(isa.RISCV, 3, "x", "y", "p")
+	drain.Add(0, riscv.SW(mem.Const(1), mem.Const(1)))
+	drain.Add(0, riscv.Fence(isa.ClassW, isa.ClassR))
+	drain.Add(0, riscv.LW(0, mem.Const(0)))
+	drain.Add(1, riscv.SW(mem.Const(1), mem.Const(0)))
+	drain.Add(2, riscv.LW(0, mem.Const(2)))
+	drain.Add(2, riscv.SW(mem.Const(2), mem.FromReg(0)))
+	drain.Add(2, riscv.LW(1, mem.Const(0)))
+	drain.Add(2, riscv.LW(2, mem.Const(1)))
+	drain.Observe(0, 0, "a0")
+	drain.Observe(2, 1, "r1")
+	drain.Observe(2, 2, "r2")
+	return map[string]*isa.Program{"corr-ptr": corr, "drain-ptr": drain}
+}
+
+// TestRegisterAddressAliasAcrossLattice holds the dynamic sites Prepare
+// records to every pair that can alias: on all 100 lattice configs, for
+// every candidate of two programs that alias only through a pointer,
+// the two-tier verdict must equal the materialized graph's. The 200
+// Prepared values pass through the pool with site lists that differ
+// from one to the next.
+func TestRegisterAddressAliasAcrossLattice(t *testing.T) {
+	progs := pointerPrograms()
+	names := []string{"corr-ptr", "drain-ptr"}
+	aliasForbids := 0 // CoRR candidates a config relaxing R→M forbids
+	for _, v := range []Variant{Curr, Ours} {
+		for _, cfg := range EnumerateConfigs(v) {
+			m := New(cfg)
+			for _, name := range names {
+				prog := progs[name]
+				pr := m.Prepare(prog)
+				err := mem.Enumerate(prog.Mem(), func(x *mem.Execution) bool {
+					fast := pr.ExecutionObservable(x)
+					slow := m.BuildGraph(prog, x).Acyclic()
+					if fast != slow {
+						t.Errorf("%s on %s: execution %s: two-tier=%v oracle=%v", name, m.FullName(), x, fast, slow)
+					}
+					if name == "corr-ptr" && cfg.RelaxRR && !slow {
+						aliasForbids++
+					}
+					return true
+				})
+				pr.Close()
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, m.FullName(), err)
+				}
+			}
+		}
+	}
+	// Relaxed R→M leaves the same-address refinement as the only order
+	// between the two loads of x, so CoRR must be forbidden somewhere.
+	if aliasForbids == 0 {
+		t.Error("no config relaxing R→M forbids a CoRR candidate: the pointer never aliased")
 	}
 }
 
