@@ -10,15 +10,19 @@
 // reimplementation), but every reported metric should match the shapes
 // recorded in EXPERIMENTS.md.
 //
-// The two-tier evaluation-core refactor (static µhb skeletons + pooled
-// per-execution overlays) changes only ns/op and allocs/op here; every
-// reported metric (bugs, strict, tests, headline counts) is bit-identical
-// to the single-graph evaluator it replaced. CI runs the Figure-15, farm,
-// synth and stack-resolution benchmarks with -benchmem and archives the
-// raw JSON as the BENCH_6.json artifact (deltas rendered against the
-// committed BENCH_5.json), accumulating the perf trajectory across PRs.
-// BENCH_5 predates the obs instrumentation, so the delta also bounds the
-// telemetry overhead on the sweep paths.
+// The two-tier evaluation core (a static µhb skeleton per program and
+// model, its port closure deciding each candidate, and an overlay filled
+// only for a cyclic candidate's witnessing cycle) changes only ns/op and
+// allocs/op here; every reported metric (bugs, strict, tests, headline
+// counts) is bit-identical to the single-graph evaluator it replaced. CI
+// runs the Figure-15, farm, synth, stack-resolution and opsim benchmarks
+// with -benchmem, archives the raw JSON as the BENCH_9.json artifact and
+// renders its deltas against the committed BENCH_8.json, accumulating the
+// perf trajectory across changes.
+//
+// Step 1 lives for one sweep: a benchmark that calls Run or RunSuite
+// again on the same engine pays the C11 evaluation on every iteration,
+// as a fresh sweep does.
 package tricheck_test
 
 import (
@@ -271,8 +275,8 @@ func BenchmarkFarmWarmSweep(b *testing.B) {
 func BenchmarkStep1C11Evaluation(b *testing.B) {
 	tst := tricheck.IRIW.Instantiate([]tricheck.Order{
 		tricheck.SC, tricheck.SC, tricheck.SC, tricheck.SC, tricheck.SC, tricheck.SC})
+	eng := tricheck.NewEngine()
 	for i := 0; i < b.N; i++ {
-		eng := tricheck.NewEngine() // fresh: defeat the HLL cache
 		if _, err := eng.HLL(tst); err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Command tricheckd serves the TriCheck toolflow as a long-running HTTP
 // verification service: one shared engine (warm memo cache, pooled µhb
-// evaluators, singleflighted C11 evaluation) behind a streaming NDJSON
-// API.
+// evaluators, one C11 evaluation per test per request) behind a
+// streaming NDJSON API.
 //
 // Usage:
 //

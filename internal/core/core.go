@@ -16,14 +16,16 @@
 //     disagreement between the two step-3 sets is a Divergence.
 //
 // Engine.evaluate is the one implementation of this pipeline, for every
-// backend. The Engine caches step 1 per test so that sweeping many
-// (mapping, model) stacks — as Figure 15 does — pays for the C11
-// evaluation once, and runs each test's compilation and candidate
+// backend, and a sweep is its one caller: Run is a sweep of one pair. A
+// sweep over many (mapping, model) stacks — as Figure 15 does — pays for
+// each test's C11 evaluation once, shared by the test's groups for as
+// long as the sweep runs, and runs each test's compilation and candidate
 // enumeration once per mapping, for every model that shares it.
 package core
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -119,12 +121,10 @@ type TestResult struct {
 	Opsim *OpsimMemo
 }
 
-// Engine runs the toolflow. It caches HLL evaluations across stacks
-// (keyed by canonical test fingerprint) and, when a memo cache is
-// enabled, full (test, stack) verdicts across sweeps.
+// Engine runs the toolflow. When a memo cache is enabled it caches full
+// (test, stack) verdicts across sweeps; nothing else outlives a sweep.
 type Engine struct {
-	mu  sync.Mutex
-	hll map[string]*hllEntry
+	mu sync.Mutex
 	// memo is the optional (test, stack) result cache shared with the
 	// verification farm; nil until EnableMemo.
 	memo *farm.Cache[string, *Memo]
@@ -149,63 +149,48 @@ type Engine struct {
 	ledger *cover.Ledger
 }
 
-// NewEngine returns an Engine with an empty HLL cache, no memo cache and
-// no cost matrix.
+// NewEngine returns an Engine with no memo cache and no cost matrix.
 func NewEngine() *Engine {
-	return &Engine{
-		hll:    map[string]*hllEntry{},
-		ledger: cover.NewLedger(uspec.AxiomNames(), verdictNames()),
-	}
+	return &Engine{ledger: cover.NewLedger(uspec.AxiomNames(), verdictNames())}
 }
 
 // Coverage returns the engine's verification-coverage ledger.
 func (e *Engine) Coverage() *cover.Ledger { return e.ledger }
 
-// hllEntry is one singleflight slot of the HLL cache: the first caller
-// evaluates, concurrent callers for the same fingerprint wait on the
-// same Once instead of re-running (and racing on) the shared program.
-type hllEntry struct {
+// HLL runs step 1, the C11 evaluation of a test, and observes the hll
+// phase. It caches nothing: within a sweep a test's groups share one
+// evaluation through their hllSlot, and every other call evaluates.
+func (e *Engine) HLL(t *litmus.Test) (*c11.Result, error) {
+	start := time.Now()
+	r, err := c11.Evaluate(t.Prog)
+	phaseHLL.Observe(time.Since(start))
+	if err != nil {
+		return nil, fmt.Errorf("core: HLL evaluation of %s: %w", t.Name, err)
+	}
+	return r, nil
+}
+
+// hllSlot is one sweep's singleflight slot for one test's C11
+// evaluation: the first of the test's groups to run evaluates, and
+// concurrent groups wait on the same Once instead of re-running (and
+// racing on) the shared program. The sweep drops its slots when it ends.
+type hllSlot struct {
 	once sync.Once
 	r    *c11.Result
 	err  error
 }
 
-// HLL returns the (cached) step-1 C11 evaluation of a test. The cache is
-// keyed by the test's canonical fingerprint, so structurally identical
-// tests — e.g. a generated test and its corpus round trip — share one
-// evaluation regardless of naming, and concurrent farm workers hitting
-// the same test evaluate it exactly once.
-func (e *Engine) HLL(t *litmus.Test) (*c11.Result, error) {
-	r, _, err := e.hllTimed(t)
-	return r, err
-}
-
-// hllTimed is HLL that also returns the time this call spent in
-// c11.Evaluate: the evaluation's wall time for the caller that ran it,
-// and zero for a cache hit or a wait on another caller's evaluation. The
-// hll phase histogram observes each evaluation once.
-func (e *Engine) hllTimed(t *litmus.Test) (*c11.Result, time.Duration, error) {
-	key := t.Fingerprint()
-	e.mu.Lock()
-	ent, ok := e.hll[key]
-	if !ok {
-		ent = &hllEntry{}
-		e.hll[key] = ent
-	}
-	e.mu.Unlock()
+// get returns the test's C11 evaluation and the time this call spent
+// evaluating it: the evaluation's wall time for the group that ran it,
+// and zero for a group that found it done or waited on another's run.
+func (s *hllSlot) get(e *Engine, t *litmus.Test) (*c11.Result, time.Duration, error) {
 	var ran time.Duration
-	ent.once.Do(func() {
+	s.once.Do(func() {
 		start := time.Now()
-		r, err := c11.Evaluate(t.Prog)
+		s.r, s.err = e.HLL(t)
 		ran = time.Since(start)
-		phaseHLL.Observe(ran)
-		if err != nil {
-			ent.err = fmt.Errorf("core: HLL evaluation of %s: %w", t.Name, err)
-			return
-		}
-		ent.r = r
 	})
-	return ent.r, ran, ent.err
+	return s.r, ran, s.err
 }
 
 // Run executes toolflow steps 1–4 for one test and stack, consulting the
@@ -215,34 +200,14 @@ func (e *Engine) Run(t *litmus.Test, s Stack) (*TestResult, error) {
 	return e.RunBackend(t, s, BackendUHB)
 }
 
-// RunBackend is Run on an explicit backend; memo keys are backend-tagged
-// so the backends never share cache entries. An executed Run is a group
-// of one.
+// RunBackend is Run on an explicit backend: a one-pair sweep, so its
+// memo key, ledger record and farm statistics are a sweep's.
 func (e *Engine) RunBackend(t *litmus.Test, s Stack, b Backend) (*TestResult, error) {
-	m, err := e.run(t, s, b)
+	srs, err := e.SweepStreamBackend(context.Background(), []*litmus.Test{t}, []Stack{s}, 1, b, nil)
 	if err != nil {
 		return nil, err
 	}
-	e.ledger.RecordVector(t.Name, s.Name(), uint8(m.Verdict))
-	return m.Bind(t, s), nil
-}
-
-func (e *Engine) run(t *litmus.Test, s Stack, b Backend) (*Memo, error) {
-	var key string
-	if e.memo != nil {
-		key = JobKeyBackend(t, s, b)
-		if m, ok := e.memo.Get(key); ok {
-			return m, nil
-		}
-	}
-	ms, err := e.evaluate(group{test: t, members: []member{newMember(s)}}, b, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	if e.memo != nil {
-		e.memo.Put(key, ms[0])
-	}
-	return ms[0], nil
+	return srs[0].Results[0], nil
 }
 
 // member is one stack of a group job, with its display names computed
@@ -263,6 +228,7 @@ func newMember(s Stack) member {
 // members.
 type group struct {
 	test    *litmus.Test
+	hll     *hllSlot // the test's C11 slot, shared with its other groups
 	members []member
 }
 
@@ -300,7 +266,7 @@ type group struct {
 // (HLL, compile, the enumeration with its interleaved cycle checks, and
 // the rest), so the cells' Totals add up to the group's wall time. HLL
 // is the C11 evaluation only in the group that ran it: a group that
-// found it cached, or waited on another worker's run, charges no HLL,
+// found it done, or waited on another worker's run, charges no HLL,
 // and its wait stays in Total. 1-in-N executed groups
 // (obs.SetVerdictSampling) additionally carry an obs.Span — tagged with
 // the sweep's trace when one is on the context — that lands in the
@@ -327,7 +293,7 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 		}
 	}
 	jobStart := time.Now()
-	hll, hllTime, err := e.hllTimed(t) // step 1
+	hll, hllTime, err := g.hll.get(e, t) // step 1
 	if err != nil {
 		return nil, err
 	}

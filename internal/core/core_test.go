@@ -214,23 +214,6 @@ func TestVerdictMatrix(t *testing.T) {
 	}
 }
 
-// TestHLLCacheReuse: the engine caches step 1 across stacks.
-func TestHLLCacheReuse(t *testing.T) {
-	e := NewEngine()
-	tst := litmus.MP.Instantiate([]c11.Order{c11.Rlx, c11.Rel, c11.Acq, c11.Rlx})
-	a, err := e.HLL(tst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.HLL(tst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("HLL result not cached")
-	}
-}
-
 // TestSuiteAggregation: family tallies sum to the total.
 func TestSuiteAggregation(t *testing.T) {
 	e := NewEngine()

@@ -15,7 +15,8 @@ import (
 
 var (
 	// farmMetrics is the scheduler telemetry every engine's sweeps record
-	// into (process-global, like the metrics themselves).
+	// into, a Run's one-pair sweep included (process-global, like the
+	// metrics themselves).
 	farmMetrics = farm.NewMetrics(obs.Default)
 
 	phaseHLL         = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "hll"))
@@ -50,7 +51,7 @@ type costKey struct {
 // its interleaved cycle checks, and the rest of Total — is split evenly
 // over the group's executed stacks, while Skeleton, Opsim, Candidates
 // and Graphs are the pair's own, so the cells of a group add up to its
-// wall time. A test's C11 evaluation runs once per engine, so only the
+// wall time. A test's C11 evaluation runs once per sweep, so only the
 // group that ran it charges HLL; the other groups' wait for it stays in
 // Total, outside every phase.
 type JobCost struct {

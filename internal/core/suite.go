@@ -109,7 +109,7 @@ func JobKey(t *litmus.Test, s Stack) string {
 }
 
 // jobKeyFromFPs combines precomputed fingerprints into the one key
-// format shared by Run, SweepStream and cache snapshots.
+// format shared by JobKey, SweepStream and cache snapshots.
 func jobKeyFromFPs(testFP, stackFP string) string {
 	return testFP + "+" + stackFP
 }
@@ -205,9 +205,10 @@ func LoadMemoSnapshotLenient(eng *Engine, path string, w io.Writer) error {
 }
 
 // LastFarmStats returns the scheduler statistics of the most recent
-// RunSuite/Sweep/SweepStream call. Jobs, Unique, CacheHits, Executed and
-// Skipped count (test, stack) pairs; Stolen and Workers count the farm's
-// group jobs, one per (test, mapping) among the pairs that executed.
+// sweep: a Run (a one-pair sweep), RunSuite, Sweep or SweepStream call.
+// Jobs, Unique, CacheHits, Executed and Skipped count (test, stack)
+// pairs; Stolen and Workers count the farm's group jobs, one per
+// (test, mapping) among the pairs that executed.
 func (e *Engine) LastFarmStats() farm.Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -264,8 +265,10 @@ func (e *Engine) SweepStream(tests []*litmus.Test, stacks []Stack, workers int, 
 // scheduling anything. The farm's unit of work is coarser — one group
 // per test and compiler mapping among the pairs still to execute (see
 // group) — so a test is compiled and enumerated once per mapping, not
-// once per stack. A finished group puts every member in the memo cache
-// before streaming them, even when the sweep has been cancelled.
+// once per stack, and its groups share one C11 evaluation, which the
+// sweep drops when it returns. A finished group puts every member in
+// the memo cache before streaming them, even when the sweep has been
+// cancelled.
 func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, stacks []Stack, workers int, backend Backend, events chan<- Progress) ([]*SuiteResult, error) {
 	if events != nil {
 		defer close(events)
@@ -404,10 +407,17 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		}
 		groupPairs[gi] = append(groupPairs[gi], i)
 	}
+	// A test's groups share one C11 slot, indexed by test, for as long as
+	// the sweep runs. A sweep the memo cache served whole allocates none.
+	var slots []hllSlot
+	if len(groupPairs) > 0 {
+		slots = make([]hllSlot, n)
+	}
 	var executed atomic.Int64
 	jobs := make([]farm.Job[int, []*Memo], len(groupPairs))
 	for gi, pairs := range groupPairs {
-		g := group{test: tests[pairs[0]%n], members: make([]member, len(pairs))}
+		ti := pairs[0] % n
+		g := group{test: tests[ti], hll: &slots[ti], members: make([]member, len(pairs))}
 		for j, i := range pairs {
 			g.members[j] = members[i/n]
 		}

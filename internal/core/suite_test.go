@@ -488,6 +488,29 @@ func TestSweepCompilesAndEnumeratesOncePerMapping(t *testing.T) {
 	}
 }
 
+// TestEachSweepEvaluatesC11OncePerTest: a test's C11 evaluation lives
+// for one sweep. Two cold sweeps of one family over the 28 Figure 15
+// stacks, on one engine with no memo cache, each observe the hll phase
+// once per test: the second sweep reuses nothing the first evaluated.
+func TestEachSweepEvaluatesC11OncePerTest(t *testing.T) {
+	tests := litmus.MP.Generate()
+	stacks, err := SelectStacks("both", "both")
+	if err != nil || len(stacks) != 28 {
+		t.Fatalf("%d stacks, %v; want 28", len(stacks), err)
+	}
+	hll := obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "hll"))
+	eng := NewEngine()
+	for sweep := 1; sweep <= 2; sweep++ {
+		before := hll.Count()
+		if _, err := eng.Sweep(tests, stacks, 4); err != nil {
+			t.Fatal(err)
+		}
+		if d := hll.Count() - before; d != uint64(len(tests)) {
+			t.Errorf("sweep %d observed the hll phase %d times, want %d (once per test)", sweep, d, len(tests))
+		}
+	}
+}
+
 // TestSweepErrorsAreNotMemoized: a group whose evaluation fails puts
 // nothing in the memo cache, so a rerun serves the good pairs from the
 // cache and executes the failed ones again — failing again, rather than

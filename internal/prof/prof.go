@@ -93,14 +93,3 @@ func (s *Session) Stop() error {
 	})
 	return s.err
 }
-
-// Start is the function-valued form of Begin/Stop kept for callers that
-// want a stop closure; the closure is Session.Stop, so it inherits the
-// idempotence.
-func Start(prefix string) (stop func() error, err error) {
-	s, err := Begin(prefix)
-	if err != nil {
-		return nil, err
-	}
-	return s.Stop, nil
-}

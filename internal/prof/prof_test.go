@@ -6,19 +6,27 @@ import (
 	"testing"
 )
 
+// TestStartEmptyPrefixIsNoop: Begin with no prefix starts no profiling
+// session, so neither it nor its Stop moves the session counters.
 func TestStartEmptyPrefixIsNoop(t *testing.T) {
-	stop, err := Start("")
+	started, stopped := sessionsStarted.Value(), sessionsStopped.Value()
+	s, err := Begin("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stop(); err != nil {
+	if err := s.Stop(); err != nil {
 		t.Fatal(err)
+	}
+	if sessionsStarted.Value() != started || sessionsStopped.Value() != stopped {
+		t.Error("an empty prefix started or stopped a profiling session")
 	}
 }
 
+// TestStartWritesBothProfiles: a session started by Begin writes a CPU
+// and a heap profile when Stop ends it.
 func TestStartWritesBothProfiles(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "run")
-	stop, err := Start(prefix)
+	s, err := Begin(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +36,7 @@ func TestStartWritesBothProfiles(t *testing.T) {
 		x += i * i
 	}
 	_ = x
-	if err := stop(); err != nil {
+	if err := s.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	for _, suffix := range []string{".cpu.pprof", ".mem.pprof"} {

@@ -1,9 +1,10 @@
 // Package server implements tricheckd: a long-running HTTP verification
 // service over the TriCheck farm. One shared core.Engine stays warm
 // across requests — its memo cache is loaded from and snapshotted to
-// disk, its HLL evaluations are singleflighted, and its two-tier µhb
-// overlays are pooled — so a request pays only for jobs nobody has
-// verified before.
+// disk, and its pooled µhb evaluators keep their buffers — so a request
+// pays only for jobs nobody has verified before. A request's sweep
+// evaluates each of its tests under C11 once and keeps nothing of it
+// after the sweep ends.
 //
 // Endpoints:
 //

@@ -1,9 +1,6 @@
 package uhb
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Overlay is the dynamic tier of a two-tier µhb graph: the
 // execution-dependent edges of one candidate execution (coherence order,
@@ -14,9 +11,8 @@ import (
 // and traversal storage lives in reusable buffers that survive Reset, so
 // one overlay can serve an entire enumeration sweep. A sweep decides each
 // candidate with a Closure and fills an overlay, from the closure's edge
-// log, only for a cyclic candidate whose witnessing cycle it wants:
-// acquire one via AcquireOverlay, Reset it per such candidate, and
-// release it when the sweep ends.
+// log, only for a cyclic candidate whose witnessing cycle it wants: the
+// evaluator owns one overlay and Resets it per such candidate.
 //
 // Unlike a Skeleton, an Overlay does not deduplicate edges: duplicates
 // cannot change acyclicity, the number of AddEdge calls is already
@@ -194,23 +190,4 @@ func (o *Overlay) cycle() (j, f int, r uint32) {
 		}
 	}
 	return -1, -1, 0
-}
-
-// overlayPool recycles overlays across evaluations; a whole enumeration
-// sweep on one worker reuses a single buffer set.
-var overlayPool = sync.Pool{New: func() any { return &Overlay{} }}
-
-// AcquireOverlay returns a pooled overlay bound (and reset) to skel.
-// Release it with ReleaseOverlay when the sweep is done.
-func AcquireOverlay(skel *Skeleton) *Overlay {
-	o := overlayPool.Get().(*Overlay)
-	o.Reset(skel)
-	return o
-}
-
-// ReleaseOverlay returns an overlay to the pool. The caller must not use
-// it afterwards.
-func ReleaseOverlay(o *Overlay) {
-	o.skel = nil
-	overlayPool.Put(o)
 }

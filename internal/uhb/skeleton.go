@@ -3,7 +3,6 @@ package uhb
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Skeleton is the static tier of a two-tier µhb graph: the node numbering
@@ -38,7 +37,7 @@ type Skeleton struct {
 	dst    []int32
 	reason []uint32
 
-	// Freeze scratch, kept across reuse via the skeleton pool.
+	// Freeze scratch, kept across Reset.
 	idxBuf, nextBuf []int32
 }
 
@@ -47,20 +46,10 @@ func NewSkeleton(n int) *Skeleton {
 	return &Skeleton{n: n}
 }
 
-// skeletonPool recycles skeletons between prepared evaluations: one
-// skeleton is built and frozen per verification job, and its edge and
-// CSR arrays otherwise dominate the static tier's allocation profile on
-// cold sweeps.
-var skeletonPool sync.Pool
-
-// AcquireSkeleton returns a pooled, empty skeleton over n nodes. Release
-// with ReleaseSkeleton once no reader can still hold it.
-func AcquireSkeleton(n int) *Skeleton {
-	v := skeletonPool.Get()
-	if v == nil {
-		return NewSkeleton(n)
-	}
-	s := v.(*Skeleton)
+// Reset empties the skeleton and sizes it to n nodes, ready for AddEdge.
+// It keeps the capacity of the edge and CSR arrays, so an owner that
+// builds one skeleton after another does not regrow them.
+func (s *Skeleton) Reset(n int) {
 	s.n = n
 	s.frozen = false
 	s.bFrom = s.bFrom[:0]
@@ -69,15 +58,6 @@ func AcquireSkeleton(n int) *Skeleton {
 	s.off = s.off[:0]
 	s.dst = s.dst[:0]
 	s.reason = s.reason[:0]
-	return s
-}
-
-// ReleaseSkeleton returns s to the pool. The caller must guarantee no
-// overlay or reader still references it.
-func ReleaseSkeleton(s *Skeleton) {
-	if s != nil {
-		skeletonPool.Put(s)
-	}
 }
 
 // NumNodes returns the number of nodes.
@@ -178,7 +158,7 @@ func (s *Skeleton) Freeze() {
 	for v := 0; v < s.n; v++ {
 		s.off[v+1] += s.off[v]
 	}
-	// Truncate rather than drop the build arrays: a pooled skeleton
+	// Truncate rather than drop the build arrays: a reset skeleton
 	// refills them on its next use.
 	s.bFrom, s.bTo, s.bReason = s.bFrom[:0], s.bTo[:0], s.bReason[:0]
 }

@@ -155,8 +155,7 @@ func TestQuickOverlayCycleReasonsAgree(t *testing.T) {
 			}
 		}
 		s.Freeze()
-		o := AcquireOverlay(s)
-		defer ReleaseOverlay(o)
+		o := NewOverlay(s)
 		for i, e := range dyn {
 			o.AddEdge(e[0], e[1], uint32(1000+i))
 		}
@@ -190,8 +189,7 @@ func TestQuickOverlayMatchesGraph(t *testing.T) {
 		}
 		union.Freeze()
 		s.Freeze()
-		o := AcquireOverlay(s)
-		defer ReleaseOverlay(o)
+		o := NewOverlay(s)
 		for _, e := range dyn {
 			o.AddEdge(e[0], e[1], 0)
 		}
@@ -202,7 +200,7 @@ func TestQuickOverlayMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestOverlayReuseAcrossSkeletons: a pooled overlay rebinds cleanly to a
+// TestOverlayReuseAcrossSkeletons: an overlay rebinds cleanly to a
 // skeleton of a different size.
 func TestOverlayReuseAcrossSkeletons(t *testing.T) {
 	small := NewSkeleton(2)
@@ -213,7 +211,7 @@ func TestOverlayReuseAcrossSkeletons(t *testing.T) {
 		big.AddEdge(i, i+1, 0)
 	}
 	big.Freeze()
-	o := AcquireOverlay(small)
+	o := NewOverlay(small)
 	o.AddEdge(1, 0, 0)
 	if !o.HasCycle() {
 		t.Fatal("small cycle missed")
@@ -226,12 +224,11 @@ func TestOverlayReuseAcrossSkeletons(t *testing.T) {
 	if !o.HasCycle() {
 		t.Fatal("big cycle missed")
 	}
-	ReleaseOverlay(o)
 }
 
-// BenchmarkOverlayCheck measures the pooled per-execution cost: reset,
-// add a handful of dynamic edges, run the cycle check. This is the inner
-// loop of the µspec verdict path and must not allocate.
+// BenchmarkOverlayCheck measures the per-execution cost of one reused
+// overlay: reset, add a handful of dynamic edges, run the cycle check.
+// This is the inner loop of the µspec verdict path and must not allocate.
 func BenchmarkOverlayCheck(b *testing.B) {
 	const n = 120
 	s := NewSkeleton(n)
@@ -243,8 +240,7 @@ func BenchmarkOverlayCheck(b *testing.B) {
 		}
 	}
 	s.Freeze()
-	o := AcquireOverlay(s)
-	defer ReleaseOverlay(o)
+	o := NewOverlay(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -509,21 +505,4 @@ func BenchmarkFindCycleDense(b *testing.B) {
 			b.Fatal("unexpected cycle")
 		}
 	}
-}
-
-// TestOverlayUseAfterReleasePanics: the pool invalidates a released
-// overlay by dropping its skeleton binding; any further use must panic
-// rather than corrupt a pooled buffer another worker may now own.
-func TestOverlayUseAfterReleasePanics(t *testing.T) {
-	s := NewSkeleton(2)
-	s.AddEdge(0, 1, 0)
-	s.Freeze()
-	o := AcquireOverlay(s)
-	ReleaseOverlay(o)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddEdge after ReleaseOverlay did not panic")
-		}
-	}()
-	o.AddEdge(0, 1, 1)
 }

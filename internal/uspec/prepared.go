@@ -46,18 +46,20 @@ var (
 //
 // A Prepared is NOT safe for concurrent use: the closure, the overlay and
 // the builder's site lists and scratch buffers are shared across calls.
-// Each worker of a sweep prepares its own. Prepared values are pooled:
-// Close returns one, closure, site lists and scratch buffers included, for
-// a later Prepare to reuse; Prepare records its program's sites afresh.
+// Each worker of a sweep prepares its own. Prepared values are pooled, and
+// a Prepared owns every buffer it evaluates with: Close returns one, with
+// its skeleton, closure, overlay, site lists and scratch buffers, for a
+// later Prepare to reuse; Prepare rebuilds the skeleton and records its
+// program's sites afresh.
 type Prepared struct {
 	m     *Model
 	p     *isa.Program
-	skel  *uhb.Skeleton
-	ports []int32     // the nodes a dynamic edge can touch (builder.ports)
-	cl    uhb.Closure // skel's port closure and the current candidate's edges
+	skel  uhb.Skeleton // the static tier, frozen by Prepare
+	ports []int32      // the nodes a dynamic edge can touch (builder.ports)
+	cl    uhb.Closure  // skel's port closure and the current candidate's edges
 	// ov holds a cyclic candidate's dynamic edges for the DFS that names
-	// its witnessing cycle. It is acquired at the first cyclic candidate.
-	ov *uhb.Overlay
+	// its witnessing cycle. Each cyclic candidate resets it.
+	ov uhb.Overlay
 	// b runs the axiom passes of both tiers over one set of scratch
 	// buffers: Prepare's static run has the skeleton as its sink, and each
 	// ExecutionObservable run binds an execution and the closure.
@@ -83,17 +85,18 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	b := &pr.b
 	b.bind(m, p)
 	b.cov = &pr.cov
-	b.skel = uhb.AcquireSkeleton(len(b.ev) * b.K)
+	pr.skel.Reset(len(b.ev) * b.K)
+	b.skel = &pr.skel
 	b.run()
-	b.skel.Freeze()
-	pr.skel, b.skel = b.skel, nil
+	pr.skel.Freeze()
+	b.skel = nil
 	// Post-dedup static attribution: the reasons that survived Freeze own
 	// the skeleton's edges (emission already set the Fired bits above).
 	pr.skel.ForEachEdge(func(_, _ int, reason uint32) {
 		pr.cov.Edges |= axiomBit(Reason(reason))
 	})
 	pr.ports = b.ports(pr.ports[:0])
-	pr.cl.Attach(pr.skel, pr.ports)
+	pr.cl.Attach(&pr.skel, pr.ports)
 	phaseSkeleton.Observe(time.Since(start))
 	return pr
 }
@@ -103,8 +106,9 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 // every execution checked through this Prepared.
 func (pr *Prepared) Coverage() Coverage { return pr.cov }
 
-// Skeleton exposes the static tier (frozen; safe to share read-only).
-func (pr *Prepared) Skeleton() *uhb.Skeleton { return pr.skel }
+// Skeleton exposes the static tier (frozen; safe to share read-only until
+// Close, which keeps it for the next Prepare to rebuild).
+func (pr *Prepared) Skeleton() *uhb.Skeleton { return &pr.skel }
 
 // ExecutionObservable reports whether execution x is observable on the
 // model: whether skeleton + x's dynamic edges is acyclic. The dynamic
@@ -124,11 +128,7 @@ func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	if !pr.cl.HasCycle() {
 		return true
 	}
-	if pr.ov == nil {
-		pr.ov = uhb.AcquireOverlay(pr.skel)
-	} else {
-		pr.ov.Reset(pr.skel)
-	}
+	pr.ov.Reset(&pr.skel)
 	pr.cl.ForEachEdge(pr.ov.AddEdge)
 	reasons, _ := pr.ov.HasCycleReasons(pr.cycBuf[:0])
 	for _, r := range reasons {
@@ -138,20 +138,17 @@ func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	return false
 }
 
-// Close returns the skeleton and the overlay to their pools, and the
-// Prepared itself, closure included, to its own. The Prepared must not be
-// used after; a second Close is a no-op.
+// Close returns the Prepared to its pool, with the skeleton, closure and
+// overlay it owns. The Prepared, and the skeleton Skeleton returned, must
+// not be used after; a second Close is a no-op.
 func (pr *Prepared) Close() {
 	if pr.m == nil {
 		return
 	}
-	if pr.ov != nil {
-		uhb.ReleaseOverlay(pr.ov)
-	}
-	uhb.ReleaseSkeleton(pr.skel)
-	// Keep only the buffers: a pooled Prepared holds no model, program or
-	// graph, and Attach rebuilds the closure from scratch.
-	*pr = Prepared{b: pr.b.scratch(), ports: pr.ports[:0], cl: pr.cl, cycBuf: pr.cycBuf[:0]}
+	// Keep only the buffers: a pooled Prepared holds no model or program.
+	// The next Prepare resets the skeleton and rebuilds the closure from
+	// scratch, and its first cyclic candidate resets the overlay.
+	*pr = Prepared{b: pr.b.scratch(), skel: pr.skel, ports: pr.ports[:0], cl: pr.cl, ov: pr.ov, cycBuf: pr.cycBuf[:0]}
 	preparedPool.Put(pr)
 }
 

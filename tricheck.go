@@ -46,7 +46,8 @@ import (
 
 // Core engine types.
 type (
-	// Engine runs the four-step toolflow with HLL caching.
+	// Engine runs the four-step toolflow, one sweep at a time, with an
+	// optional memo cache of verdicts across sweeps.
 	Engine = core.Engine
 	// Stack pairs a compiler mapping with a µspec model.
 	Stack = core.Stack
