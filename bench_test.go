@@ -20,9 +20,9 @@
 // renders its deltas against the committed BENCH_8.json, accumulating the
 // perf trajectory across changes.
 //
-// Step 1 lives for one sweep: a benchmark that calls Run or RunSuite
-// again on the same engine pays the C11 evaluation on every iteration,
-// as a fresh sweep does.
+// Step 1 lives for one sweep: a benchmark that calls Run, RunSuite or
+// Sweep again on the same engine without a memo cache pays the C11
+// evaluation on every iteration, as a fresh engine does.
 package tricheck_test
 
 import (

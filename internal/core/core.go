@@ -121,8 +121,10 @@ type TestResult struct {
 	Opsim *OpsimMemo
 }
 
-// Engine runs the toolflow. When a memo cache is enabled it caches full
-// (test, stack) verdicts across sweeps; nothing else outlives a sweep.
+// Engine runs the toolflow. Across sweeps it keeps its counters, its
+// coverage ledger and, when enabled, the memo cache of (test, stack)
+// verdicts and the cost matrix; a test's C11 evaluation lives for one
+// sweep.
 type Engine struct {
 	mu sync.Mutex
 	// memo is the optional (test, stack) result cache shared with the

@@ -46,8 +46,8 @@ import (
 
 // Core engine types.
 type (
-	// Engine runs the four-step toolflow, one sweep at a time, with an
-	// optional memo cache of verdicts across sweeps.
+	// Engine runs the four-step toolflow as sweeps (Run is a one-pair
+	// sweep), with an optional memo cache of verdicts across them.
 	Engine = core.Engine
 	// Stack pairs a compiler mapping with a µspec model.
 	Stack = core.Stack
