@@ -91,9 +91,10 @@ func (v Verdict) String() string {
 }
 
 // TestResult is the full-stack verdict for one litmus test. Its maps and
-// slices are shared with the memo cache, and Observable also with the
-// other stacks of its (test, mapping) group that observe the same
-// outcomes, so all of them are read-only.
+// slices are shared with the memo cache and with the other stacks of its
+// (test, mapping) group that observe the same outcomes, and Observable
+// may be C11's Allowed or All map (see Memo), so all of them are
+// read-only. A sweep's results are carved from one slab.
 type TestResult struct {
 	Test  *litmus.Test
 	Stack Stack
@@ -227,11 +228,13 @@ func newMember(s Stack) member {
 // that share its compiler mapping and still need executing. The mapping
 // alone fixes the compiled program, its candidate executions and their
 // outcome ids, so a group compiles and enumerates once for all of its
-// members.
+// members. A sweep lays every group's pairs and members out in one array
+// each, and the members point into the sweep's table of stacks.
 type group struct {
 	test    *litmus.Test
-	hll     *hllSlot // the test's C11 slot, shared with its other groups
-	members []member
+	hll     *hllSlot  // the test's C11 slot, shared with its other groups
+	pairs   []int     // the members' sweep pair indexes
+	members []*member // the members' stacks, in pairs order
 }
 
 // evaluate runs toolflow steps 1–4 unconditionally for every member of
@@ -249,13 +252,15 @@ type group struct {
 //     (uspec.EvaluateAll), so a sweep's per-execution cost is dynamic
 //     edges plus an allocation-free cycle check per model. Step 4 then
 //     runs once for the group, on the enumeration's outcome ids
-//     (compare), and the returned memos share the Observable maps that
-//     EvaluateAll shares: read-only, like every memo.
+//     (compare), which builds the outcome maps: members with equal ids
+//     share one memo, and the memos share C11's maps where the sets are
+//     equal. Read-only, like every memo.
 //   - operational (opsim, both): the config-matched simulator explores
 //     every interleaving, per member. Under opsim its reachable set
 //     stands in for the µhb observable set in step 4; under both it is a
 //     second opinion, and any disagreement upgrades the µhb verdict to
-//     Divergence with the diff and a witness attached (crossCheck). A
+//     Divergence with the diff and a witness attached (crossCheck), on a
+//     copy of the member's memo, which is then its own. A
 //     config outside the simulators' capability degrades to a skip note
 //     under both — "cross-check where you can" — rather than an error.
 //
@@ -284,7 +289,7 @@ type group struct {
 // their Bug verdicts with *zero* cycles (they observe everything; that
 // is the bug), so the cycle column is populated by the configs that
 // still forbid something.
-func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.SpanID) ([]*Memo, error) {
+func (e *Engine) evaluate(g *group, b Backend, trace obs.TraceID, parent obs.SpanID) ([]*Memo, error) {
 	t, mapping := g.test, g.members[0].stack.Mapping
 	var sp *obs.Span
 	if obs.SampleVerdict() {
@@ -349,6 +354,12 @@ func (e *Engine) evaluate(g group, b Backend, trace obs.TraceID, parent obs.Span
 	}
 	if b != BackendUHB { // step 3 on the operational machines
 		for i, mb := range g.members {
+			if memos[i] != nil {
+				// Members with equal ids share one µhb memo; the opsim side
+				// written below is this member's own.
+				m := *memos[i]
+				memos[i] = &m
+			}
 			t4 := time.Now()
 			sim, err := opsim.ForConfig(mb.stack.Model.Config, prog)
 			var capErr *opsim.CapabilityError
@@ -427,34 +438,58 @@ func (e *Engine) Divergences() uint64 { return e.divergences.Load() }
 // compare is step 4, the equivalence check, for the members of one
 // group, in portable form. rs are the members' ISA-side evaluations over
 // one outcome numbering: rs[0].Outcomes lists the candidate outcomes by
-// id and rs[0].All holds the same set, and each rs[i].Observed lists the
-// ids member i observes. C11's verdict on each outcome is looked up once
-// per group, not once per member: the step-4 universe is every candidate
-// outcome plus the C11-only remainder, the outcomes C11 allows that no
-// candidate reaches, which every member misses and so finds strict. The
-// universe is sorted once, so each member's classification is one walk
-// over its id row and comes out sorted. Members with equal ids get equal
-// verdicts, computed once.
+// id, and each rs[i].Observed lists the ids member i observes. C11's
+// verdict on each outcome is looked up once per group, not once per
+// member: the step-4 universe is every candidate outcome plus the
+// C11-only remainder, the outcomes C11 allows that no candidate reaches,
+// which every member misses and so finds strict. The universe is sorted
+// once, so each member's classification is one walk over its id row and
+// comes out sorted.
+//
+// compare is also where a sweep's Observable maps are made, one per
+// distinct id row. Members with equal ids share one memo. An Equivalent
+// row observes exactly C11's allowed set, so it holds C11's Allowed. A
+// row that observes every candidate holds the group's candidate map:
+// C11's All when the two universes are equal, else rs[0].All when the
+// caller has one, else a map built once per group, which also serves
+// the remainder check. Any other row gets a new map.
 func compare(hll *c11.Result, rs []*uspec.Result) []*Memo {
-	outs, all := rs[0].Outcomes, rs[0].All
+	outs := rs[0].Outcomes
 	type cell struct {
 		o       mem.Outcome
 		id      int // -1 for the C11-only remainder
 		allowed bool
 	}
 	universe := make([]cell, len(outs))
-	allowedCandidates := 0
+	allowedCandidates, c11Candidates := 0, 0
 	for id, o := range outs {
 		universe[id] = cell{o, id, hll.Allowed[o]}
 		if universe[id].allowed {
 			allowedCandidates++
 		}
+		if hll.All[o] {
+			c11Candidates++
+		}
+	}
+	all := rs[0].All
+	if c11Candidates == len(outs) && len(hll.All) == len(outs) {
+		all = hll.All
+	}
+	candidateSet := func() map[mem.Outcome]bool {
+		if all == nil {
+			all = make(map[mem.Outcome]bool, len(outs))
+			for _, o := range outs {
+				all[o] = true
+			}
+		}
+		return all
 	}
 	// Allowed holds only true entries, so there is a remainder exactly
 	// when some of them are not candidates.
 	if allowedCandidates < len(hll.Allowed) {
+		candidates := candidateSet()
 		for o := range hll.Allowed {
-			if !all[o] {
+			if !candidates[o] {
 				universe = append(universe, cell{o, -1, true})
 			}
 		}
@@ -465,11 +500,10 @@ func compare(hll *c11.Result, rs []*uspec.Result) []*Memo {
 	seen := make([]bool, len(outs))
 	for i, r := range rs {
 		if j := slices.IndexFunc(rs[:i], func(q *uspec.Result) bool { return slices.Equal(q.Observed, r.Observed) }); j >= 0 {
-			m := *memos[j]
-			memos[i] = &m
+			memos[i] = memos[j]
 			continue
 		}
-		m := &Memo{Allowed: hll.Allowed, Observable: r.Observable, Racy: hll.Racy}
+		m := &Memo{Allowed: hll.Allowed, Racy: hll.Racy}
 		for _, id := range r.Observed {
 			seen[id] = true
 		}
@@ -493,6 +527,17 @@ func compare(hll *c11.Result, rs []*uspec.Result) []*Memo {
 		default:
 			m.Verdict = Equivalent
 		}
+		switch {
+		case m.Verdict == Equivalent:
+			m.Observable = hll.Allowed
+		case len(r.Observed) == len(outs):
+			m.Observable = candidateSet()
+		default:
+			m.Observable = make(map[mem.Outcome]bool, len(r.Observed))
+			for _, id := range r.Observed {
+				m.Observable[outs[id]] = true
+			}
+		}
 		memos[i] = m
 	}
 	return memos
@@ -501,13 +546,14 @@ func compare(hll *c11.Result, rs []*uspec.Result) []*Memo {
 // reached puts an operational machine's reachable set, sorted and as a
 // map, into step 4's id view. The machine enumerates only reachable
 // states, so its candidates are the outcomes it reaches, every one of
-// them observed; compare's C11-only remainder covers the rest.
+// them observed; compare's C11-only remainder covers the rest, and the
+// set's map is the group's candidate map.
 func reached(outs []mem.Outcome, set map[mem.Outcome]bool) *uspec.Result {
 	ids := make([]int, len(outs))
 	for i := range ids {
 		ids[i] = i
 	}
-	return &uspec.Result{Observable: set, All: set, Outcomes: outs, Observed: ids}
+	return &uspec.Result{All: set, Outcomes: outs, Observed: ids}
 }
 
 func sortOutcomes(os []mem.Outcome) {

@@ -160,8 +160,8 @@ func TestCostMatrixSharesGroupTime(t *testing.T) {
 }
 
 // TestCostMatrixChargesHLLOnce: a test's C11 evaluation runs once per
-// engine, so only the group that ran it charges HLL. The other mappings'
-// groups found it cached or waited on it, and that wait is not C11 work.
+// sweep, so only the group that ran it charges HLL. The other mappings'
+// groups found it done or waited on it, and that wait is not C11 work.
 // After an mp sweep over the 28 stacks on 4 workers, each test's cells
 // with HLL time are the 7 stacks of one mapping.
 func TestCostMatrixChargesHLLOnce(t *testing.T) {

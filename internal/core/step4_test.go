@@ -152,22 +152,77 @@ func TestStep4MatchesMapOracleOpsim(t *testing.T) {
 	}
 }
 
-// TestGroupMembersShareOutcomeMaps: in a Figure 15 group, members that
-// observe the same outcome ids hold one Observable map, a member that
-// observes every candidate holds the enumeration's All map, and step 4
-// hands those maps to the memos as they are. Identity is checked by map
-// pointer, so an edit that copies a map fails here. The engine's own
-// evaluate must give members with equal observable sets one map too.
+// mapPtr identifies a map, so that a test can tell a shared map from an
+// equal copy.
+func mapPtr(m map[mem.Outcome]bool) uintptr { return reflect.ValueOf(m).Pointer() }
+
+// idSet is the outcome set of an id row.
+func idSet(outs []mem.Outcome, ids []int) map[mem.Outcome]bool {
+	set := make(map[mem.Outcome]bool, len(ids))
+	for _, id := range ids {
+		set[outs[id]] = true
+	}
+	return set
+}
+
+// TestGroupMembersShareOutcomeMaps: step 4 makes a group's outcome maps,
+// one per distinct id row, and shares C11's wherever the sets are equal.
+// Over Figure 15 groups it requires that every member's Observable holds
+// exactly its observed outcomes, and that
+//   - an Equivalent member holds C11's Allowed;
+//   - a member that observes every candidate holds C11's All when the
+//     group's candidate outcomes equal C11's;
+//   - members with equal ids hold one *Memo;
+//   - no two members of a group hold equal sets in different maps.
+//
+// Identity is checked by pointer, so an edit that copies a map or a memo
+// fails here. The engine's own evaluate must share them the same way.
 func TestGroupMembersShareOutcomeMaps(t *testing.T) {
-	ptr := func(m map[mem.Outcome]bool) uintptr { return reflect.ValueOf(m).Pointer() }
 	eng := NewEngine()
-	var shared, allObserving int
+	var equivalent, allObserving, sharedMemo int
+	check := func(name string, hll *c11.Result, memos []*Memo, rs []*uspec.Result) {
+		t.Helper()
+		outs := rs[0].Outcomes
+		sameUniverse := len(hll.All) == len(outs) && !slices.ContainsFunc(outs, func(o mem.Outcome) bool { return !hll.All[o] })
+		for i, m := range memos {
+			r := rs[i]
+			if !maps.Equal(m.Observable, idSet(outs, r.Observed)) {
+				t.Errorf("%s member %d: Observable %v, observed ids %v of %v", name, i, m.Observable, r.Observed, outs)
+			}
+			switch {
+			case m.Verdict == Equivalent:
+				equivalent++
+				if mapPtr(m.Observable) != mapPtr(hll.Allowed) {
+					t.Errorf("%s member %d is Equivalent but does not hold C11's Allowed", name, i)
+				}
+			case len(r.Observed) == len(outs) && sameUniverse:
+				allObserving++
+				if mapPtr(m.Observable) != mapPtr(hll.All) {
+					t.Errorf("%s member %d observes every candidate of C11's universe but does not hold C11's All", name, i)
+				}
+			}
+			for j, q := range memos[:i] {
+				if slices.Equal(rs[j].Observed, r.Observed) {
+					if q != m {
+						t.Errorf("%s members %d and %d: equal ids, two memos", name, j, i)
+					}
+					sharedMemo++
+					break
+				}
+				if maps.Equal(q.Observable, m.Observable) && mapPtr(q.Observable) != mapPtr(m.Observable) {
+					t.Errorf("%s members %d and %d hold equal sets in two maps", name, j, i)
+				}
+			}
+		}
+	}
 	for _, variant := range []uspec.Variant{uspec.Curr, uspec.Ours} {
 		for _, base := range []bool{true, false} {
 			stacks := RISCVStacks(base, variant)
-			g := group{members: make([]member, len(stacks))}
+			table := make([]member, len(stacks))
+			g := &group{members: make([]*member, len(stacks))}
 			for i, s := range stacks {
-				g.members[i] = newMember(s)
+				table[i] = newMember(s)
+				g.members[i] = &table[i]
 			}
 			for _, tst := range litmus.WRC.Generate()[:60] {
 				hll, err := eng.HLL(tst)
@@ -190,46 +245,129 @@ func TestGroupMembersShareOutcomeMaps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				memos := compare(hll, rs)
-				for i, r := range rs {
-					name := tst.Name + " on " + g.members[i].name
-					if ptr(memos[i].Observable) != ptr(r.Observable) {
-						t.Errorf("%s: the memo holds a copy of the result's Observable map", name)
-					}
-					if len(r.Observed) == len(r.Outcomes) {
-						allObserving++
-						if ptr(r.Observable) != ptr(r.All) {
-							t.Errorf("%s observes every candidate but does not hold All", name)
-						}
-					}
-					for j := range rs[:i] {
-						if slices.Equal(rs[j].Observed, r.Observed) {
-							shared++
-							if ptr(r.Observable) != ptr(rs[j].Observable) {
-								t.Errorf("%s: same ids as %s, different Observable maps", name, g.members[j].name)
-							}
-							break
-						}
-					}
-				}
+				name := tst.Name + " on " + stacks[0].Mapping.Name
+				check(name, hll, compare(hll, rs), rs)
 
+				// The engine's evaluate runs its own C11 evaluation, so C11's
+				// maps are told apart by the sets they hold here.
 				g.test, g.hll = tst, &hllSlot{}
 				ms, err := eng.evaluate(g, BackendUHB, 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, m := range ms {
-					for _, q := range ms[:i] {
-						if maps.Equal(q.Observable, m.Observable) && ptr(q.Observable) != ptr(m.Observable) {
-							t.Errorf("%s on %s: evaluate gave equal observable sets two maps", tst.Name, g.members[i].name)
-							break
+					for j, q := range ms[:i] {
+						if maps.Equal(q.Observable, m.Observable) && q != m {
+							t.Errorf("%s: evaluate gave members %d and %d equal sets in two memos", name, j, i)
 						}
 					}
 				}
 			}
 		}
 	}
-	if shared == 0 || allObserving == 0 {
-		t.Errorf("%d members shared an earlier member's ids and %d observed every candidate; want both", shared, allObserving)
+	if equivalent == 0 || allObserving == 0 || sharedMemo == 0 {
+		t.Errorf("%d Equivalent members, %d observing all of C11's universe, %d memos shared; want each", equivalent, allObserving, sharedMemo)
+	}
+}
+
+// TestCompareOwnUniverse: a group whose candidate outcomes differ from
+// C11's universe gets a candidate map of its own for the member that
+// observes every candidate, and C11's remainder, the allowed outcomes no
+// candidate reaches, is strict for every member. An opsim reachable set
+// (reached) is the group's candidate map as it is.
+func TestCompareOwnUniverse(t *testing.T) {
+	set := func(os ...mem.Outcome) map[mem.Outcome]bool {
+		m := map[mem.Outcome]bool{}
+		for _, o := range os {
+			m[o] = true
+		}
+		return m
+	}
+	hll := &c11.Result{Allowed: set("a", "b", "c"), All: set("a", "b", "c", "d")}
+	outs := []mem.Outcome{"b", "a", "e"}
+	rs := []*uspec.Result{
+		{Outcomes: outs, Observed: []int{0, 1, 2}},
+		{Outcomes: outs, Observed: []int{1}},
+		{Outcomes: outs, Observed: []int{0, 1, 2}},
+	}
+	memos := compare(hll, rs)
+	all, one := memos[0], memos[1]
+	if all != memos[2] {
+		t.Error("members 0 and 2 observe the same ids but hold two memos")
+	}
+	if !maps.Equal(all.Observable, set(outs...)) {
+		t.Errorf("all-observing member holds %v, want the candidates %v", all.Observable, outs)
+	}
+	for _, c11Map := range []map[mem.Outcome]bool{hll.All, hll.Allowed} {
+		if mapPtr(all.Observable) == mapPtr(c11Map) {
+			t.Error("all-observing member holds one of C11's maps, whose set differs from the candidates")
+		}
+	}
+	if all.Verdict != Bug || !slices.Equal(all.BugOutcomes, []mem.Outcome{"e"}) || !slices.Equal(all.StrictOutcomes, []mem.Outcome{"c"}) {
+		t.Errorf("all-observing member: %v bugs=%v strict=%v, want Bug bugs=[e] strict=[c]", all.Verdict, all.BugOutcomes, all.StrictOutcomes)
+	}
+	if !maps.Equal(one.Observable, set("a")) || one.Verdict != OverlyStrict || len(one.BugOutcomes) != 0 || !slices.Equal(one.StrictOutcomes, []mem.Outcome{"b", "c"}) {
+		t.Errorf("member observing a: %v %v bugs=%v strict=%v, want {a} OverlyStrict strict=[b c]", one.Observable, one.Verdict, one.BugOutcomes, one.StrictOutcomes)
+	}
+
+	reachedSet := set("a", "e")
+	m := compare(hll, []*uspec.Result{reached([]mem.Outcome{"a", "e"}, reachedSet)})[0]
+	if mapPtr(m.Observable) != mapPtr(reachedSet) {
+		t.Error("an opsim member observing its whole reachable set does not hold that set's map")
+	}
+	if m.Verdict != Bug || !slices.Equal(m.BugOutcomes, []mem.Outcome{"e"}) || !slices.Equal(m.StrictOutcomes, []mem.Outcome{"b", "c"}) {
+		t.Errorf("opsim member: %v bugs=%v strict=%v, want Bug bugs=[e] strict=[b c]", m.Verdict, m.BugOutcomes, m.StrictOutcomes)
+	}
+}
+
+// TestBackendBothMemosAreOwn: under BackendBoth each member writes its
+// own opsim side, so members that share a µhb memo (equal ids) must each
+// get a memo of their own, and keep the µhb verdict and maps they share.
+func TestBackendBothMemosAreOwn(t *testing.T) {
+	eng := NewEngine()
+	models := []*uspec.Model{uspec.SCProof(), uspec.TSO(), uspec.WR(uspec.Curr), uspec.NWR(uspec.Curr), uspec.NMM(uspec.Curr)}
+	table := make([]member, len(models))
+	g := &group{members: make([]*member, len(models))}
+	for i, m := range models {
+		table[i] = newMember(Stack{Mapping: compile.RISCVBaseIntuitive, Model: m})
+		g.members[i] = &table[i]
+	}
+	sharedIDs := 0
+	for _, tst := range litmus.MP.Generate()[:20] {
+		g.test, g.hll = tst, &hllSlot{}
+		uhb, err := eng.evaluate(g, BackendUHB, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.hll = &hllSlot{}
+		both, err := eng.evaluate(g, BackendBoth, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range both {
+			if m.Opsim == nil {
+				t.Fatalf("%s on %s: no opsim side", tst.Name, table[i].name)
+			}
+			if m.Verdict != uhb[i].Verdict || !maps.Equal(m.Observable, uhb[i].Observable) {
+				t.Errorf("%s on %s: both %v %v, uhb %v %v", tst.Name, table[i].name, m.Verdict, m.Observable, uhb[i].Verdict, uhb[i].Observable)
+			}
+			for j, q := range both[:i] {
+				if q == m {
+					t.Errorf("%s: members %d and %d share one memo under both", tst.Name, j, i)
+				}
+				if uhb[j] == uhb[i] {
+					sharedIDs++
+					if mapPtr(q.Observable) != mapPtr(m.Observable) {
+						t.Errorf("%s: members %d and %d share a µhb memo but hold two maps under both", tst.Name, j, i)
+					}
+				}
+			}
+		}
+		if (both[len(both)-1].Opsim.Skipped == "") != (opsim.Supports(models[len(models)-1].Config) == nil) {
+			t.Errorf("%s: skip note %q on nMM", tst.Name, both[len(both)-1].Opsim.Skipped)
+		}
+	}
+	if sharedIDs == 0 {
+		t.Error("no two members shared a µhb memo; the copy went unchecked")
 	}
 }

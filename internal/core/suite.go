@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -27,14 +28,15 @@ import (
 
 // Memo is the portable (pointer-free) verdict of one (test, stack) job:
 // everything step 4 derives except the per-test "specified outcome"
-// classification, which Bind recomputes. Memos are what the farm's memo
-// cache stores and what cache snapshots serialize. The maps and slices
-// are shared between the cache and every bound TestResult, and an
-// executed group's members share them too: members that observe the
-// same outcomes hold one Observable map and one verdict's slices, and a
-// member that observes every candidate holds the enumeration's All map.
-// So all of them are read-only; JSON encodes a shared map to the same
-// bytes as a copy.
+// classification, which bind recomputes. Memos are what the farm's memo
+// cache stores and what cache snapshots serialize. A memo, its maps and
+// its slices are shared between the cache and every bound TestResult,
+// and an executed group's members share them too: members that observe
+// the same outcomes hold one *Memo, an Equivalent memo's Observable is
+// C11's Allowed map, and a member that observes every candidate holds
+// C11's All when the two universes are equal (see compare). So all of
+// them are read-only; JSON encodes a shared map to the same bytes as a
+// copy.
 type Memo struct {
 	Allowed        map[mem.Outcome]bool `json:"allowed"`
 	Observable     map[mem.Outcome]bool `json:"observable"`
@@ -48,11 +50,11 @@ type Memo struct {
 	Opsim *OpsimMemo `json:"opsim,omitempty"`
 }
 
-// Bind rebinds a portable verdict to a concrete test and stack,
+// bind rebinds a portable verdict to a concrete test and stack in r,
 // recomputing the specified-outcome classification from the test's
 // designated interesting outcome.
-func (m *Memo) Bind(t *litmus.Test, s Stack) *TestResult {
-	r := &TestResult{
+func (m *Memo) bind(r *TestResult, t *litmus.Test, s Stack) {
+	*r = TestResult{
 		Test:           t,
 		Stack:          s,
 		Allowed:        m.Allowed,
@@ -66,7 +68,6 @@ func (m *Memo) Bind(t *litmus.Test, s Stack) *TestResult {
 	r.SpecifiedAllowed = m.Allowed[t.Specified]
 	r.SpecifiedObservable = m.Observable[t.Specified]
 	r.SpecifiedBug = r.SpecifiedObservable && !r.SpecifiedAllowed
-	return r
 }
 
 // StackFingerprint returns a canonical content hash of a stack: the
@@ -283,20 +284,28 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	// (stack i/len(tests), test i%len(tests)).
 	n := len(tests)
 	total := n * len(stacks)
+	needKeys := e.memo != nil || events != nil
 	testFPs := make([]string, n)
 	for i, t := range tests {
 		testFPs[i] = t.Fingerprint()
 	}
-	stackFPs := make([]string, len(stacks))
 	members := make([]member, len(stacks))
 	for si, s := range stacks {
-		stackFPs[si] = StackFingerprint(s)
 		members[si] = newMember(s)
+	}
+	// Stack fingerprints serve the memo keys and stack dedup, so a
+	// one-stack sweep with no memo cache or event stream, such as Run,
+	// leaves its one fingerprint empty.
+	stackFPs := make([]string, len(stacks))
+	if needKeys || len(stacks) > 1 {
+		for si, s := range stacks {
+			stackFPs[si] = StackFingerprint(s)
+		}
 	}
 	// Memo keys are strings; only the memo cache and the event stream
 	// read them.
 	var keys []string
-	if e.memo != nil || events != nil {
+	if needKeys {
 		keys = make([]string, 0, total)
 		for _, sfp := range stackFPs {
 			for _, tfp := range testFPs {
@@ -324,16 +333,24 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		farmMetrics.Deduped.Add(uint64(stats.Jobs - stats.Unique))
 	}
 
+	// Every pair's result is bound into one slab, allocated up front. One
+	// slab per stack, allocated as the stack's first result lands, ran
+	// the paper sweep about 4% slower on 2 vCPUs: the up-front slab
+	// raises the heap goal early, so the sweep runs one garbage
+	// collection fewer.
 	results := make([]*TestResult, total)
+	slab := make([]TestResult, total)
 	done := 0
 	// emit lands one pair's result, bound to its test and stack as it
 	// arrives. Calls are serialized: the warm pass runs before the farm
 	// starts, and the farm serializes OnResult.
 	emit := func(i int, m *Memo, cached bool) {
-		t, s := tests[i%n], stacks[i/n]
-		r := m.Bind(t, s)
+		si, ti := i/n, i%n
+		t := tests[ti]
+		r := &slab[i]
+		m.bind(r, t, stacks[si])
 		results[i] = r
-		sname := members[i/n].name
+		sname := members[si].name
 		// Discrimination vectors record here — the one point that sees
 		// every result, memoized or executed, so warm all-cached reruns
 		// still populate the ledger's verdict-vector matrix.
@@ -389,55 +406,43 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		pending = uncached
 	}
 
-	// Group the remaining pairs by (test, mapping), in order of first
-	// appearance: groups come out mapping-major in test order.
-	type groupKey struct {
-		test    int
-		mapping *compile.Mapping
-	}
-	index := map[groupKey]int{}
-	var groupPairs [][]int
-	for _, i := range pending {
-		gk := groupKey{i % n, stacks[i/n].Mapping}
-		gi, ok := index[gk]
-		if !ok {
-			gi = len(groupPairs)
-			index[gk] = gi
-			groupPairs = append(groupPairs, nil)
-		}
-		groupPairs[gi] = append(groupPairs[gi], i)
-	}
+	groups := groupPairs(pending, n, stacks, members)
 	// A test's groups share one C11 slot, indexed by test, for as long as
 	// the sweep runs. A sweep the memo cache served whole allocates none.
 	var slots []hllSlot
-	if len(groupPairs) > 0 {
+	if len(groups) > 0 {
 		slots = make([]hllSlot, n)
 	}
+	// A finished group's memos wait in its slot of finished until
+	// delivery reads and clears it: the farm keeps every job's value
+	// until it returns, so a job's value is empty and the farm holds no
+	// memo.
+	finished := make([][]*Memo, len(groups))
 	var executed atomic.Int64
-	jobs := make([]farm.Job[int, []*Memo], len(groupPairs))
-	for gi, pairs := range groupPairs {
-		ti := pairs[0] % n
-		g := group{test: tests[ti], hll: &slots[ti], members: make([]member, len(pairs))}
-		for j, i := range pairs {
-			g.members[j] = members[i/n]
-		}
-		jobs[gi] = farm.Job[int, []*Memo]{Key: gi, Run: func() ([]*Memo, error) {
-			executed.Add(int64(len(pairs)))
+	jobs := make([]farm.Job[int, struct{}], len(groups))
+	for gi := range groups {
+		g := &groups[gi]
+		g.test, g.hll = tests[g.pairs[0]%n], &slots[g.pairs[0]%n]
+		jobs[gi] = farm.Job[int, struct{}]{Key: gi, Run: func() (struct{}, error) {
+			executed.Add(int64(len(g.pairs)))
 			ms, err := e.evaluate(g, backend, trace, parentSpan)
 			if err == nil && e.memo != nil {
-				for j, i := range pairs {
+				for j, i := range g.pairs {
 					e.memo.Put(keys[i], ms[j])
 				}
 			}
-			return ms, err
+			finished[gi] = ms
+			return struct{}{}, err
 		}}
 	}
-	_, gstats, err := farm.Run(jobs, farm.Options[int, []*Memo]{
+	_, gstats, err := farm.Run(jobs, farm.Options[int, struct{}]{
 		Workers: workers,
 		Context: ctx,
 		Metrics: farmMetrics,
-		OnResult: func(gi int, ms []*Memo, _ bool) {
-			for j, i := range groupPairs[gi] {
+		OnResult: func(gi int, _ struct{}, _ bool) {
+			ms := finished[gi]
+			finished[gi] = nil
+			for j, i := range groups[gi].pairs {
 				deliver(i, ms[j], false)
 			}
 		},
@@ -476,10 +481,60 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	return out, nil
 }
 
+// groupPairs groups a sweep's pairs still to execute by (test, mapping),
+// in order of first appearance: pending is in pair order, so groups come
+// out mapping-major in test order. One counting pass numbers and sizes
+// the groups, and a second lays every group's pairs, and pointers to its
+// members in the sweep's table, out in one array each. The groups' test
+// and C11 slot are left to the caller.
+func groupPairs(pending []int, n int, stacks []Stack, members []member) []group {
+	// Mappings are numbered in order of first appearance among the stacks.
+	mapIdx := make([]int, len(stacks))
+	var mappings []*compile.Mapping
+	for si, s := range stacks {
+		j := slices.Index(mappings, s.Mapping)
+		if j < 0 {
+			j = len(mappings)
+			mappings = append(mappings, s.Mapping)
+		}
+		mapIdx[si] = j
+	}
+	// ids[mapping*n+test] is the group's number plus one, 0 for none yet;
+	// sizes[g] counts group g's pairs.
+	ids := make([]int32, n*len(mappings))
+	var sizes []int
+	for _, i := range pending {
+		k := mapIdx[i/n]*n + i%n
+		if ids[k] == 0 {
+			sizes = append(sizes, 0)
+			ids[k] = int32(len(sizes))
+		}
+		sizes[ids[k]-1]++
+	}
+	groups := make([]group, len(sizes))
+	pairs := make([]int, len(pending))
+	ptrs := make([]*member, len(pending))
+	from := 0
+	for g, size := range sizes {
+		groups[g].pairs = pairs[from : from : from+size]
+		groups[g].members = ptrs[from : from : from+size]
+		from += size
+	}
+	for _, i := range pending {
+		g := &groups[ids[mapIdx[i/n]*n+i%n]-1]
+		g.pairs = append(g.pairs, i)
+		g.members = append(g.members, &members[i/n])
+	}
+	return groups
+}
+
 // canonicalIndexes maps each fingerprint to the index of the first equal
 // one, and lists each such first index's later duplicates, ascending.
 func canonicalIndexes(fps []string) (canon []int, aliases map[int][]int) {
 	canon = make([]int, len(fps))
+	if len(fps) < 2 {
+		return canon, nil
+	}
 	first := make(map[string]int, len(fps))
 	aliases = map[int][]int{}
 	for i, fp := range fps {

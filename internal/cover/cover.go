@@ -30,7 +30,8 @@ import (
 )
 
 // Ledger is a process- or engine-scoped coverage accumulator. Safe for
-// concurrent use.
+// concurrent use. It keeps one matrix row block per model and one byte
+// row of verdicts per test; neither is ever evicted.
 type Ledger struct {
 	axioms   []string
 	verdicts []string
@@ -38,8 +39,15 @@ type Ledger struct {
 	mu     sync.Mutex
 	models map[string]*ModelCoverage
 
+	// The verdict vectors: one byte row per test, with a column per stack
+	// name, interned on first record. A row holds verdict ordinal + 1 in
+	// each recorded column and 0 in the rest, so Equivalent (ordinal 0)
+	// stays distinct from an absent record; a row shorter than the
+	// column count has no record past its end.
 	vmu     sync.Mutex
-	vectors map[string]map[string]uint8 // test → stack → verdict ordinal
+	columns map[string]int // stack → column
+	stacks  []string       // column → stack
+	vectors map[string][]uint8
 }
 
 // NewLedger returns a ledger over the given axiom and verdict name
@@ -52,7 +60,8 @@ func NewLedger(axioms, verdicts []string) *Ledger {
 		axioms:   append([]string(nil), axioms...),
 		verdicts: append([]string(nil), verdicts...),
 		models:   map[string]*ModelCoverage{},
-		vectors:  map[string]map[string]uint8{},
+		columns:  map[string]int{},
+		vectors:  map[string][]uint8{},
 	}
 }
 
@@ -108,17 +117,36 @@ func (mc *ModelCoverage) Record(verdict int, fired, edges, cycles uint64) {
 }
 
 // RecordVector stores the verdict of one (test, config) pair — executed
-// or memoized — for the discrimination matrix. Verdicts are
-// deterministic, so repeated records of the same pair are idempotent.
+// or memoized — for the discrimination matrix, in the test's byte row.
+// Verdicts are deterministic, so repeated records of the same pair are
+// idempotent. The verdict ordinal must be below 255.
 func (l *Ledger) RecordVector(test, stack string, verdict uint8) {
 	l.vmu.Lock()
+	col, ok := l.columns[stack]
+	if !ok {
+		col = len(l.stacks)
+		l.columns[stack] = col
+		l.stacks = append(l.stacks, stack)
+	}
 	row := l.vectors[test]
-	if row == nil {
-		row = map[string]uint8{}
+	if col >= len(row) {
+		row = append(row, make([]uint8, len(l.stacks)-len(row))...)
 		l.vectors[test] = row
 	}
-	row[stack] = verdict
+	row[col] = verdict + 1
 	l.vmu.Unlock()
+}
+
+// eachVector calls f on every recorded (test, stack, verdict), in no
+// particular order. The caller holds vmu.
+func (l *Ledger) eachVector(f func(test, stack string, verdict uint8)) {
+	for test, row := range l.vectors {
+		for col, v := range row {
+			if v != 0 {
+				f(test, l.stacks[col], v-1)
+			}
+		}
+	}
 }
 
 // verdictName renders a verdict ordinal from the catalogue.
@@ -182,13 +210,11 @@ func (l *Ledger) Snapshot() *api.CoverageSnapshot {
 	l.mu.Unlock()
 
 	l.vmu.Lock()
-	for test, row := range l.vectors {
-		for stack, v := range row {
-			s.Vectors = append(s.Vectors, api.VectorRecord{
-				Test: test, Stack: stack, Verdict: l.verdictName(v),
-			})
-		}
-	}
+	l.eachVector(func(test, stack string, v uint8) {
+		s.Vectors = append(s.Vectors, api.VectorRecord{
+			Test: test, Stack: stack, Verdict: l.verdictName(v),
+		})
+	})
 	l.vmu.Unlock()
 	sort.Slice(s.Vectors, func(i, j int) bool {
 		if s.Vectors[i].Test != s.Vectors[j].Test {
@@ -228,9 +254,7 @@ func (l *Ledger) TotalsNow() api.CoverageTotals {
 	}
 	l.mu.Unlock()
 	l.vmu.Lock()
-	for _, row := range l.vectors {
-		t.Vectors += len(row)
-	}
+	l.eachVector(func(string, string, uint8) { t.Vectors++ })
 	l.vmu.Unlock()
 	t.AxiomsFired = bits.OnesCount64(unionFired)
 	t.AxiomsEdged = bits.OnesCount64(unionEdges)

@@ -21,26 +21,22 @@ func (l *Ledger) Discrimination() *Discrimination {
 	l.vmu.Lock()
 	defer l.vmu.Unlock()
 	d := &Discrimination{}
-	stackSet := map[string]bool{}
-	for test, row := range l.vectors {
+	for test := range l.vectors {
 		d.Tests = append(d.Tests, test)
-		for stack := range row {
-			if !stackSet[stack] {
-				stackSet[stack] = true
-				d.Stacks = append(d.Stacks, stack)
-			}
-		}
 	}
+	// Every interned column has a record: a stack is interned by its
+	// first one.
+	d.Stacks = append(d.Stacks, l.stacks...)
 	sort.Strings(d.Tests)
 	sort.Strings(d.Stacks)
 	d.Verdict = make([][]int8, len(d.Tests))
 	for i, test := range d.Tests {
 		row := make([]int8, len(d.Stacks))
+		vs := l.vectors[test]
 		for j, stack := range d.Stacks {
-			if v, ok := l.vectors[test][stack]; ok {
-				row[j] = int8(v)
-			} else {
-				row[j] = -1
+			row[j] = -1
+			if col := l.columns[stack]; col < len(vs) && vs[col] != 0 {
+				row[j] = int8(vs[col] - 1)
 			}
 		}
 		d.Verdict[i] = row

@@ -149,9 +149,9 @@ func TestPreparedPoolReuseIsClean(t *testing.T) {
 		}
 	}
 	for _, large := range []pair{big, wide} {
-		if len(first[large.name].res.All) <= len(first[small.name].res.All) {
+		if len(first[large.name].res.Outcomes) <= len(first[small.name].res.Outcomes) {
 			t.Errorf("%s has %d outcomes and %s %d: the first pair should be the larger",
-				large.name, len(first[large.name].res.All), small.name, len(first[small.name].res.All))
+				large.name, len(first[large.name].res.Outcomes), small.name, len(first[small.name].res.Outcomes))
 		}
 	}
 	if first[wide.name].cov.Cycle == 0 {

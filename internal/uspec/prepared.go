@@ -2,7 +2,6 @@ package uspec
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -154,14 +153,27 @@ func (pr *Prepared) Close() {
 
 // Evaluate computes the observable outcome set of the prepared program —
 // the Figure 6 step 3 body, sharing one skeleton and one closure across
-// the whole candidate enumeration. It is EvaluateAll's one-model case.
+// the whole candidate enumeration. It is EvaluateAll's one-model case,
+// and it also fills the result's All and Observable maps.
 func (pr *Prepared) Evaluate() (*Result, error) {
 	rs, err := EvaluateAll([]*Prepared{pr})
 	if err != nil {
 		return nil, err
 	}
-	return rs[0], nil
+	r := rs[0]
+	r.All = make(map[mem.Outcome]bool, len(r.Outcomes))
+	for _, o := range r.Outcomes {
+		r.All[o] = true
+	}
+	r.Observable = make(map[mem.Outcome]bool, len(r.Observed))
+	for _, id := range r.Observed {
+		r.Observable[r.Outcomes[id]] = true
+	}
+	return r, nil
 }
+
+// knownPool recycles EvaluateAll's known-observable tables.
+var knownPool = sync.Pool{New: func() any { return new([]bool) }}
 
 // EvaluateAll evaluates several models over one compiled program in a
 // single candidate enumeration: every Prepared must have been prepared
@@ -173,8 +185,9 @@ func (pr *Prepared) Evaluate() (*Result, error) {
 // scratch execution and the outcome ids are shared, which is why
 // ExecutionObservable must never mutate its argument.
 //
-// Results are returned in prs order. Their All maps are one shared,
-// read-only set: the candidate universe does not depend on the model.
+// Results are returned in prs order, in the id view only: they share one
+// Outcomes list, and each one's Observed is carved from one array. No
+// outcome map is built here; step 4 builds the ones a sweep keeps.
 func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 	if len(prs) == 0 {
 		return nil, nil
@@ -189,13 +202,15 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 	k := len(prs)
 	res := make([]Result, k)
 	// Outcomes are interned: the per-candidate bookkeeping runs on dense
-	// ids against a flat known-observable table (row id, column model),
-	// and the outcome maps are built once at the end. Ids are assigned in
-	// first-seen order, so the skip logic — and therefore every Graphs
-	// counter — is bit-identical to a map-based loop.
+	// ids against a flat known-observable table (row id, column model).
+	// Ids are assigned in first-seen order, so the skip logic — and
+	// therefore every Graphs counter — is bit-identical to a map-based
+	// loop.
 	cache := mem.AcquireOutcomeCache(p.Mem())
 	defer mem.ReleaseOutcomeCache(cache)
-	var known []bool
+	known := knownPool.Get().(*[]bool)
+	defer knownPool.Put(known)
+	*known = (*known)[:0]
 	candidates := 0
 	// The innermost loop stays untimed unless cycle sampling is on: a
 	// single atomic load per checked graph decides, and only every Nth
@@ -204,12 +219,12 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 	err := mem.Enumerate(p.Mem(), func(x *mem.Execution) bool {
 		candidates++
 		_, id := cache.Lookup(x)
-		if id*k == len(known) {
+		if id*k == len(*known) {
 			for range prs {
-				known = append(known, false)
+				*known = append(*known, false)
 			}
 		}
-		row := known[id*k : id*k+k]
+		row := (*known)[id*k : id*k+k]
 		for i, pr := range prs {
 			if row[i] {
 				continue // this outcome is already known observable here
@@ -229,49 +244,20 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 		return nil, err
 	}
 	outs := append([]mem.Outcome(nil), cache.Outcomes()...)
-	all := make(map[mem.Outcome]bool, len(outs))
-	for _, o := range outs {
-		all[o] = true
-	}
-	// Every result's Observed is carved from one array. Models of a group
-	// mostly agree: on the Figure 15 sweep, 47,628 results hold 11,030
-	// distinct observable sets within their groups. So a result shares
-	// the Observable map of an earlier one with the same ids, or All when
-	// it observes every candidate, and builds a map only for a new set.
 	ids := make([]int, 0, k*len(outs))
 	out := make([]*Result, k)
 	for i := range res {
 		r := &res[i]
-		r.Candidates, r.All, r.Outcomes = candidates, all, outs
+		r.Candidates, r.Outcomes = candidates, outs
 		from := len(ids)
 		for id := range outs {
-			if known[id*k+i] {
+			if (*known)[id*k+i] {
 				ids = append(ids, id)
 			}
 		}
 		r.Observed = ids[from:len(ids):len(ids)]
-		r.Observable = observableMap(res[:i], r.Observed, outs, all)
 		out[i] = r
 	}
 	phaseEnumerate.Observe(time.Since(start))
 	return out, nil
-}
-
-// observableMap returns the Observable map of a result with the given
-// observed ids: All when the ids cover every outcome, the map of an
-// earlier result with the same ids, or else a new map.
-func observableMap(earlier []Result, observed []int, outs []mem.Outcome, all map[mem.Outcome]bool) map[mem.Outcome]bool {
-	if len(observed) == len(outs) {
-		return all
-	}
-	for j := range earlier {
-		if slices.Equal(earlier[j].Observed, observed) {
-			return earlier[j].Observable
-		}
-	}
-	m := make(map[mem.Outcome]bool, len(observed))
-	for _, id := range observed {
-		m[outs[id]] = true
-	}
-	return m
 }

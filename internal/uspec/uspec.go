@@ -213,23 +213,20 @@ func Table7(v Variant) []TableRow {
 }
 
 // Result is a model evaluation over a program: which candidate outcomes are
-// observable. Its maps and slices may be shared, across the results of one
-// EvaluateAll and between Observable and All, so all of them are
-// read-only.
+// observable. The results of one EvaluateAll share their Outcomes, so it
+// is read-only.
 type Result struct {
-	// Observable is the set of outcomes with at least one acyclic µhb graph.
-	// Results of one EvaluateAll that observe the same outcomes share one
-	// map, and a result that observes every candidate holds All itself.
-	Observable map[mem.Outcome]bool
-	// All is the full candidate outcome universe. It depends only on the
-	// program, so the results of one EvaluateAll share it.
-	All map[mem.Outcome]bool
-	// Outcomes and Observed are the id view of All and Observable:
 	// Outcomes lists the candidate outcomes by interned id, in the order
-	// the enumeration first reached them, and is shared like All;
-	// Observed lists the ids of Observable, ascending.
+	// the enumeration first reached them. It depends only on the program,
+	// so the results of one EvaluateAll share it.
 	Outcomes []mem.Outcome
+	// Observed lists, ascending, the ids of the outcomes with at least one
+	// acyclic µhb graph.
 	Observed []int
+	// All and Observable are the map view of Outcomes and Observed. Only
+	// the one-model Evaluate builds them; EvaluateAll leaves them nil,
+	// because step 4 (core.compare) decides which maps a sweep keeps.
+	All, Observable map[mem.Outcome]bool
 	// Candidates counts enumerated executions; Graphs counts µhb
 	// acyclicity checks actually run — candidate verdicts on the
 	// two-tier core (early-exit per outcome keeps this below Candidates).
