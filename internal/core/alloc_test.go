@@ -9,12 +9,12 @@ import (
 // Allocation budgets. A sweep allocates per sweep and per distinct
 // outcome set, not per (test, stack) pair: results come from one slab,
 // group members with equal ids share one memo and C11's maps, and the
-// ledger keeps a byte row per test. The cold mp sweep below allocates
-// 4.14 times per pair, and its budget is 25% above that, so a change
-// that puts an allocation back on every pair fails it. A one-pair Run
-// allocates 84 times; fingerprinting its stack costs 24 more, so the
-// Run budget of 100 fails a Run that fingerprints a stack nothing
-// reads.
+// ledger keeps a byte row per test. Built with Go 1.24 on linux/amd64,
+// the cold mp sweep below allocates 4.14 times per pair, and its budget
+// is 25% above that, so a change that puts an allocation back on every
+// pair fails it. A one-pair Run allocates 84 times; fingerprinting its
+// stack costs 24 more, so the Run budget of 100 fails a Run that
+// fingerprints a stack nothing reads.
 const (
 	sweepAllocsPerPair = 5.2
 	runAllocs          = 100

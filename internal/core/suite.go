@@ -406,7 +406,7 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		pending = uncached
 	}
 
-	groups := groupPairs(pending, n, stacks, members)
+	groups := groupPairs(pending, n, members)
 	// A test's groups share one C11 slot, indexed by test, for as long as
 	// the sweep runs. A sweep the memo cache served whole allocates none.
 	var slots []hllSlot
@@ -487,29 +487,29 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 // the groups, and a second lays every group's pairs, and pointers to its
 // members in the sweep's table, out in one array each. The groups' test
 // and C11 slot are left to the caller.
-func groupPairs(pending []int, n int, stacks []Stack, members []member) []group {
+func groupPairs(pending []int, n int, members []member) []group {
 	// Mappings are numbered in order of first appearance among the stacks.
-	mapIdx := make([]int, len(stacks))
+	mapIdx := make([]int, len(members))
 	var mappings []*compile.Mapping
-	for si, s := range stacks {
-		j := slices.Index(mappings, s.Mapping)
+	for si, mb := range members {
+		j := slices.Index(mappings, mb.stack.Mapping)
 		if j < 0 {
 			j = len(mappings)
-			mappings = append(mappings, s.Mapping)
+			mappings = append(mappings, mb.stack.Mapping)
 		}
 		mapIdx[si] = j
 	}
-	// ids[mapping*n+test] is the group's number plus one, 0 for none yet;
-	// sizes[g] counts group g's pairs.
-	ids := make([]int32, n*len(mappings))
+	// groupOf[mapping*n+test] is the group's number plus one, 0 for none
+	// yet; sizes[g] counts group g's pairs.
+	groupOf := make([]int32, n*len(mappings))
 	var sizes []int
 	for _, i := range pending {
 		k := mapIdx[i/n]*n + i%n
-		if ids[k] == 0 {
+		if groupOf[k] == 0 {
 			sizes = append(sizes, 0)
-			ids[k] = int32(len(sizes))
+			groupOf[k] = int32(len(sizes))
 		}
-		sizes[ids[k]-1]++
+		sizes[groupOf[k]-1]++
 	}
 	groups := make([]group, len(sizes))
 	pairs := make([]int, len(pending))
@@ -521,7 +521,7 @@ func groupPairs(pending []int, n int, stacks []Stack, members []member) []group 
 		from += size
 	}
 	for _, i := range pending {
-		g := &groups[ids[mapIdx[i/n]*n+i%n]-1]
+		g := &groups[groupOf[mapIdx[i/n]*n+i%n]-1]
 		g.pairs = append(g.pairs, i)
 		g.members = append(g.members, &members[i/n])
 	}

@@ -213,8 +213,8 @@ func Table7(v Variant) []TableRow {
 }
 
 // Result is a model evaluation over a program: which candidate outcomes are
-// observable. The results of one EvaluateAll share their Outcomes, so it
-// is read-only.
+// observable. The results of one EvaluateAll share one Outcomes slice, so
+// a Result is read-only.
 type Result struct {
 	// Outcomes lists the candidate outcomes by interned id, in the order
 	// the enumeration first reached them. It depends only on the program,
