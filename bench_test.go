@@ -27,6 +27,7 @@ package tricheck_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"tricheck"
@@ -361,6 +362,38 @@ func BenchmarkSynthColdSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tests)*b.N)/b.Elapsed().Seconds(), "tests/sec")
+}
+
+// BenchmarkColdInlineSweep sweeps 8 synthesized tests over the 28
+// Figure 15 stacks on a fresh engine per op: the shape of a tricheckd
+// inline request that nothing has verified yet, where a sweep's thread
+// tiers are stored and read the least. Op i takes the 8 tests after the
+// first 8i of a fixed shuffle of the 6-edge novel shapes' variants, as
+// the service workload draws its inline tests.
+func BenchmarkColdInlineSweep(b *testing.B) {
+	res, err := tricheck.SynthesizeShapes(tricheck.SynthOptions{MaxLen: 6, Deps: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pool []*tricheck.Test
+	for _, s := range tricheck.SynthNovelOnly(res) {
+		pool = append(pool, s.Shape.Generate()...)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	stacks, err := tricheck.SelectStacks("both", "both")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tests := make([]*tricheck.Test, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range tests {
+			tests[j] = pool[(8*i+j)%len(pool)]
+		}
+		if _, err := tricheck.NewEngine().Sweep(tests, stacks, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkSynthWarmSweep(b *testing.B) {

@@ -214,10 +214,12 @@ func (e *Engine) RunBackend(t *litmus.Test, s Stack, b Backend) (*TestResult, er
 }
 
 // member is one stack of a group job, with its display names computed
-// once per sweep so that job thunks never format.
+// once per sweep so that job thunks never format, and its model's index
+// in the sweep's thread tiers.
 type member struct {
 	stack       Stack
 	name, model string
+	tier        int
 }
 
 func newMember(s Stack) member {
@@ -232,9 +234,10 @@ func newMember(s Stack) member {
 // each, and the members point into the sweep's table of stacks.
 type group struct {
 	test    *litmus.Test
-	hll     *hllSlot  // the test's C11 slot, shared with its other groups
-	pairs   []int     // the members' sweep pair indexes
-	members []*member // the members' stacks, in pairs order
+	hll     *hllSlot     // the test's C11 slot, shared with its other groups
+	tiers   *uspec.Tiers // the sweep's thread tiers; nil in a one-group sweep
+	pairs   []int        // the members' sweep pair indexes
+	members []*member    // the members' stacks, in pairs order
 }
 
 // evaluate runs toolflow steps 1–4 unconditionally for every member of
@@ -247,8 +250,9 @@ type group struct {
 // Step 3 runs on the backend's engine(s), over the one compiled program:
 //
 //   - µhb (uhb, both): each member's model prepares the program's static
-//     skeleton and port closure exactly once, and one candidate
-//     enumeration streams every execution through all the members
+//     skeleton and port closure exactly once, assembled from the sweep's
+//     thread tiers when it has them all (uspec.PrepareTiers), and one
+//     candidate enumeration streams every execution through all the members
 //     (uspec.EvaluateAll), so a sweep's per-execution cost is dynamic
 //     edges plus an allocation-free cycle check per model. Step 4 then
 //     runs once for the group, on the enumeration's outcome ids
@@ -326,9 +330,17 @@ func (e *Engine) evaluate(g *group, b Backend, trace obs.TraceID, parent obs.Spa
 	var skelTime, enumTime, opsimTime time.Duration
 	if b != BackendOpsim { // step 3 on the µhb models
 		prs := make([]*uspec.Prepared, k)
+		pt := g.tiers.Lookup(prog) // the threads' slots, once for all members
+		// Only the cost matrix and a sampled span read a member's skeleton
+		// time; Prepare times itself for the phase histogram.
+		timed := costs != nil || sp != nil
 		for i, mb := range g.members {
+			if !timed {
+				prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.tier) // skeleton once per model
+				continue
+			}
 			t2 := time.Now()
-			prs[i] = mb.stack.Model.Prepare(prog) // skeleton once per model
+			prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.tier)
 			d := time.Since(t2)
 			skelTime += d
 			if costs != nil {

@@ -293,6 +293,9 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	for si, s := range stacks {
 		members[si] = newMember(s)
 	}
+	// cols[si] is stack si's column in the ledger's verdict vectors plus
+	// one, 0 until the stack's first result lands and interns it.
+	cols := make([]int, len(stacks))
 	// Stack fingerprints serve the memo keys and stack dedup, so a
 	// one-stack sweep with no memo cache or event stream, such as Run,
 	// leaves its one fingerprint empty.
@@ -354,7 +357,10 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		// Discrimination vectors record here — the one point that sees
 		// every result, memoized or executed, so warm all-cached reruns
 		// still populate the ledger's verdict-vector matrix.
-		e.ledger.RecordVector(t.Name, sname, uint8(m.Verdict))
+		if cols[si] == 0 {
+			cols[si] = e.ledger.Column(sname) + 1
+		}
+		e.ledger.RecordColumn(t.Name, cols[si]-1, uint8(m.Verdict))
 		if events == nil {
 			return
 		}
@@ -413,6 +419,21 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	if len(groups) > 0 {
 		slots = make([]hllSlot, n)
 	}
+	// The groups of a sweep share its threads' static tiers, dropped when
+	// the sweep returns. A one-group sweep, such as Run, has nothing to
+	// share them with and makes none.
+	var tiers *uspec.Tiers
+	if len(groups) > 1 && backend != BackendOpsim {
+		var models []*uspec.Model
+		for si := range members {
+			mb := &members[si]
+			if mb.tier = slices.Index(models, mb.stack.Model); mb.tier < 0 {
+				mb.tier = len(models)
+				models = append(models, mb.stack.Model)
+			}
+		}
+		tiers = uspec.NewTiers(len(models))
+	}
 	// A finished group's memos wait in its slot of finished until
 	// delivery reads and clears it: the farm keeps every job's value
 	// until it returns, so a job's value is empty and the farm holds no
@@ -422,7 +443,7 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 	jobs := make([]farm.Job[int, struct{}], len(groups))
 	for gi := range groups {
 		g := &groups[gi]
-		g.test, g.hll = tests[g.pairs[0]%n], &slots[g.pairs[0]%n]
+		g.test, g.hll, g.tiers = tests[g.pairs[0]%n], &slots[g.pairs[0]%n], tiers
 		jobs[gi] = farm.Job[int, struct{}]{Key: gi, Run: func() (struct{}, error) {
 			executed.Add(int64(len(g.pairs)))
 			ms, err := e.evaluate(g, backend, trace, parentSpan)

@@ -511,6 +511,55 @@ func TestEachSweepEvaluatesC11OncePerTest(t *testing.T) {
 	}
 }
 
+// TestSweepWorkersShareThreadTiers: a sweep's workers share one set of
+// thread tiers. Four workers sweep every third mp test over the 28
+// Figure 15 stacks, so threads are built, stored and assembled on
+// several workers at once. Every result and the coverage ledger must
+// equal those of one-pair Runs, each a one-group sweep that builds its
+// program whole.
+func TestSweepWorkersShareThreadTiers(t *testing.T) {
+	var tests []*litmus.Test
+	for i, tst := range litmus.MP.Generate() {
+		if i%3 == 0 {
+			tests = append(tests, tst)
+		}
+	}
+	stacks, err := SelectStacks("both", "both")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewEngine()
+	want := make([]*SuiteResult, len(stacks))
+	for si, s := range stacks {
+		want[si] = &SuiteResult{Stack: s, ByFamily: map[string]*Tally{}}
+		for _, tst := range tests {
+			r, err := ref.Run(tst, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[si].Results = append(want[si].Results, r)
+			want[si].Tally.Add(r)
+			fam := want[si].ByFamily[tst.Shape.Name]
+			if fam == nil {
+				fam = &Tally{}
+				want[si].ByFamily[tst.Shape.Name] = fam
+			}
+			fam.Add(r)
+		}
+	}
+	eng := NewEngine()
+	got, err := eng.Sweep(tests, stacks, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderSuites(got) != renderSuites(want) {
+		t.Error("the sweep's results differ from one-pair Runs'")
+	}
+	if g, w := eng.Coverage().Snapshot(), ref.Coverage().Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Errorf("the sweep's coverage ledger differs from one-pair Runs': %+v, want %+v", g.Totals, w.Totals)
+	}
+}
+
 // TestSweepErrorsAreNotMemoized: a group whose evaluation fails puts
 // nothing in the memo cache, so a rerun serves the good pairs from the
 // cache and executes the failed ones again — failing again, rather than

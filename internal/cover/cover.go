@@ -121,13 +121,28 @@ func (mc *ModelCoverage) Record(verdict int, fired, edges, cycles uint64) {
 // Verdicts are deterministic, so repeated records of the same pair are
 // idempotent. The verdict ordinal must be below 255.
 func (l *Ledger) RecordVector(test, stack string, verdict uint8) {
+	l.RecordColumn(test, l.Column(stack), verdict)
+}
+
+// Column returns the stack's column in the verdict vectors, interning
+// it on first use, for RecordColumn. Intern a stack only to record a
+// verdict in its column: Discrimination lists every interned stack.
+func (l *Ledger) Column(stack string) int {
 	l.vmu.Lock()
+	defer l.vmu.Unlock()
 	col, ok := l.columns[stack]
 	if !ok {
 		col = len(l.stacks)
 		l.columns[stack] = col
 		l.stacks = append(l.stacks, stack)
 	}
+	return col
+}
+
+// RecordColumn is RecordVector with the stack named by its column, for
+// a caller that records many tests on one stack.
+func (l *Ledger) RecordColumn(test string, col int, verdict uint8) {
+	l.vmu.Lock()
 	row := l.vectors[test]
 	if col >= len(row) {
 		row = append(row, make([]uint8, len(l.stacks)-len(row))...)

@@ -65,6 +65,43 @@ type dynEdge struct {
 // candidate, keeping buffer capacity. ports lists the nodes a dynamic
 // edge may touch, each once.
 func (c *Closure) Attach(s *Skeleton, ports []int32) {
+	c.bind(s, ports)
+	n, w := s.n, c.words
+	c.rows = grow(c.rows, n*w)
+	c.cyclic = !c.closeRows(s)
+	if c.cyclic {
+		return
+	}
+	for p, v := range ports {
+		copy(c.reach[p*w:p*w+w], c.rows[int(v)*w:int(v)*w+w])
+	}
+}
+
+// AttachReach is Attach for an acyclic skeleton of at most 64 ports
+// whose port closure the caller already holds: reach[p] is port p's row.
+// It runs no closure pass.
+func (c *Closure) AttachReach(s *Skeleton, ports []int32, reach []uint64) {
+	if len(ports) > 64 || len(reach) != len(ports) {
+		panic(fmt.Sprintf("uhb: AttachReach with %d ports and %d reach rows", len(ports), len(reach)))
+	}
+	c.bind(s, ports)
+	c.cyclic = false
+	copy(c.reach, reach)
+}
+
+// Reach returns port p's row in a closure of at most 64 ports: the ports
+// p reaches along static edges, itself included.
+func (c *Closure) Reach(p int) uint64 {
+	if c.words != 1 {
+		panic("uhb: Closure.Reach on a multiword closure")
+	}
+	return c.reach[p]
+}
+
+// bind sizes the closure's buffers for skeleton s and its ports, maps
+// each node to its port index, and discards any candidate. It leaves the
+// reach rows to the caller.
+func (c *Closure) bind(s *Skeleton, ports []int32) {
 	if !s.frozen {
 		panic("uhb: Closure.Attach on unfrozen Skeleton")
 	}
@@ -86,15 +123,6 @@ func (c *Closure) Attach(s *Skeleton, ports []int32) {
 	c.pend = grow(c.pend, np*w)
 	c.gray = grow(c.gray, w)
 	c.black = grow(c.black, w)
-
-	c.rows = grow(c.rows, n*w)
-	c.cyclic = !c.closeRows(s)
-	if c.cyclic {
-		return
-	}
-	for p, v := range ports {
-		copy(c.reach[p*w:p*w+w], c.rows[int(v)*w:int(v)*w+w])
-	}
 }
 
 // closeRows fills each node's row with the ports it reaches, visiting

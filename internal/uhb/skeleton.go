@@ -163,6 +163,43 @@ func (s *Skeleton) Freeze() {
 	s.bFrom, s.bTo, s.bReason = s.bFrom[:0], s.bTo[:0], s.bReason[:0]
 }
 
+// Rows returns the frozen CSR rows of nodes [lo, hi): node lo+i's
+// successors are dst[off[i]-off[0]:off[i+1]-off[0]], deduplicated and
+// sorted by target, with their reasons at the same positions in reason.
+// The slices alias the skeleton: copy them before it is reset.
+func (s *Skeleton) Rows(lo, hi int) (off, dst []int32, reason []uint32) {
+	off = s.off[lo : hi+1]
+	a, b := off[0], off[hi-lo]
+	return off, s.dst[a:b], s.reason[a:b]
+}
+
+// BeginRows empties the skeleton and sizes it to n nodes, for AppendRows
+// to fill with frozen rows in node order in place of AddEdge and Freeze.
+func (s *Skeleton) BeginRows(n int) {
+	s.Reset(n)
+	s.off = append(s.off, 0)
+	s.frozen = n == 0
+}
+
+// AppendRows appends rows in Rows' form as the rows of the next
+// len(off)-1 nodes, every target shifted by shift. The skeleton is frozen
+// once its rows cover all of its nodes. Rows already deduplicated and
+// sorted by target stay so under a shift, so no Freeze is needed.
+func (s *Skeleton) AppendRows(off, dst []int32, reason []uint32, shift int32) {
+	if len(s.off)+len(off)-2 > s.n {
+		panic(fmt.Sprintf("uhb: AppendRows past the skeleton's %d nodes", s.n))
+	}
+	base := s.off[len(s.off)-1] - off[0]
+	for _, o := range off[1:] {
+		s.off = append(s.off, base+o)
+	}
+	for _, d := range dst {
+		s.dst = append(s.dst, d+shift)
+	}
+	s.reason = append(s.reason, reason...)
+	s.frozen = len(s.off) == s.n+1
+}
+
 // HasEdge reports whether the static edge exists (valid after Freeze).
 func (s *Skeleton) HasEdge(from, to int) bool {
 	_, ok := s.findEdge(from, to)

@@ -41,6 +41,12 @@ const (
 // in that order, because the closure's edge order decides which
 // witnessing cycle a cyclic candidate's overlay DFS names, and so the
 // coverage that cycle is charged to.
+//
+// Every static edge joins two nodes of the thread the static run is
+// walking, which is what lets a sweep store each thread's static tier
+// and assemble a program from its threads' tiers (tiers.go): the run
+// charges each static axiom to that thread, and records sites thread by
+// thread.
 type builder struct {
 	m *Model
 	p *isa.Program
@@ -54,6 +60,12 @@ type builder struct {
 	C      int    // cores (threads)
 	K      int    // node slots per instruction
 	atomic []bool // by event: atomicWrite
+
+	// fired holds, by thread, the axioms whose static edges the run
+	// emitted, before dedup; th is the thread the static run is walking,
+	// which every addS edge lies in (see tiers.go).
+	fired []uint64
+	th    int
 
 	// The dynamic sites, recorded by the static run in walk order: pairs
 	// holds same-thread (earlier, later) event pairs that can alias,
@@ -74,7 +86,7 @@ type builder struct {
 // pooled Prepared to reuse. acumAppend leaves cumMark all false.
 func (b *builder) scratch() builder {
 	return builder{
-		atomic: b.atomic[:0], pairs: b.pairs[:0], cumFences: b.cumFences[:0], lazyRels: b.lazyRels[:0],
+		atomic: b.atomic[:0], fired: b.fired[:0], pairs: b.pairs[:0], cumFences: b.cumFences[:0], lazyRels: b.lazyRels[:0],
 		predR: b.predR[:0], predW: b.predW[:0], succR: b.succR[:0], succW: b.succW[:0],
 		cumMark: b.cumMark, cumFront: b.cumFront[:0], cumBuf: b.cumBuf[:0], frBuf: b.frBuf[:0],
 	}
@@ -95,6 +107,7 @@ func (b *builder) bind(m *Model, p *isa.Program) {
 	for _, e := range b.ev {
 		b.atomic = append(b.atomic, !m.NMCA || b.scAMO(p.InstrOf(e.GID)))
 	}
+	b.fired = append(b.fired[:0], make([]uint64, b.C)...)
 	b.pairs, b.cumFences, b.lazyRels = b.pairs[:0], b.cumFences[:0], b.lazyRels[:0]
 }
 
@@ -132,14 +145,13 @@ func (b *builder) dyn() bool { return b.x != nil }
 // Skeleton dedup — so every contributing axiom's Fired bit survives even
 // when its edge collapses onto an earlier axiom's (first-reason-wins
 // keeps only one stored reason; the Edges bits are recomputed from the
-// frozen CSR in Prepare).
+// frozen CSR in Prepare). The bit goes to the walked thread's row of
+// fired, which Prepare ORs into Coverage.Fired.
 func (b *builder) addS(from, to int, r Reason) {
 	if b.skel == nil {
 		return
 	}
-	if b.cov != nil {
-		b.cov.Fired |= axiomBit(r)
-	}
+	b.fired[b.th] |= axiomBit(r)
 	b.skel.AddEdge(from, to, uint32(r))
 }
 
@@ -248,7 +260,8 @@ func (b *builder) pipeline() {
 	if b.skel == nil {
 		return
 	}
-	for _, th := range b.p.Mem().Threads {
+	for t, th := range b.p.Mem().Threads {
+		b.th = t
 		for i, e := range th {
 			if i+1 < len(th) {
 				nxt := th[i+1]
@@ -319,7 +332,8 @@ func (b *builder) ppo() {
 		}
 		return
 	}
-	for _, th := range b.p.Mem().Threads {
+	for t, th := range b.p.Mem().Threads {
+		b.th = t
 		for i, a := range th {
 			for _, c := range th[i+1:] {
 				b.ppoPair(a, c)
@@ -407,7 +421,8 @@ func (b *builder) deps() {
 	if !b.m.RespectDeps || b.skel == nil {
 		return
 	}
-	for _, th := range b.p.Mem().Threads {
+	for t, th := range b.p.Mem().Threads {
+		b.th = t
 		for _, e := range th {
 			add := func(srcIdx int, r Reason) {
 				src := th[srcIdx]
@@ -509,7 +524,8 @@ func (b *builder) fences() {
 		}
 		return
 	}
-	for _, th := range b.p.Mem().Threads {
+	for t, th := range b.p.Mem().Threads {
+		b.th = t
 		for _, f := range th {
 			if f.Kind != mem.Fence {
 				continue
@@ -681,7 +697,8 @@ func (b *builder) amoBits() {
 		}
 		return
 	}
-	for _, th := range b.p.Mem().Threads {
+	for t, th := range b.p.Mem().Threads {
+		b.th = t
 		for _, e := range th {
 			ins := b.p.InstrOf(e.GID)
 			if !ins.Op.IsAMO() {

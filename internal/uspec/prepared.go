@@ -33,10 +33,13 @@ var (
 // closure: what each node a dynamic edge can touch reaches along static
 // edges. The same static run records the program's dynamic sites: the
 // same-thread pairs that can alias, the cumulative fences and the lazy
-// releases. Every execution candidate is then decided from its dynamic
-// edges (coherence, reads-from/from-reads, and the sites' same-address
-// refinements and cumulative closures) and the closure alone; its run
-// visits no other pair, fence or AMO.
+// releases. Within a sweep, a program whose threads' static tiers the
+// sweep has stored is assembled from them instead (PrepareTiers), into
+// the same skeleton, closure, sites and coverage bits. Every execution
+// candidate is then decided from its dynamic edges (coherence,
+// reads-from/from-reads, and the sites' same-address refinements and
+// cumulative closures) and the closure alone; its run visits no other
+// pair, fence or AMO.
 //
 // This is the verdict path: no whole-execution graph is materialized, no
 // reason or label string is ever formatted, and steady-state evaluation
@@ -55,6 +58,7 @@ type Prepared struct {
 	p     *isa.Program
 	skel  uhb.Skeleton // the static tier, frozen by Prepare
 	ports []int32      // the nodes a dynamic edge can touch (builder.ports)
+	reach []uint64     // assemble's scratch: the ports' closure rows
 	cl    uhb.Closure  // skel's port closure and the current candidate's edges
 	// ov holds a cyclic candidate's dynamic edges for the DFS that names
 	// its witnessing cycle. Each cyclic candidate resets it.
@@ -76,28 +80,51 @@ var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 // Prepare builds the static skeleton of p under the model's axioms and
 // its port closure, and returns an evaluator that streams executions
 // through them. Release the result with Close when the sweep is done so it
-// returns to the pool.
+// returns to the pool. It is PrepareTiers with no cache.
 func (m *Model) Prepare(p *isa.Program) *Prepared {
+	return m.PrepareTiers(p, ProgramTiers{}, 0)
+}
+
+// PrepareTiers is Prepare through a sweep's thread tiers: pt holds p's
+// threads' slots (Tiers.Lookup) and mi is the model's index in the
+// sweep. When every thread's tier is stored, the skeleton, closure,
+// sites and static coverage bits are assembled from the tiers, with no
+// static run, no Freeze and no closure pass. Otherwise p is built whole,
+// as Prepare does, and the threads the sweep has now built twice store
+// their tiers. Either way the result is the same as Prepare's.
+func (m *Model) PrepareTiers(p *isa.Program, pt ProgramTiers, mi int) *Prepared {
 	start := time.Now()
 	pr := preparedPool.Get().(*Prepared)
 	pr.m, pr.p = m, p
+	pr.b.bind(m, p)
+	pr.b.cov = &pr.cov
+	if !pr.assemble(pt, mi) {
+		pr.build()
+		pr.split(pt, mi)
+	}
+	phaseSkeleton.Observe(time.Since(start))
+	return pr
+}
+
+// build runs the static passes over the whole program, freezes the
+// skeleton and attaches its port closure.
+func (pr *Prepared) build() {
 	b := &pr.b
-	b.bind(m, p)
-	b.cov = &pr.cov
 	pr.skel.Reset(len(b.ev) * b.K)
 	b.skel = &pr.skel
 	b.run()
 	pr.skel.Freeze()
 	b.skel = nil
+	for _, f := range b.fired {
+		pr.cov.Fired |= f
+	}
 	// Post-dedup static attribution: the reasons that survived Freeze own
-	// the skeleton's edges (emission already set the Fired bits above).
+	// the skeleton's edges (emission set the Fired bits).
 	pr.skel.ForEachEdge(func(_, _ int, reason uint32) {
 		pr.cov.Edges |= axiomBit(Reason(reason))
 	})
 	pr.ports = b.ports(pr.ports[:0])
 	pr.cl.Attach(&pr.skel, pr.ports)
-	phaseSkeleton.Observe(time.Since(start))
-	return pr
 }
 
 // Coverage returns the axiom-attribution bitsets accumulated so far:
@@ -147,7 +174,7 @@ func (pr *Prepared) Close() {
 	// Keep only the buffers: a pooled Prepared holds no model or program.
 	// The next Prepare resets the skeleton and rebuilds the closure from
 	// scratch, and its first cyclic candidate resets the overlay.
-	*pr = Prepared{b: pr.b.scratch(), skel: pr.skel, ports: pr.ports[:0], cl: pr.cl, ov: pr.ov, cycBuf: pr.cycBuf[:0]}
+	*pr = Prepared{b: pr.b.scratch(), skel: pr.skel, ports: pr.ports[:0], reach: pr.reach[:0], cl: pr.cl, ov: pr.ov, cycBuf: pr.cycBuf[:0]}
 	preparedPool.Put(pr)
 }
 
