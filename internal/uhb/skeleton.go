@@ -189,12 +189,14 @@ func (s *Skeleton) AppendRows(off, dst []int32, reason []uint32, shift int32) {
 	if len(s.off)+len(off)-2 > s.n {
 		panic(fmt.Sprintf("uhb: AppendRows past the skeleton's %d nodes", s.n))
 	}
-	base := s.off[len(s.off)-1] - off[0]
-	for _, o := range off[1:] {
-		s.off = append(s.off, base+o)
+	base, n, m := s.off[len(s.off)-1]-off[0], len(s.off), len(s.dst)
+	s.off = append(s.off, off[1:]...)
+	for i := n; i < len(s.off); i++ {
+		s.off[i] += base
 	}
-	for _, d := range dst {
-		s.dst = append(s.dst, d+shift)
+	s.dst = append(s.dst, dst...)
+	for i := m; i < len(s.dst); i++ {
+		s.dst[i] += shift
 	}
 	s.reason = append(s.reason, reason...)
 	s.frozen = len(s.off) == s.n+1
