@@ -214,12 +214,11 @@ func (e *Engine) RunBackend(t *litmus.Test, s Stack, b Backend) (*TestResult, er
 }
 
 // member is one stack of a group job, with its display names computed
-// once per sweep so that job thunks never format, and its model's index
-// in the sweep's thread tiers.
+// once per sweep so that job thunks never format.
 type member struct {
 	stack       Stack
 	name, model string
-	tier        int
+	mi          int // the model's index in the sweep's thread tiers
 }
 
 func newMember(s Stack) member {
@@ -336,11 +335,11 @@ func (e *Engine) evaluate(g *group, b Backend, trace obs.TraceID, parent obs.Spa
 		timed := costs != nil || sp != nil
 		for i, mb := range g.members {
 			if !timed {
-				prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.tier) // skeleton once per model
+				prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.mi) // skeleton once per model
 				continue
 			}
 			t2 := time.Now()
-			prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.tier)
+			prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.mi)
 			d := time.Since(t2)
 			skelTime += d
 			if costs != nil {

@@ -427,8 +427,8 @@ func (e *Engine) SweepStreamBackend(ctx context.Context, tests []*litmus.Test, s
 		var models []*uspec.Model
 		for si := range members {
 			mb := &members[si]
-			if mb.tier = slices.Index(models, mb.stack.Model); mb.tier < 0 {
-				mb.tier = len(models)
+			if mb.mi = slices.Index(models, mb.stack.Model); mb.mi < 0 {
+				mb.mi = len(models)
 				models = append(models, mb.stack.Model)
 			}
 		}
