@@ -56,7 +56,7 @@ var (
 type Prepared struct {
 	m     *Model
 	p     *isa.Program
-	skel  uhb.Skeleton // the static tier, frozen by Prepare
+	skel  uhb.Skeleton // the static tier, built or assembled by PrepareTiers
 	ports []int32      // the nodes a dynamic edge can touch (builder.ports)
 	reach []uint64     // assemble's scratch: the ports' closure rows
 	cl    uhb.Closure  // skel's port closure and the current candidate's edges
@@ -119,7 +119,7 @@ func (pr *Prepared) build() {
 		pr.cov.Fired |= f
 	}
 	// Post-dedup static attribution: the reasons that survived Freeze own
-	// the skeleton's edges (emission set the Fired bits).
+	// the skeleton's edges (emission set each thread's Fired bits).
 	pr.skel.ForEachEdge(func(_, _ int, reason uint32) {
 		pr.cov.Edges |= axiomBit(Reason(reason))
 	})
