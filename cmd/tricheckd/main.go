@@ -7,7 +7,7 @@
 //
 //	tricheckd [-addr HOST:PORT] [-cache FILE] [-memo-cap N]
 //	          [-max-inflight N] [-max-workers N] [-shutdown-grace D]
-//	          [-pprof] [-trace-sample N] [-cycle-sample N]
+//	          [-pprof] [-trace-sample N]
 //
 // One tricheckd uses every core it is given: -max-workers sizes each
 // sweep's farm, and GOMAXPROCS bounds the process.
@@ -55,11 +55,9 @@ func main() {
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "graceful-shutdown deadline for in-flight streams")
 	enablePprof := flag.Bool("pprof", false, "mount /debug/pprof/ (exposes process internals; off by default)")
 	traceSample := flag.Int("trace-sample", 16, "retain a span for 1-in-N verdict jobs (0 = requests only)")
-	cycleSample := flag.Int("cycle-sample", 0, "time 1-in-N innermost-loop cycle checks (0 = off, the zero-overhead default)")
 	flag.Parse()
 
 	obs.SetVerdictSampling(*traceSample)
-	obs.SetCycleSampling(*cycleSample)
 	logger := log.New(os.Stderr, "tricheckd: ", log.LstdFlags)
 	srv, err := server.New(server.Config{
 		CachePath:    *cache,

@@ -269,7 +269,8 @@ type group struct {
 //
 // Telemetry: each phase is wall-timed into the verdict-phase histograms
 // (hll once per C11 evaluation; compile and enumerate once per group;
-// skeleton once per model; opsim once per member). When the engine
+// skeleton once per model; opsim once per member), and that one clock
+// read also feeds the cost cell and the sampled span. When the engine
 // records costs (EnableCostMatrix), each member's cost-matrix cell
 // keeps its own skeleton, simulator, candidate and graph figures, and
 // takes an even share of the group's shared time
@@ -330,17 +331,11 @@ func (e *Engine) evaluate(g *group, b Backend, trace obs.TraceID, parent obs.Spa
 	if b != BackendOpsim { // step 3 on the µhb models
 		prs := make([]*uspec.Prepared, k)
 		pt := g.tiers.Lookup(prog) // the threads' slots, once for all members
-		// Only the cost matrix and a sampled span read a member's skeleton
-		// time; Prepare times itself for the phase histogram.
-		timed := costs != nil || sp != nil
 		for i, mb := range g.members {
-			if !timed {
-				prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.mi) // skeleton once per model
-				continue
-			}
 			t2 := time.Now()
-			prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.mi)
+			prs[i] = mb.stack.Model.PrepareTiers(prog, pt, mb.mi) // skeleton once per model
 			d := time.Since(t2)
+			phaseSkeleton.Observe(d)
 			skelTime += d
 			if costs != nil {
 				costs[i].Skeleton = d
@@ -349,6 +344,7 @@ func (e *Engine) evaluate(g *group, b Backend, trace obs.TraceID, parent obs.Spa
 		t3 := time.Now()
 		isaRes, err := uspec.EvaluateAll(prs) // one enumeration for all
 		enumTime = time.Since(t3)
+		phaseEnumerate.Observe(enumTime)
 		for i, pr := range prs {
 			covs[i] = pr.Coverage()
 			pr.Close()

@@ -8,9 +8,8 @@ import (
 	"tricheck/internal/obs"
 )
 
-// Engine-level telemetry: the toolflow phase histograms core owns (µspec
-// owns skeleton/enumerate/cycle_check), the shared farm scheduler
-// metrics, and the opt-in per-(test, stack) cost matrix behind
+// Engine-level telemetry: the toolflow phase histograms, the shared farm
+// scheduler metrics, and the opt-in per-(test, stack) cost matrix behind
 // `tricheck top`.
 
 var (
@@ -21,6 +20,8 @@ var (
 
 	phaseHLL         = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "hll"))
 	phaseCompile     = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "compile"))
+	phaseSkeleton    = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "skeleton"))
+	phaseEnumerate   = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "enumerate"))
 	phaseOpsim       = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "opsim"))
 	phaseDiagnostics = obs.Default.Histogram("tricheck_verdict_phase_seconds", "Per-verdict toolflow phase durations.", nil, obs.L("phase", "diagnostics"))
 

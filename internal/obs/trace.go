@@ -255,25 +255,11 @@ func (r *Ring) Len() int {
 // while a sweep of any size still lands representatives in the ring.
 var verdictSampleEvery atomic.Int64
 
-// cycleSampleEvery is the 1-in-N sampling rate for per-execution overlay
-// cycle-check timings — the innermost loop. Default OFF (0): the PR-3
-// zero-allocation/zero-format invariant governs that loop, and even a
-// bare monotonic clock read per execution is measurable there.
-var cycleSampleEvery atomic.Int64
-
 func init() { verdictSampleEvery.Store(16) }
 
 // SetVerdictSampling sets the per-verdict span sampling to 1-in-n
 // (n <= 0 disables).
 func SetVerdictSampling(n int) { verdictSampleEvery.Store(int64(n)) }
-
-// SetCycleSampling sets the innermost-loop cycle-check timing sampling
-// to 1-in-n (n <= 0 disables, the default).
-func SetCycleSampling(n int) { cycleSampleEvery.Store(int64(n)) }
-
-// CycleSampling returns the current innermost-loop sampling rate
-// (0 = off).
-func CycleSampling() int { return int(cycleSampleEvery.Load()) }
 
 var verdictSampleCounter atomic.Uint64
 

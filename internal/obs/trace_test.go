@@ -113,17 +113,6 @@ func TestVerdictSampling(t *testing.T) {
 	}
 }
 
-func TestCycleSamplingKnob(t *testing.T) {
-	defer SetCycleSampling(0)
-	if CycleSampling() != 0 {
-		t.Error("cycle sampling not off by default")
-	}
-	SetCycleSampling(64)
-	if CycleSampling() != 64 {
-		t.Errorf("cycle sampling = %d, want 64", CycleSampling())
-	}
-}
-
 func TestContextPlumbing(t *testing.T) {
 	if tr, sp := TraceFromContext(context.Background()); tr != 0 || sp != 0 {
 		t.Error("empty context carries a trace")

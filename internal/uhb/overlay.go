@@ -11,8 +11,9 @@ import "fmt"
 // and traversal storage lives in reusable buffers that survive Reset, so
 // one overlay can serve an entire enumeration sweep. A sweep decides each
 // candidate with a Closure and fills an overlay, from the closure's edge
-// log, only for a cyclic candidate whose witnessing cycle it wants: the
-// evaluator owns one overlay and Resets it per such candidate.
+// log, only for a candidate the closure finds cyclic, or cannot decide
+// (a skeleton Attach did not take): the evaluator owns one overlay and
+// Resets it per such candidate.
 //
 // Unlike a Skeleton, an Overlay does not deduplicate edges: duplicates
 // cannot change acyclicity, the number of AddEdge calls is already

@@ -240,9 +240,8 @@ func (s *Skeleton) ForEachEdge(fn func(from, to int, reason uint32)) {
 // TopoOrder returns the nodes in a topological order of the static
 // edges, or nil if they are cyclic (valid after Freeze). It is Kahn's
 // pass: a FIFO queue started from the sources in node order, successors
-// released in target order. Diagnostics lay a witness timeline out along
-// it, and a Closure sorts a skeleton whose edges do not all run forward
-// with it.
+// released in target order. It serves diagnostics only: they lay a
+// witness timeline out along it.
 func (s *Skeleton) TopoOrder() []int32 {
 	indeg := make([]int32, s.n)
 	for _, w := range s.dst {

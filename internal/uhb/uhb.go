@@ -10,7 +10,8 @@
 // one execution's dynamic edges layer on top of it. A Closure decides each
 // candidate from the ports its dynamic edges touch and what each port
 // reaches along static edges; an Overlay holds the dynamic edges of a
-// cyclic candidate, and its DFS names the witnessing cycle. Edges carry
+// candidate the closure finds cyclic, or cannot decide, and its DFS
+// decides it and names the witnessing cycle. Edges carry
 // opaque reason codes, which callers resolve to strings only for
 // diagnostics.
 package uhb

@@ -82,14 +82,11 @@ type builder struct {
 	frBuf                      []int
 }
 
-// scratch returns a builder that keeps only b's buffers, emptied, for a
-// pooled Prepared to reuse. acumAppend leaves cumMark all false.
-func (b *builder) scratch() builder {
-	return builder{
-		atomic: b.atomic[:0], fired: b.fired[:0], pairs: b.pairs[:0], cumFences: b.cumFences[:0], lazyRels: b.lazyRels[:0],
-		predR: b.predR[:0], predW: b.predW[:0], succR: b.succR[:0], succW: b.succW[:0],
-		cumMark: b.cumMark, cumFront: b.cumFront[:0], cumBuf: b.cumBuf[:0], frBuf: b.frBuf[:0],
-	}
+// release drops b's model and program, keeping its buffers for a pooled
+// Prepared to reuse: bind refills the layout, the tables and the site
+// lists, and acumAppend leaves cumMark all false.
+func (b *builder) release() {
+	b.m, b.p, b.ev = nil, nil, nil
 }
 
 // bind sets b up for program p under model m: the node layout and the
@@ -147,6 +144,13 @@ func (b *builder) dyn() bool { return b.x != nil }
 // keeps only one stored reason; the Edges bits are recomputed from the
 // frozen CSR in Prepare). The bit goes to the walked thread's row of
 // fired, which Prepare ORs into Coverage.Fired.
+//
+// For any program mem.Validate accepts, a static edge joins an earlier
+// event to a later one, or an earlier slot of one event to a later slot,
+// so it runs to a higher node (gid*K + slot). That is the precondition
+// under which uhb.Closure.Attach takes a skeleton; only a control
+// dependency on a later load, which Validate rejects, breaks it, and the
+// overlay then decides every candidate.
 func (b *builder) addS(from, to int, r Reason) {
 	if b.skel == nil {
 		return

@@ -109,7 +109,7 @@ func sampledTests(tests []*litmus.Test, stride int) []*litmus.Test {
 // of the pair's first evaluation: nothing a pooled Prepared keeps may
 // carry over from one program or model to the next. The large ones are
 // iriw on nMM and an 8-thread fenced store-buffering ring on nMM, whose
-// 80 ports need a two-word closure.
+// 80 ports leave every candidate to the overlay.
 func TestPreparedPoolReuseIsClean(t *testing.T) {
 	type pair struct {
 		name  string
@@ -155,7 +155,7 @@ func TestPreparedPoolReuseIsClean(t *testing.T) {
 		}
 	}
 	if first[wide.name].cov.Cycle == 0 {
-		t.Errorf("%s witnessed no cycle: the two-word search must meet cyclic candidates too", wide.name)
+		t.Errorf("%s witnessed no cycle: the overlay must meet cyclic candidates too", wide.name)
 	}
 }
 

@@ -3,27 +3,10 @@ package uspec
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
-	"tricheck/internal/obs"
 	"tricheck/internal/uhb"
-)
-
-// Per-verdict phase timing histograms. Skeleton build is observed once
-// per Prepare (per model) and candidate enumeration once per EvaluateAll
-// (per group of models sharing a program) — atomic-add observations
-// against work that costs tens of microseconds to milliseconds. The
-// cycle check is the innermost loop: it is observed only under 1-in-N
-// sampling (obs.SetCycleSampling), default off, so the verdict path's
-// zero-allocation/zero-format invariants hold with telemetry enabled.
-const phaseHelp = "Per-verdict toolflow phase durations."
-
-var (
-	phaseSkeleton  = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "skeleton"))
-	phaseEnumerate = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "enumerate"))
-	phaseCycle     = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "cycle_check"))
 )
 
 // Prepared is a model × program pair compiled for repeated evaluation: the
@@ -60,8 +43,9 @@ type Prepared struct {
 	ports []int32      // the nodes a dynamic edge can touch (builder.ports)
 	reach []uint64     // assemble's scratch: the ports' closure rows
 	cl    uhb.Closure  // skel's port closure and the current candidate's edges
-	// ov holds a cyclic candidate's dynamic edges for the DFS that names
-	// its witnessing cycle. Each cyclic candidate resets it.
+	// ov holds the dynamic edges of a candidate the closure finds cyclic,
+	// or cannot decide, for the DFS that decides it and names its
+	// witnessing cycle. Each such candidate resets it.
 	ov uhb.Overlay
 	// b runs the axiom passes of both tiers over one set of scratch
 	// buffers: Prepare's static run has the skeleton as its sink, and each
@@ -93,7 +77,6 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 // as Prepare does, and the threads the sweep has now built twice store
 // their tiers. Either way the result is the same as Prepare's.
 func (m *Model) PrepareTiers(p *isa.Program, pt ProgramTiers, mi int) *Prepared {
-	start := time.Now()
 	pr := preparedPool.Get().(*Prepared)
 	pr.m, pr.p = m, p
 	pr.b.bind(m, p)
@@ -102,12 +85,12 @@ func (m *Model) PrepareTiers(p *isa.Program, pt ProgramTiers, mi int) *Prepared 
 		pr.build()
 		pr.split(pt, mi)
 	}
-	phaseSkeleton.Observe(time.Since(start))
 	return pr
 }
 
 // build runs the static passes over the whole program, freezes the
-// skeleton and attaches its port closure.
+// skeleton and attaches its port closure, which takes every skeleton the
+// builder makes of a program mem.Validate accepts (see addS).
 func (pr *Prepared) build() {
 	b := &pr.b
 	pr.skel.Reset(len(b.ev) * b.K)
@@ -144,7 +127,9 @@ func (pr *Prepared) Skeleton() *uhb.Skeleton { return &pr.skel }
 // the closure's edge log, in emission order, into the overlay, and the
 // overlay's DFS names the witnessing cycle whose axioms are OR-ed into
 // the coverage Cycle bitset: the same edge lists as an overlay filled at
-// emission, so the same cycle.
+// emission, so the same cycle. A closure Attach did not take cannot rule
+// a cycle out, so every candidate of such a skeleton is replayed, and
+// the overlay's DFS decides it.
 func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	pr.cl.Reset()
 	b := &pr.b
@@ -156,12 +141,12 @@ func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	}
 	pr.ov.Reset(&pr.skel)
 	pr.cl.ForEachEdge(pr.ov.AddEdge)
-	reasons, _ := pr.ov.HasCycleReasons(pr.cycBuf[:0])
+	reasons, cyclic := pr.ov.HasCycleReasons(pr.cycBuf[:0])
 	for _, r := range reasons {
 		pr.cov.Cycle |= axiomBit(Reason(r))
 	}
 	pr.cycBuf = reasons
-	return false
+	return !cyclic
 }
 
 // Close returns the Prepared to its pool, with the skeleton, closure and
@@ -172,9 +157,14 @@ func (pr *Prepared) Close() {
 		return
 	}
 	// Keep only the buffers: a pooled Prepared holds no model or program.
-	// The next Prepare resets the skeleton and rebuilds the closure from
-	// scratch, and its first cyclic candidate resets the overlay.
-	*pr = Prepared{b: pr.b.scratch(), skel: pr.skel, ports: pr.ports[:0], reach: pr.reach[:0], cl: pr.cl, ov: pr.ov, cycBuf: pr.cycBuf[:0]}
+	// The next Prepare binds the builder and resets the skeleton, the
+	// ports and the closure, and its first candidate the overlay decides
+	// resets the overlay; its coverage accumulates from zero. The fields
+	// are cleared in place because the struct holds its skeleton,
+	// closure, overlay and builder by value, and copying it was a
+	// measurable share of a sweep.
+	pr.m, pr.p, pr.cov = nil, nil, Coverage{}
+	pr.b.release()
 	preparedPool.Put(pr)
 }
 
@@ -225,7 +215,6 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 			return nil, errors.New("uspec: EvaluateAll over models prepared on different programs")
 		}
 	}
-	start := time.Now()
 	k := len(prs)
 	res := make([]Result, k)
 	// Outcomes are interned: the per-candidate bookkeeping runs on dense
@@ -239,10 +228,6 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 	defer knownPool.Put(known)
 	*known = (*known)[:0]
 	candidates := 0
-	// The innermost loop stays untimed unless cycle sampling is on: a
-	// single atomic load per checked graph decides, and only every Nth
-	// check pays for two monotonic clock reads.
-	sampleN := uint64(obs.CycleSampling())
 	err := mem.Enumerate(p.Mem(), func(x *mem.Execution) bool {
 		candidates++
 		_, id := cache.Lookup(x)
@@ -257,12 +242,6 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 				continue // this outcome is already known observable here
 			}
 			res[i].Graphs++
-			if sampleN > 0 && uint64(res[i].Graphs)%sampleN == 0 {
-				t0 := time.Now()
-				row[i] = pr.ExecutionObservable(x)
-				phaseCycle.Observe(time.Since(t0))
-				continue
-			}
 			row[i] = pr.ExecutionObservable(x)
 		}
 		return true
@@ -285,6 +264,5 @@ func EvaluateAll(prs []*Prepared) ([]*Result, error) {
 		r.Observed = ids[from:len(ids):len(ids)]
 		out[i] = r
 	}
-	phaseEnumerate.Observe(time.Since(start))
 	return out, nil
 }

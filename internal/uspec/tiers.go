@@ -188,11 +188,12 @@ func carve[T any](slab *[]T, n, chunk int) []T {
 
 // assemble builds pr's static tier, port closure, coverage bits and
 // sites from its threads' stored tiers under model index mi: rows
-// concatenated, with no sort, dedup or closure pass. It reports false,
-// having changed nothing, when some thread has no tier yet or the
-// program's ports need more than one row word (the paper suite has at
-// most 16 ports, the synthesized corpus at most 24); the caller then
-// builds whole.
+// concatenated, with no sort, dedup or closure pass. Every tier comes
+// from a skeleton the closure took, so its edges run to higher nodes,
+// and so do the concatenation's. It reports false, having changed
+// nothing, when some thread has no tier yet or the program has more than
+// 64 ports (the paper suite has at most 16, the ≤6-edge synthesized
+// corpus at most 30); the caller then builds whole.
 func (pr *Prepared) assemble(pt ProgramTiers, mi int) bool {
 	if pt.threads == nil {
 		return false
@@ -242,11 +243,11 @@ func (pr *Prepared) assemble(pt ProgramTiers, mi int) bool {
 
 // split stores, from pr's whole build under model index mi, the tier of
 // every thread whose slot is empty and which the sweep has now built
-// whole twice. Nothing is stored from a skeleton that is cyclic (every
-// candidate of such a program is cyclic, and the closure keeps no rows)
-// or whose ports need more than one row word.
+// whole twice. Nothing is stored from a skeleton the closure did not
+// take, which keeps no rows: before any candidate, its HasCycle is true
+// exactly then.
 func (pr *Prepared) split(pt ProgramTiers, mi int) {
-	if pt.threads == nil || len(pr.ports) > 64 || pr.cl.HasCycle() {
+	if pt.threads == nil || pr.cl.HasCycle() {
 		return
 	}
 	g0 := 0

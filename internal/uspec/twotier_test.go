@@ -1,6 +1,7 @@
 package uspec
 
 import (
+	"fmt"
 	"testing"
 
 	"tricheck/internal/c11"
@@ -32,12 +33,57 @@ func oracleModels() []*Model {
 	}
 }
 
+// wideMP returns mp beside six threads that each store to their own
+// location. Under nMCA with eight cores a store has nine ports, so the
+// program has 74, and the port closure leaves its four candidates to the
+// overlay; under MCA it has 18.
+func wideMP() *isa.Program {
+	const n = 8
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("x%d", i)
+	}
+	p := isa.NewProgram(isa.RISCV, n, names...)
+	p.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
+	p.Add(0, riscv.SW(mem.Const(1), mem.Const(1)))
+	p.Add(1, riscv.LW(0, mem.Const(1)))
+	p.Add(1, riscv.LW(1, mem.Const(0)))
+	for th := 2; th < n; th++ {
+		p.Add(th, riscv.SW(mem.Const(1), mem.Const(int64(th))))
+	}
+	p.Observe(1, 0, "r0")
+	p.Observe(1, 1, "r1")
+	return p
+}
+
+// ctrlOnLaterLoad returns a program whose first store has a control
+// dependency on the load after it when dep is set. mem.Validate rejects
+// that dependency, and its static edge runs back to an earlier event,
+// which closes a static cycle. Without dep the program is valid and has
+// the same events, so its executions serve as the other's candidates.
+func ctrlOnLaterLoad(dep bool) *isa.Program {
+	p := isa.NewProgram(isa.RISCV, 2, "x", "y")
+	st := riscv.SW(mem.Const(1), mem.Const(0))
+	if dep {
+		st.CtrlDepOn = []int{1}
+	}
+	p.Add(0, st)
+	p.Add(0, riscv.LW(0, mem.Const(1)))
+	p.Add(1, riscv.SW(mem.Const(1), mem.Const(1)))
+	return p
+}
+
 // TestTwoTierMatchesMaterializedGraph is the two-tier equivalence
 // property: for every candidate execution of a sampled paper-suite slice,
 // on every model, the two-tier verdict (static skeleton + the candidate's
-// dynamic edges, decided on the skeleton's port closure) must equal the
+// dynamic edges, decided on the skeleton's port closure, or by the
+// overlay where the closure does not take the skeleton) must equal the
 // single-graph oracle — BuildGraph's one skeleton holding every edge of
-// the execution, searched by a plain DFS.
+// the execution, searched by a plain DFS. Two hand-built programs take
+// the overlay's path: wideMP, whose nMCA skeletons have more than 64
+// ports, must meet both verdicts there, and ctrlOnLaterLoad, whose
+// skeleton is cyclic on every model that respects dependencies, only
+// forbidden ones.
 func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive execution sweep is not short")
@@ -73,6 +119,46 @@ func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// wide[observable] and ctrl[observable] count the candidates of
+	// wideMP and ctrlOnLaterLoad that the overlay decided.
+	var wide, ctrl [2]int
+	wp := wideMP()
+	handBuilt := []struct {
+		name        string
+		prog, cands *isa.Program
+		seen        *[2]int
+	}{
+		{"wide mp", wp, wp, &wide},
+		{"ctrl-later-load", ctrlOnLaterLoad(true), ctrlOnLaterLoad(false), &ctrl},
+	}
+	for _, m := range oracleModels() {
+		for _, h := range handBuilt {
+			pr := m.Prepare(h.prog)
+			overlay := pr.cl.HasCycle() // before any candidate: the closure did not take the skeleton
+			err := mem.Enumerate(h.cands.Mem(), func(x *mem.Execution) bool {
+				fast := pr.ExecutionObservable(x)
+				slow := m.BuildGraph(h.prog, x).Acyclic()
+				if fast != slow {
+					t.Errorf("%s (%d ports) on %s, execution %s: two-tier=%v oracle=%v", h.name, len(pr.ports), m.FullName(), x, fast, slow)
+				}
+				if overlay && slow {
+					h.seen[1]++
+				} else if overlay {
+					h.seen[0]++
+				}
+				return true
+			})
+			pr.Close()
+			if err != nil {
+				t.Fatalf("%s on %s: %v", h.name, m.FullName(), err)
+			}
+		}
+	}
+	t.Logf("[forbidden, observable] candidates decided by the overlay: wide mp %v, control dependency on a later load %v", wide, ctrl)
+	if wide[0] == 0 || wide[1] == 0 || ctrl[0] == 0 || ctrl[1] != 0 {
+		t.Errorf("[forbidden, observable] candidates: wide mp %v, want both; control dependency on a later load %v, want only forbidden", wide, ctrl)
 	}
 }
 
