@@ -23,6 +23,34 @@
 //
 // Consume ordering is not modelled (treated as unsupported), matching the
 // paper's litmus suite which never uses memory_order_consume.
+//
+// Each candidate is checked from tables the checker builds once per
+// program: the reads, the writes and reads that can end a
+// synchronizes-with edge, with their fences, and whether any access is
+// non-atomic. Three shortcuts follow, each exact:
+//
+//   - hb: only a write that is a release or has a release fence before it
+//     in sb can start a synchronizes-with edge, and only a read that is an
+//     acquire or has an acquire fence after it can end one, so addSW
+//     pairs just those. When it adds no edge, hb is sb, which is already
+//     transitive, and the Floyd–Warshall closure is skipped.
+//   - eco: every candidate mem.Enumerate yields has mo total per location
+//     and each RMW right after its rf source, and under those two facts
+//     eco = rf ∪ mo ∪ fr ∪ mo;rf ∪ fr;rf. With a location's writes
+//     numbered by mo position, a write at position i reaches the writes
+//     after i and the reads whose source is at i or later, and a read
+//     whose source is at s reaches the writes after s other than itself
+//     and the reads whose source is after s. buildEco writes each row from
+//     two suffix masks of its location, with no closure; its comment
+//     gives the argument.
+//   - the non-atomic axioms (visible side effects, data races) run only
+//     on a program with a non-atomic access; without one they pass.
+//
+// A test-only oracle (oracle_test.go) keeps the pair-by-pair
+// synchronizes-with scan, the Floyd–Warshall eco and the unconditional
+// non-atomic axioms, and TestCheckerMatchesOracle requires equal hb rows,
+// eco rows and verdicts on every candidate of the shipped and
+// synthesized suites and of random programs.
 package c11
 
 import (

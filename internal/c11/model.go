@@ -26,12 +26,13 @@ type Result struct {
 // Evaluate runs the C11 axiomatic model over every candidate execution of p
 // and returns the allowed outcome set.
 //
-// One checker — sequenced-before matrix, happens-before/eco scratch, SC
-// search buffers — is shared across the whole enumeration, and outcomes are
-// interned through mem.OutcomeCache so the per-candidate map updates run on
-// dense ids. Every candidate is still fully checked (the Consistent counter
-// is part of the result), and the outcome and allowed sets are bit-identical
-// to checking each candidate with a fresh checker.
+// One checker — sequenced-before matrix, the program's event classes,
+// happens-before/eco scratch, SC search buffers — is shared across the
+// whole enumeration, and outcomes are interned through mem.OutcomeCache so
+// the per-candidate map updates run on dense ids. Every candidate is still
+// fully checked (the Consistent counter is part of the result), and the
+// outcome and allowed sets are bit-identical to checking each candidate
+// with a fresh checker.
 func Evaluate(p *Program) (*Result, error) {
 	res := &Result{}
 	cache := mem.AcquireOutcomeCache(p.memp)
@@ -88,17 +89,41 @@ type checker struct {
 	sb bitmat
 	hb bitmat // (sb ∪ sw)+
 
+	// The program's event classes, recorded once by bindProgram. relW
+	// lists the atomic writes that can be the release end of a
+	// synchronizes-with edge, acqR the atomic reads that can be its
+	// acquire end (see addSW), and reads every reading event, all in GID
+	// order; fences holds their fence lists (syncEnd.lo/hi). hasNA
+	// reports a non-atomic access.
+	relW, acqR []syncEnd
+	fences     []int
+	reads      []int
+	hasNA      bool
+
 	// Per-candidate scratch, reused across bind calls.
-	eco   bitmat
-	seq   []int  // releaseSequence result buffer
-	inRS  []bool // by gid; cleared after each use
-	frBuf []int
-	scSet []int // SC event gids
-	scIdx []int // by gid: index into scSet, or -1
-	must  [][]bool
-	order []int
-	used  []bool
-	pos   []int
+	eco    bitmat
+	ecoOff []int    // by location: its first row in sufW and sufR
+	sufW   []uint64 // eco's suffix masks of writes (see buildEco)
+	sufR   []uint64 // eco's suffix masks of reads
+	seq    []int    // releaseSequence result buffer
+	inRS   []bool   // by gid; cleared after each use
+	scSet  []int    // SC event gids
+	scIdx  []int    // by gid: index into scSet, or -1
+	must   [][]bool
+	order  []int
+	used   []bool
+	pos    []int
+}
+
+// syncEnd is one end of a possible synchronizes-with edge: an atomic write
+// that is a release or follows a release fence in sb, or an atomic read
+// that is an acquire or precedes an acquire fence in sb. fences[lo:hi]
+// are those fences: the write's release fences sb-before it, or the
+// read's acquire fences sb-after it.
+type syncEnd struct {
+	gid, thread int
+	ord         bool // the access is itself a release (write) or acquire (read)
+	lo, hi      int
 }
 
 // newEvalChecker builds a checker for p: the sequenced-before matrix is
@@ -125,7 +150,7 @@ func (c *checker) bindProgram(p *Program) {
 	} else {
 		c.sb.ww, c.sb.bits = ww, c.sb.bits[:n*ww]
 		clear(c.sb.bits)
-		// hb is fully overwritten by bind; eco is cleared by coherent.
+		// hb is fully overwritten by bind, eco by buildEco.
 		c.hb.ww, c.hb.bits = ww, c.hb.bits[:n*ww]
 		c.eco.ww, c.eco.bits = ww, c.eco.bits[:n*ww]
 	}
@@ -135,6 +160,12 @@ func (c *checker) bindProgram(p *Program) {
 				c.sb.set(th[i].GID, th[j].GID)
 			}
 		}
+	}
+	c.bindClasses()
+	if nl := p.memp.NumLocs; cap(c.ecoOff) < nl {
+		c.ecoOff = make([]int, nl)
+	} else {
+		c.ecoOff = c.ecoOff[:nl]
 	}
 	if len(c.must) < n {
 		c.must = mat(n) // scConsistent clears the rows it uses
@@ -186,21 +217,74 @@ func releaseChecker(c *checker) {
 	checkerPool.Put(c)
 }
 
+// bindClasses records the program's event classes: the reads, whether
+// some access is non-atomic, and the two ends a synchronizes-with edge
+// can have (syncEnd), each with its fences.
+func (c *checker) bindClasses() {
+	c.relW, c.acqR = c.relW[:0], c.acqR[:0]
+	c.fences, c.reads = c.fences[:0], c.reads[:0]
+	c.hasNA = false
+	for g, e := range c.ev {
+		ord := c.p.ord[g]
+		if e.Kind != mem.Fence && ord == NA {
+			c.hasNA = true
+		}
+		if e.IsRead() {
+			c.reads = append(c.reads, g)
+		}
+		if e.Kind == mem.Fence || ord == NA {
+			continue
+		}
+		th := c.p.memp.Threads[e.Thread]
+		if e.IsWrite() {
+			lo := len(c.fences)
+			for _, f := range th[:e.Index] {
+				if f.Kind == mem.Fence && c.p.ord[f.GID].IsRelease() {
+					c.fences = append(c.fences, f.GID)
+				}
+			}
+			if ord.IsRelease() || len(c.fences) > lo {
+				c.relW = append(c.relW, syncEnd{g, e.Thread, ord.IsRelease(), lo, len(c.fences)})
+			}
+		}
+		if e.IsRead() {
+			lo := len(c.fences)
+			for _, f := range th[e.Index+1:] {
+				if f.Kind == mem.Fence && c.p.ord[f.GID].IsAcquire() {
+					c.fences = append(c.fences, f.GID)
+				}
+			}
+			if ord.IsAcquire() || len(c.fences) > lo {
+				c.acqR = append(c.acqR, syncEnd{g, e.Thread, ord.IsAcquire(), lo, len(c.fences)})
+			}
+		}
+	}
+}
+
 // bind points the checker at execution x and recomputes happens-before.
+// Without a synchronizes-with edge hb is sb, which is already transitive,
+// so the closure runs only after addSW added one.
 func (c *checker) bind(x *mem.Execution) {
 	c.x = x
 	copy(c.hb.bits, c.sb.bits)
-	c.addSW()
-	closure(&c.hb, c.n)
+	if c.addSW() {
+		closure(&c.hb, c.n)
+	}
 }
 
-// check runs the consistency axioms against the bound execution.
+// check runs the consistency axioms against the bound execution. The
+// non-atomic axioms run only on a program with a non-atomic access:
+// without one, every read is atomic (naReadsVisible passes) and every
+// same-location pair is atomic (hasRace finds no race).
 func (c *checker) check() (ok, racy bool) {
 	if !c.coherent() {
 		return false, false
 	}
 	if !c.scConsistent() {
 		return false, false
+	}
+	if !c.hasNA {
+		return true, false
 	}
 	if !c.naReadsVisible() {
 		return false, false
@@ -288,59 +372,51 @@ func (c *checker) releaseSequence(w int) []int {
 
 // addSW inserts synchronizes-with edges into c.hb (before closure):
 // release-write → acquire-read pairs through release sequences, plus the
-// C++11 fence synchronization rules.
-func (c *checker) addSW() {
-	// For each atomic write w, precompute the set of reads that read from
-	// w's (hypothetical) release sequence.
-	for w := 0; w < c.n; w++ {
-		if !c.isWrite(w) || !c.atomic(w) {
-			continue
-		}
-		rs := c.releaseSequence(w)
-		inRS := c.inRS
+// C++11 fence synchronization rules, and reports whether it set a bit.
+//
+// A pair (w, r) of an atomic write and an atomic read of another thread,
+// where r reads from w's release sequence, sets an hb bit in exactly four
+// cases: w release and r acquire (w → r); r acquire and a release fence
+// F sb-before w (F → r); w release and an acquire fence G sb-after r
+// (w → G); F and G both present (F → G). So only a write that is a
+// release or has such an F (relW), and a read that is an acquire or has
+// such a G (acqR), can take part, and every such pair sets a bit. Every
+// bit joins two threads, so none was in sb.
+func (c *checker) addSW() bool {
+	added := false
+	inRS := c.inRS
+	for _, w := range c.relW {
+		rs := c.releaseSequence(w.gid)
 		for _, m := range rs {
 			inRS[m] = true
 		}
-		for r := 0; r < c.n; r++ {
-			if !c.isRead(r) || !c.atomic(r) || c.ev[r].Thread == c.ev[w].Thread {
+		for _, r := range c.acqR {
+			if r.thread == w.thread {
 				continue
 			}
-			src := c.x.RF[r]
+			src := c.x.RF[r.gid]
 			if src == mem.InitWrite || !inRS[src] {
 				continue
 			}
-			wRel := c.p.ord[w].IsRelease()
-			rAcq := c.p.ord[r].IsAcquire()
+			added = true
 			// Plain release/acquire synchronization.
-			if wRel && rAcq {
-				c.hb.set(w, r)
+			if w.ord && r.ord {
+				c.hb.set(w.gid, r.gid)
 			}
-			// Fence rules (C++11 29.8p2-4):
-			// release fence F sequenced before w, acquire read r.
-			if rAcq {
-				for f := 0; f < c.n; f++ {
-					if c.isFence(f) && c.p.ord[f].IsRelease() && c.sb.get(f, w) {
-						c.hb.set(f, r)
-					}
+			// Fence rules (C++11 29.8p2-4): release fence F sequenced
+			// before w, acquire read r; release write w, acquire fence G
+			// sequenced after r; and F before w, G after r.
+			for _, f := range c.fences[w.lo:w.hi] {
+				if r.ord {
+					c.hb.set(f, r.gid)
+				}
+				for _, g := range c.fences[r.lo:r.hi] {
+					c.hb.set(f, g)
 				}
 			}
-			// release write w, acquire fence G sequenced after r.
-			if wRel {
-				for g := 0; g < c.n; g++ {
-					if c.isFence(g) && c.p.ord[g].IsAcquire() && c.sb.get(r, g) {
-						c.hb.set(w, g)
-					}
-				}
-			}
-			// release fence F before w, acquire fence G after r.
-			for f := 0; f < c.n; f++ {
-				if !(c.isFence(f) && c.p.ord[f].IsRelease() && c.sb.get(f, w)) {
-					continue
-				}
-				for g := 0; g < c.n; g++ {
-					if c.isFence(g) && c.p.ord[g].IsAcquire() && c.sb.get(r, g) {
-						c.hb.set(f, g)
-					}
+			if w.ord {
+				for _, g := range c.fences[r.lo:r.hi] {
+					c.hb.set(w.gid, g)
 				}
 			}
 		}
@@ -348,41 +424,19 @@ func (c *checker) addSW() {
 			inRS[m] = false
 		}
 	}
+	return added
 }
 
 // coherent checks irreflexive(hb) and irreflexive(hb ; eco) with
-// eco = (rf ∪ mo ∪ fr)+.
+// eco = (rf ∪ mo ∪ fr)+, whose rows buildEco writes in closed form.
 func (c *checker) coherent() bool {
 	for a := 0; a < c.n; a++ {
 		if c.hb.get(a, a) {
 			return false
 		}
 	}
+	c.buildEco()
 	eco := &c.eco
-	clear(eco.bits)
-	for r := 0; r < c.n; r++ {
-		if !c.isRead(r) {
-			continue
-		}
-		if src := c.x.RF[r]; src != mem.InitWrite {
-			eco.set(src, r)
-		}
-		c.frBuf = c.x.AppendFRSuccessors(r, c.frBuf[:0])
-		for _, w := range c.frBuf {
-			eco.set(r, w)
-		}
-	}
-	for w1 := 0; w1 < c.n; w1++ {
-		if !c.isWrite(w1) {
-			continue
-		}
-		for w2 := 0; w2 < c.n; w2++ {
-			if w1 != w2 && c.isWrite(w2) && c.x.SameLoc(w1, w2) && c.x.MOBefore(w1, w2) {
-				eco.set(w1, w2)
-			}
-		}
-	}
-	closure(eco, c.n)
 	for a := 0; a < c.n; a++ {
 		row := c.hb.row(a)
 		for wi, wv := range row {
@@ -396,6 +450,100 @@ func (c *checker) coherent() bool {
 		}
 	}
 	return true
+}
+
+// buildEco writes eco = (rf ∪ mo ∪ fr)+ into c.eco without a closure.
+//
+// Every candidate mem.Enumerate yields has mo total per location and
+// places each RMW right after its rf source in mo (or first, when it
+// reads init). Number a location's writes 1..m by mo position, with init
+// at 0, and let a read's source position be its rf source's (0 for init).
+// Then rf runs from position s to reads with source s, mo from position
+// i to every position after i, and fr from a read with source s to every
+// write after s other than the read itself. Along any path the write
+// positions only grow, and:
+//
+//   - a write at position i reaches the writes after i (mo) and the reads
+//     whose source is at position ≥ i (rf, or mo;rf);
+//   - a read whose source is at position s reaches the writes after s,
+//     other than itself (fr), and the reads whose source is after s
+//     (fr;rf).
+//
+// So eco = rf ∪ mo ∪ fr ∪ mo;rf ∪ fr;rf. An RMW is both: at position
+// s+1, right after its source s, the two rows agree (the writes after
+// s+1, the reads whose source is ≥ s+1), and it does not reach itself.
+// Without adjacency an RMW at position k > s+1 would reach a write between
+// s and k by fr and come back by mo, which the rows here would miss.
+//
+// Each row is two suffix masks of its location, taken ww words wide:
+// sufW at position p holds the writes at positions ≥ p, sufR at p the
+// reads whose source is at position ≥ p. A location with m writes owns
+// rows 0..m+1 of each, from ecoOff.
+func (c *checker) buildEco() {
+	x, ww := c.x, c.eco.ww
+	rows := 0
+	for l, ws := range x.MO {
+		c.ecoOff[l] = rows
+		rows += len(ws) + 2
+	}
+	c.sufW = sizedWords(c.sufW, rows*ww)
+	c.sufR = sizedWords(c.sufR, rows*ww)
+	sufW, sufR := c.sufW, c.sufR
+	for l, ws := range x.MO {
+		o := c.ecoOff[l]
+		for i, w := range ws {
+			sufW[(o+i+1)*ww+w>>6] |= 1 << (uint(w) & 63)
+		}
+	}
+	for _, r := range c.reads {
+		sufR[(c.ecoOff[x.LocOf[r]]+c.srcPos(r))*ww+r>>6] |= 1 << (uint(r) & 63)
+	}
+	for l, ws := range x.MO {
+		o := c.ecoOff[l]
+		for p := o + len(ws); p >= o; p-- {
+			lo, hi := p*ww, (p+1)*ww
+			for t := 0; t < ww; t++ {
+				sufW[lo+t] |= sufW[hi+t]
+				sufR[lo+t] |= sufR[hi+t]
+			}
+		}
+	}
+	for g, e := range c.ev {
+		row := c.eco.row(g)
+		var w, r int // the row's sufW and sufR rows
+		switch {
+		case e.IsWrite():
+			i := c.ecoOff[x.LocOf[g]] + x.MOIndex[g]
+			w, r = i+1, i
+		case e.IsRead():
+			s := c.ecoOff[x.LocOf[g]] + c.srcPos(g)
+			w, r = s+1, s+1
+		default:
+			clear(row)
+			continue
+		}
+		for t := range row {
+			row[t] = sufW[w*ww+t] | sufR[r*ww+t]
+		}
+	}
+}
+
+// srcPos returns the mo position of read r's rf source: 0 for init.
+func (c *checker) srcPos(r int) int {
+	if src := c.x.RF[r]; src != mem.InitWrite {
+		return c.x.MOIndex[src]
+	}
+	return 0
+}
+
+// sizedWords returns buf resized to n words, zeroed.
+func sizedWords(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // moLT compares two write GIDs (or mem.InitWrite) in coherence order at a

@@ -186,7 +186,8 @@ func Compile(m *Mapping, p *c11.Program) (*isa.Program, error) {
 		// accessIdx maps the C11 per-thread op index to the per-thread
 		// index of its emitted access instruction, for control deps.
 		accessIdx := make([]int, len(ops))
-		for i, op := range ops {
+		for i := range ops {
+			op := &ops[i] // by index: an Op is large enough to copy through duffcopy
 			var recipe Recipe
 			var err error
 			switch op.Kind {

@@ -25,9 +25,10 @@ var ErrUnresolvable = errors.New("mem: unresolvable register-carried address")
 // MOIndex, LocOf, RVal, WVal) are overwritten between calls. A visitor may
 // read it freely for the duration of the call (evaluators are expected to
 // borrow it zero-copy, e.g. to layer per-execution µhb overlay edges over
-// a static skeleton) but must Clone anything it retains afterwards.
-// AppendFRSuccessors takes the visitor's own scratch buffer, so reading
-// from-reads successors allocates nothing per candidate.
+// a static skeleton) but must Clone anything it retains afterwards. A
+// read's from-reads successors are MO[loc][MOIndex[src]:] (from MO[loc]
+// when it reads init), minus the read itself when it is an RMW: a
+// subslice, so reading them allocates nothing per candidate.
 func Enumerate(p *Program, visit func(*Execution) bool) error {
 	if err := p.Validate(); err != nil {
 		return err

@@ -391,29 +391,6 @@ func (x *Execution) MOBefore(a, b int) bool {
 	return x.MOIndex[a] < x.MOIndex[b]
 }
 
-// AppendFRSuccessors appends to dst the writes that read r is
-// from-reads-ordered before — every write to r's location that is
-// mo-after r's source — and returns the extended slice. Evaluators that
-// visit every candidate of an enumeration sweep pass a reusable scratch
-// buffer (see the Enumerate visitor contract).
-func (x *Execution) AppendFRSuccessors(r int, dst []int) []int {
-	loc := x.LocOf[r]
-	if loc == LocNone {
-		return dst
-	}
-	src := x.RF[r]
-	srcIdx := 0
-	if src != InitWrite {
-		srcIdx = x.MOIndex[src]
-	}
-	for _, w := range x.MO[loc] {
-		if x.MOIndex[w] > srcIdx && w != r {
-			dst = append(dst, w)
-		}
-	}
-	return dst
-}
-
 // RegValue returns the final value of thread t's register r (the value read
 // by the last load of t with Dst == r), or 0 if never written.
 func (x *Execution) RegValue(t, r int) int64 {

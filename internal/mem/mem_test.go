@@ -283,8 +283,12 @@ func TestFencesDoNotAffectCandidates(t *testing.T) {
 }
 
 // TestExecutionInvariants checks structural invariants over every candidate
-// of a write-heavy program: rf sources write the read's location, MOIndex is
-// consistent with MO, and fr successors are mo-after the source.
+// of a write-heavy program with an RMW: rf sources write the read's
+// location, MOIndex is consistent with MO, each location's MO lists its
+// writes once each, and an RMW sits right after its rf source in mo.
+// Evaluators read a read's from-reads successors as MO[loc][srcIdx:],
+// which these make the location's writes mo-after the source, and C11's
+// closed-form eco rests on the last two.
 func TestExecutionInvariants(t *testing.T) {
 	p := NewProgram(2, "x", "y")
 	p.Add(0, Event{Kind: Write, Addr: Const(0), Data: Const(1)})
@@ -293,9 +297,11 @@ func TestExecutionInvariants(t *testing.T) {
 	p.Add(1, Event{Kind: Read, Addr: Const(0), Dst: 0})
 	p.Add(2, Event{Kind: Read, Addr: Const(0), Dst: 0})
 	p.Add(2, Event{Kind: Read, Addr: Const(1), Dst: 1})
+	p.Add(2, Event{Kind: RMW, Addr: Const(0), Data: Const(3), Dst: 2, RMWOp: RMWAdd})
 	p.AddObserver(1, 0, "a")
 	p.AddObserver(2, 0, "b")
 	p.AddObserver(2, 1, "c")
+	p.AddObserver(2, 2, "d")
 	count := 0
 	err := Enumerate(p, func(x *Execution) bool {
 		count++
@@ -305,23 +311,32 @@ func TestExecutionInvariants(t *testing.T) {
 				if src != InitWrite && x.LocOf[src] != x.LocOf[e.GID] {
 					t.Fatalf("rf source location mismatch: %v", x)
 				}
-				for _, w := range x.AppendFRSuccessors(e.GID, nil) {
-					srcIdx := 0
-					if src != InitWrite {
-						srcIdx = x.MOIndex[src]
-					}
-					if x.MOIndex[w] <= srcIdx {
-						t.Fatalf("fr successor not mo-after source: %v", x)
-					}
+				srcIdx := 0
+				if src != InitWrite {
+					srcIdx = x.MOIndex[src]
+				}
+				if e.Kind == RMW && x.MOIndex[e.GID] != srcIdx+1 {
+					t.Fatalf("RMW not right after its source in mo: %v", x)
 				}
 			}
 		}
+		seen := 0
 		for l, ws := range x.MO {
 			for i, w := range ws {
 				if x.MOIndex[w] != i+1 || x.LocOf[w] != Loc(l) {
 					t.Fatalf("MOIndex inconsistent: %v", x)
 				}
 			}
+			seen += len(ws)
+		}
+		writes := 0
+		for _, e := range p.Events() {
+			if e.IsWrite() {
+				writes++
+			}
+		}
+		if seen != writes {
+			t.Fatalf("MO lists %d writes, the program has %d: %v", seen, writes, x)
 		}
 		return true
 	})

@@ -61,6 +61,18 @@ type builder struct {
 	K      int    // node slots per instruction
 	atomic []bool // by event: atomicWrite
 
+	// The layout tables bind records for the dynamic passes: reads lists
+	// the read parts in GID order; sbe and fwd hold, by event, the SBEnter
+	// node and whether the event is a store that can forward to a
+	// same-thread plain load under the model; vis holds, at w*C+c, the
+	// node at which write w becomes visible to core c (visTo); acqAMOs
+	// lists the acquire AMOs in GID order.
+	reads   []readPart
+	sbe     []int
+	fwd     []bool
+	vis     []int
+	acqAMOs []int
+
 	// fired holds, by thread, the axioms whose static edges the run
 	// emitted, before dedup; th is the thread the static run is walking,
 	// which every addS edge lies in (see tiers.go).
@@ -79,7 +91,13 @@ type builder struct {
 	cumMark                    []bool
 	cumFront                   []int
 	cumBuf                     []int
-	frBuf                      []int
+}
+
+// readPart is a read part of the program: its event, the event's thread
+// and Perform node, and whether it is a plain load (not an AMO).
+type readPart struct {
+	gid, thread, perform int
+	plain                bool
 }
 
 // release drops b's model and program, keeping its buffers for a pooled
@@ -89,9 +107,9 @@ func (b *builder) release() {
 	b.m, b.p, b.ev = nil, nil, nil
 }
 
-// bind sets b up for program p under model m: the node layout and the
-// atomicWrite table, shared by all tiers of the pair, and empty site
-// lists for the static run to record into.
+// bind sets b up for program p under model m: the node layout, the
+// atomicWrite table and the layout tables, shared by all tiers of the
+// pair, and empty site lists for the static run to record into.
 func (b *builder) bind(m *Model, p *isa.Program) {
 	b.m, b.p, b.ev = m, p, p.Mem().Events()
 	b.C = max(p.NumThreads(), 1)
@@ -100,9 +118,27 @@ func (b *builder) bind(m *Model, p *isa.Program) {
 		maxV = b.C
 	}
 	b.K = slotVis0 + maxV + 1 // + Complete
-	b.atomic = b.atomic[:0]
+	b.atomic, b.reads, b.acqAMOs = b.atomic[:0], b.reads[:0], b.acqAMOs[:0]
+	b.sbe, b.fwd, b.vis = b.sbe[:0], b.fwd[:0], b.vis[:0]
 	for _, e := range b.ev {
-		b.atomic = append(b.atomic, !m.NMCA || b.scAMO(p.InstrOf(e.GID)))
+		g, ins := e.GID, p.InstrOf(e.GID)
+		atomic := !m.NMCA || b.scAMO(ins)
+		b.atomic = append(b.atomic, atomic)
+		if e.IsRead() {
+			b.reads = append(b.reads, readPart{g, e.Thread, b.perform(g), !ins.Op.IsAMO()})
+			if ins.Op.IsAMO() && ins.Aq {
+				b.acqAMOs = append(b.acqAMOs, g)
+			}
+		}
+		b.sbe = append(b.sbe, b.sbEnter(g))
+		b.fwd = append(b.fwd, m.Forwarding && ins.Op == isa.OpStore) // AMOs execute at memory
+		for c := 0; c < b.C; c++ {
+			if atomic {
+				b.vis = append(b.vis, b.node(g, slotVis0))
+			} else {
+				b.vis = append(b.vis, b.node(g, slotVis0+c))
+			}
+		}
 	}
 	b.fired = append(b.fired[:0], make([]uint64, b.C)...)
 	b.pairs, b.cumFences, b.lazyRels = b.pairs[:0], b.cumFences[:0], b.lazyRels[:0]
@@ -220,13 +256,9 @@ func (b *builder) ports(dst []int32) []int32 {
 // i.e. scAMO). bind fills the table once per layout.
 func (b *builder) atomicWrite(w int) bool { return b.atomic[w] }
 
-// visTo returns the node at which write w becomes visible to core c.
-func (b *builder) visTo(w, c int) int {
-	if b.atomicWrite(w) {
-		return b.node(w, slotVis0)
-	}
-	return b.node(w, slotVis0+c)
-}
+// visTo returns the node at which write w becomes visible to core c: its
+// one visibility node when atomicWrite, else core c's (bind's vis table).
+func (b *builder) visTo(w, c int) int { return b.vis[w*b.C+c] }
 
 // numVis returns the number of distinct visibility nodes of write w;
 // visN(w, i) for i < numVis(w) enumerates them.
@@ -412,7 +444,23 @@ func (b *builder) ppoPair(a, c *mem.Event) {
 }
 
 // pointwiseVis orders write a's visibility before write c's, per core.
+//
+// When both writes are atomicWrite, the C per-core edges are one edge,
+// emitted C times in a row; it is emitted once instead, and no result
+// moves. The closure's rows and the coverage bits are sets, and Freeze
+// keeps the first reason of each (from, to), which the first copy
+// already was. In the overlay the copies would sit next to each other in
+// their source node's list, which the DFS walks newest first, and the
+// DFS never follows an edge into a node it has already entered: the
+// first copy it meets either closes a cycle on a gray target, which ends
+// the search, or finds the target done, or enters it, which is done when
+// the DFS comes back. So every later copy finds the target done, or is
+// never reached, and no witnessing cycle moves.
 func (b *builder) pointwiseVis(ag, cg int, r Reason, static bool) {
+	if b.atomicWrite(ag) && b.atomicWrite(cg) {
+		b.add(b.visTo(ag, 0), b.visTo(cg, 0), r, static)
+		return
+	}
 	for c := 0; c < b.C; c++ {
 		b.add(b.visTo(ag, c), b.visTo(cg, c), r, static)
 	}
@@ -478,33 +526,33 @@ func (b *builder) coherence() {
 }
 
 // values adds reads-from and from-reads edges. Dynamic: rf/fr are the
-// execution's value choices.
+// execution's value choices. It reads bind's layout tables: a read's fr
+// successors are the writes after its source in mo, MO[loc][srcIdx:]
+// (mem.Execution.MOIndex is 1-based, init 0), other than the read itself
+// when it is an RMW.
 func (b *builder) values() {
 	if !b.dyn() {
 		return
 	}
-	for _, e := range b.ev {
-		if !e.IsRead() {
-			continue
-		}
-		r := e.GID
-		src := b.x.RF[r]
+	x := b.x
+	for _, rd := range b.reads {
+		src := x.RF[rd.gid]
+		srcIdx := 0
 		if src != mem.InitWrite {
-			w := b.ev[src]
-			plainLoad := !b.p.InstrOf(r).Op.IsAMO()
-			forwardable := b.p.InstrOf(src).Op == isa.OpStore // AMOs execute at memory
-			if w.Thread == e.Thread && b.m.Forwarding && forwardable && plainLoad {
+			srcIdx = x.MOIndex[src]
+			if b.fwd[src] && rd.plain && b.ev[src].Thread == rd.thread {
 				// Plain load forwarding from the local store buffer.
-				b.addD(b.sbEnter(src), b.perform(r), rRfForward)
+				b.addD(b.sbe[src], rd.perform, rRfForward)
 			} else {
 				// Reads observe the write once visible to their core
 				// (AMO reads always go to the memory system).
-				b.addD(b.visTo(src, e.Thread), b.perform(r), rRf)
+				b.addD(b.visTo(src, rd.thread), rd.perform, rRf)
 			}
 		}
-		b.frBuf = b.x.AppendFRSuccessors(r, b.frBuf[:0])
-		for _, w2 := range b.frBuf {
-			b.addD(b.perform(r), b.visTo(w2, e.Thread), rFr)
+		for _, w := range x.MO[x.LocOf[rd.gid]][srcIdx:] {
+			if w != rd.gid {
+				b.addD(rd.perform, b.visTo(w, rd.thread), rFr)
+			}
 		}
 	}
 }
@@ -797,13 +845,10 @@ func (b *builder) eagerReleaseEdges(th []*mem.Event, a *mem.Event) {
 // from the release, the release's cumulative predecessor set must be
 // visible to that core before the acquire performs.
 func (b *builder) lazyReleaseEdges(th []*mem.Event, a *mem.Event) {
-	for _, r := range b.ev {
-		if !r.IsRead() || r.Thread == a.Thread {
+	for _, g := range b.acqAMOs { // only acquires synchronize (lazy cumulativity)
+		r := b.ev[g]
+		if r.Thread == a.Thread {
 			continue
-		}
-		rIns := b.p.InstrOf(r.GID)
-		if !rIns.Op.IsAMO() || !rIns.Aq {
-			continue // only acquires synchronize (lazy cumulativity)
 		}
 		// The acquire must read the release's write, possibly through a
 		// chain of intervening AMO write-backs (a release sequence).
